@@ -12,7 +12,6 @@ from .qseries import (
 )
 from .characters import (
     IdentityReport,
-    ModuleLabel,
     basic_char,
     compare_series,
     family_char,
@@ -38,7 +37,6 @@ __all__ = [
     "QSeries",
     "ChargeSeries",
     "IdentityReport",
-    "ModuleLabel",
     "basic_char",
     "coeff_z",
     "compare_series",

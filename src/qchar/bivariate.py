@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .characters import IdentityReport
 from .errors import InvalidParameter, OutOfWindow, WindowUnderflow
 from .qseries import QSeries, inv_euler_phi
 
@@ -470,11 +471,9 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
 
 
 def compare_charge_series(identity: str, params: dict, lhs: ChargeSeries,
-                          rhs: ChargeSeries, ms: float = 0.0):
+                          rhs: ChargeSeries) -> IdentityReport:
     """Row-by-row comparison over the common window, reported like a plain
     series check; a failing row records its z-degree in the parameters."""
-    from .characters import IdentityReport
-
     lo = max(lhs.zmin, rhs.zmin)
     hi = min(lhs.zmax, rhs.zmax)
     if lo > hi:
@@ -488,5 +487,5 @@ def compare_charge_series(identity: str, params: dict, lhs: ChargeSeries,
             return IdentityReport(identity, p, order, "fail",
                                   first_diff_u_exp=e,
                                   lhs_coeff=lhs.row(d).coeff(e),
-                                  rhs_coeff=rhs.row(d).coeff(e), ms=ms)
-    return IdentityReport(identity, dict(params), order, "pass", ms=ms)
+                                  rhs_coeff=rhs.row(d).coeff(e))
+    return IdentityReport(identity, dict(params), order, "pass")

@@ -18,112 +18,16 @@ the only floating-point computations in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter
-from .qseries import QSeries, dist_product, euler_phi, gauss_sum, inv_euler_phi
+from .qseries import QSeries, dist_product, inv_euler_phi
 
 
 # ---------------------------------------------------------------------------
-# domain bookkeeping
-
-
-@dataclass(frozen=True)
-class SpecializationTable:
-    """Exponent table of the principal specialization of type (1,...,1,0).
-
-    Records, in u-units, the image q^(e/2) assigned to e^(-beta) for each
-    basis weight beta: the fundamental weights eps_1..eps_{m+1} of the
-    underlying gl, the simple roots alpha_0..alpha_m, and the null root
-    delta. All even simple roots go to q; the odd one goes to 1.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidParameter(f"need m >= 2, got {self.m}")
-
-    def eps_u_exp(self, i: int) -> int:
-        if not 1 <= i <= self.m + 1:
-            raise InvalidParameter(f"eps index {i} outside 1..{self.m + 1}")
-        if i == self.m + 1:
-            return 0
-        return 2 * (self.m - i)
-
-    def alpha_u_exp(self, i: int) -> int:
-        if not 0 <= i <= self.m:
-            raise InvalidParameter(f"alpha index {i} outside 0..{self.m}")
-        return 0 if i == self.m else 2
-
-    def delta_u_exp(self) -> int:
-        return 2 * self.m
-
-    def is_consistent(self) -> bool:
-        # alpha_0 = delta - eps_1 + eps_{m+1}, alpha_i = eps_i - eps_{i+1}
-        if self.alpha_u_exp(0) != self.delta_u_exp() - self.eps_u_exp(1) + self.eps_u_exp(self.m + 1):
-            return False
-        for i in range(1, self.m + 1):
-            if self.alpha_u_exp(i) != self.eps_u_exp(i) - self.eps_u_exp(i + 1):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class ModuleLabel:
-    """Highest-weight label for the level-1 modules the identities cover.
-
-    kind is one of "basic" (the vacuum weight), "last_fundamental" (the
-    weight indexed m-1, sharing its specialized character with the vacuum),
-    "family" (the one-parameter family {k(m-1)+1}*vacuum - k(m-1)*top whose
-    characters carry a finite theta-like bracket), and "sector" (the weight
-    attached to the charge-s Fock sector).
-    """
-
-    m: int
-    kind: str
-    k: int = 0
-    s: int = 0
-
-    _KINDS = ("basic", "last_fundamental", "family", "sector")
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidParameter(f"need m >= 2, got {self.m}")
-        if self.kind not in self._KINDS:
-            raise InvalidParameter(f"unknown label kind {self.kind!r}")
-
-    @classmethod
-    def basic(cls, m: int) -> "ModuleLabel":
-        return cls(m, "basic")
-
-    @classmethod
-    def last_fundamental(cls, m: int) -> "ModuleLabel":
-        return cls(m, "last_fundamental")
-
-    @classmethod
-    def family(cls, m: int, k: int) -> "ModuleLabel":
-        return cls(m, "family", k=k)
-
-    @classmethod
-    def sector(cls, m: int, s: int) -> "ModuleLabel":
-        return cls(m, "sector", s=s)
-
-    def normalized(self) -> "ModuleLabel":
-        # k = 0 in the family degenerates to the vacuum label
-        if self.kind == "family" and self.k == 0:
-            return ModuleLabel.basic(self.m)
-        return self
-
-    def specialized_char(self, order: int) -> QSeries:
-        lbl = self.normalized()
-        if lbl.kind in ("basic", "last_fundamental"):
-            return basic_char(lbl.m, order)
-        if lbl.kind == "family":
-            return family_char(lbl.m, lbl.k, order)
-        return fock_sector_char(lbl.m, lbl.s, order)
+# identity reports
 
 
 @dataclass
@@ -155,17 +59,16 @@ class IdentityReport:
         }
 
 
-def compare_series(identity: str, params: dict, lhs: QSeries, rhs: QSeries,
-                   ms: float = 0.0) -> IdentityReport:
+def compare_series(identity: str, params: dict, lhs: QSeries,
+                   rhs: QSeries) -> IdentityReport:
     """Compare two series up to their common guaranteed order."""
     order = min(lhs.order, rhs.order)
     e = lhs.first_diff(rhs)
     if e is None:
-        return IdentityReport(identity, params, order, "pass", ms=ms)
+        return IdentityReport(identity, params, order, "pass")
     return IdentityReport(identity, params, order, "fail",
                           first_diff_u_exp=e,
-                          lhs_coeff=lhs.coeff(e), rhs_coeff=rhs.coeff(e),
-                          ms=ms)
+                          lhs_coeff=lhs.coeff(e), rhs_coeff=rhs.coeff(e))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +165,21 @@ def sector_pair_product(m: int, order: int) -> QSeries:
     return 2 * ((d * d) * (invm * invm))
 
 
+def _theta_bracket(m: int, k: int, order: int) -> QSeries:
+    """The finite alternating bracket of the family and closed-form
+    characters, sum over |j| <= |k| of (-1)^(k-j) u^((k^2 - j^2) m(m-1)),
+    below order >= 1.  Only the j whose term falls below order are visited."""
+    step = m * (m - 1)
+    kk = abs(k)
+    # (kk^2 - j^2) * step < order  <=>  j^2 >= kk^2 - (order - 1) // step
+    floor_sq = kk * kk - (order - 1) // step
+    j0 = math.isqrt(floor_sq - 1) + 1 if floor_sq > 0 else 0
+    # +j and -j share an exponent and a sign
+    bracket = {(kk * kk - j * j) * step: (1 if j == 0 else 2) * (-1) ** (kk - j)
+               for j in range(j0, kk + 1)}
+    return QSeries.from_terms(bracket, order)
+
+
 def sector_closed_form(m: int, k: int, order: int) -> QSeries:
     """Closed form of the sector characters at s = (k+1)(m-1) and s = -k(m-1):
     a finite alternating theta-like bracket times (dist product)^2 / phi(q^m)^2,
@@ -272,17 +190,10 @@ def sector_closed_form(m: int, k: int, order: int) -> QSeries:
         raise InvalidParameter(f"need k >= 0, got {k}")
     if order <= 0:
         return QSeries.zero(order)
-    step = m * (m - 1)
-    bracket = {}
-    for j in range(-k, k + 1):
-        e = (k * k - j * j) * step
-        if e < order:
-            sign = 1 if (k - j) % 2 == 0 else -1
-            bracket[e] = bracket.get(e, 0) + sign
-    br = QSeries.from_terms(bracket, order)
+    br = _theta_bracket(m, k, order)
     d = dist_product(1, order)
     invm = inv_euler_phi(m, order)
-    out = QSeries.monomial(k * step, order) * (br * ((d * d) * (invm * invm)))
+    out = QSeries.monomial(k * m * (m - 1), order) * (br * ((d * d) * (invm * invm)))
     return out.restricted(order) if out.order > order else out
 
 
@@ -448,15 +359,7 @@ def family_char(m: int, k: int, order: int) -> QSeries:
         raise InvalidParameter(f"need m >= 2, got {m}")
     if order <= 0:
         return QSeries.zero(order)
-    step = m * (m - 1)
-    kk = abs(k)
-    bracket = {}
-    for j in range(-kk, kk + 1):
-        e = (k * k - j * j) * step
-        if e < order:
-            sign = 1 if (k - j) % 2 == 0 else -1
-            bracket[e] = bracket.get(e, 0) + sign
-    br = QSeries.from_terms(bracket, order)
+    br = _theta_bracket(m, k, order)
     d = dist_product(1, order)
     return br * ((d * d) * inv_euler_phi(m, order))
 

@@ -16,35 +16,17 @@ invocations produce byte-identical output.
 """
 
 import argparse
+import itertools
 import json
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .bivariate import (
-    ChargeSeries,
-    compare_charge_series,
-    fock_char_product,
-    inverse_product_sides,
-    jacobi_triple_sides,
-)
-from .characters import (
-    IdentityReport,
-    basic_char,
-    compare_series,
-    family_char,
-    fock_sector_char,
-    growth_report,
-    quasiparticle_char,
-    recurrence_step,
-    sector_closed_form,
-    sector_pair_product,
-    vacuum_identity_sides,
-)
+from .characters import growth_report
 from .errors import ExprError, QcharError, ResourceLimit
 from .expr import evaluate
+from .identities import FAMILIES, check
 from .oracle import oracle_vs_quasiparticle
-from .qseries import QSeries, dist_product, euler_phi, format_series, gauss_sum
+from .qseries import format_series
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -66,160 +48,34 @@ def parse_range(text: str):
     return [int(text)]
 
 
-# -- identity families -------------------------------------------------------
-#
-# Each family maps to a list of case tuples (family, m, s, k) with unused
-# slots None; _run_case turns one case into one or more reports.  Cases are
-# generated in sorted order and the worker pool preserves it.
+# A case is the argument tuple of identities.check for one grid point.  Cases
+# are generated in sorted order and the worker pool preserves it.
 
-FAMILY_GRIDS = {
-    # family: (m-range, s-range, k-range, default z half-width)
-    "lemma11a": ((2, 6), (0, 6), None, None),
-    "lemma11b": ((2, 6), (0, 6), None, None),
-    "prop12": ((2, 4), None, (0, 4), None),
-    "recurrence": ((2, 4), None, (0, 4), None),
-    "thm13a": ((2, 6), None, None, None),
-    "thm13b": ((2, 4), None, (-3, 3), None),
-    "prop21": ((2, 4), (-3, 4), None, None),
-    "fockprod": ((2, 3), None, None, 4),
-    "cor22": ((2, 6), None, None, None),
-    "jtp": (None, None, None, 10),
-    "kp": (None, None, None, 8),
-    "gauss": (None, None, None, None),
-}
+# every grid axis some family takes, in grid-nesting order
+AXES = tuple(dict.fromkeys(axis for fam in FAMILIES.values() for axis in fam.axes))
 
 
-def _mirror_pair_sum(m: int, s: int, nu: int) -> QSeries:
-    # u^{sm} fs(m,s) + u^{-sm} fs(m,-s), both terms claiming order nu
-    a = fock_sector_char(m, s, nu - s * m).shifted(s * m)
-    b = fock_sector_char(m, -s, nu + s * m).shifted(-s * m)
-    return a + b
+def _undeclared(name, args):
+    """The flags given that family `name` does not take."""
+    fam = FAMILIES[name]
+    flags = [axis for axis in AXES
+             if getattr(args, axis) is not None and axis not in fam.axes]
+    if args.zwin is not None and fam.zwin is None:
+        flags.append("zwin")
+    return flags
 
 
-def _family_vs_sector(m: int, k: int, nu: int) -> IdentityReport:
-    # one sign case per sign of k; both coincide at k = 0
-    sh = k * m * (m - 1)
-    if k >= 0:
-        side = fock_sector_char(m, -k * (m - 1), nu + sh) * euler_phi(m, nu + sh)
-        rhs = side.shifted(-sh)
-    else:
-        side = fock_sector_char(m, k * (m - 1), nu - sh) * euler_phi(m, nu - sh)
-        rhs = side.shifted(sh)
-    return compare_series("thm13b", {"m": m, "k": k}, family_char(m, k, nu), rhs)
-
-
-def _iterated_recurrence(m: int, k: int, nu: int) -> IdentityReport:
-    # k steps from the charge-0 sector land on the charge -k(m-1) closed
-    # form; the mirror symmetry makes step j's input the charge-j(m-1)
-    # series.  Each step from charge s spends 2sm of guaranteed order, so
-    # start with the summed budget.
-    budget = m * (m - 1) * k * (k + 1)
-    f = fock_sector_char(m, 0, nu + budget)
-    for j in range(1, k + 1):
-        s = j * (m - 1)
-        f = recurrence_step(m, s, f, f.order - 2 * s * m)
-    lhs = f.restricted(nu) if f.order > nu else f
-    return compare_series(
-        "recurrence", {"m": m, "k": k}, lhs, sector_closed_form(m, k, nu)
-    )
-
-
-def _sector_rows(m: int, half: int, nu: int) -> ChargeSeries:
-    rows = [fock_sector_char(m, s, nu) for s in range(-half, half + 1)]
-    return ChargeSeries(-half, rows)
-
-
-def _run_case(case):
-    """One grid point -> list of reports. Top level so worker pools can
-    pickle it."""
-    family, m, s, k, nu, half, timings = case
-    t0 = time.perf_counter()
-    reports = []
-    if family == "lemma11a":
-        reports.append(compare_series(
-            "lemma11a", {"m": m, "s": s},
-            _mirror_pair_sum(m, s, nu), sector_pair_product(m, nu)))
-    elif family == "lemma11b":
-        reports.append(compare_series(
-            "lemma11b", {"m": m, "s": s},
-            fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)))
-    elif family == "prop12":
-        closed = sector_closed_form(m, k, nu)
-        for side, charge in (("plus", (k + 1) * (m - 1)), ("minus", -k * (m - 1))):
-            reports.append(compare_series(
-                "prop12", {"m": m, "k": k, "side": side},
-                closed, fock_sector_char(m, charge, nu)))
-    elif family == "recurrence":
-        reports.append(_iterated_recurrence(m, k, nu))
-    elif family == "thm13a":
-        ch = basic_char(m, nu)
-        d = dist_product(1, nu)
-        phi_m = euler_phi(m, nu)
-        forms = (
-            ("product", (d * d) * phi_m.invert()),
-            ("vacuum-sector", fock_sector_char(m, 0, nu) * phi_m),
-            ("mirror-sector", fock_sector_char(m, m - 1, nu) * phi_m),
-        )
-        for form, rhs in forms:
-            reports.append(compare_series(
-                "thm13a", {"m": m, "form": form}, ch, rhs))
-    elif family == "thm13b":
-        reports.append(_family_vs_sector(m, k, nu))
-    elif family == "prop21":
-        reports.append(compare_series(
-            "prop21", {"m": m, "s": s},
-            quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)))
-    elif family == "fockprod":
-        prod = fock_char_product(m, nu, (-half, half))
-        reports.append(compare_charge_series(
-            "fockprod", {"m": m}, prod, _sector_rows(m, half, nu)))
-    elif family == "cor22":
-        lhs, rhs = vacuum_identity_sides(m, nu)
-        reports.append(compare_series("cor22", {"m": m}, lhs, rhs))
-    elif family == "jtp":
-        lhs, rhs = jacobi_triple_sides(nu, (-half, half))
-        reports.append(compare_charge_series("jtp", {}, lhs, rhs))
-    elif family == "kp":
-        lhs, rhs = inverse_product_sides(nu, (-half, half))
-        reports.append(compare_charge_series("kp", {}, lhs, rhs))
-    elif family == "gauss":
-        d = dist_product(1, nu)
-        reports.append(compare_series(
-            "gauss", {}, gauss_sum(nu), euler_phi(1, nu) * (d * d)))
-    else:
-        raise QcharError(f"unknown family {family!r}")
-    if timings:
-        ms = (time.perf_counter() - t0) * 1000.0
-        reports = [_with_ms(r, ms) for r in reports]
-    return reports
-
-
-def _with_ms(report: IdentityReport, ms: float) -> IdentityReport:
-    return IdentityReport(report.identity, report.params, report.order_u,
-                          report.verdict, report.first_diff_u_exp,
-                          report.lhs_coeff, report.rhs_coeff, ms)
-
-
-def _family_cases(family, args):
-    grids = FAMILY_GRIDS[family]
-    m_range, s_range, k_range, half_default = grids
-
-    def resolve(flag, default):
-        if flag is not None:
-            return flag
-        return list(range(default[0], default[1] + 1)) if default else [None]
-
-    ms = resolve(args.m, m_range)
-    ss = resolve(args.s, s_range)
-    ks = resolve(args.k, k_range)
-    half = args.zwin if args.zwin is not None else half_default
+def _family_cases(name, args):
+    # each axis and --zwin apply only to the families that take them
+    fam = FAMILIES[name]
+    grids = [getattr(args, axis) or range(lo, hi + 1)
+             for axis, (lo, hi) in fam.axes.items()]
+    half = fam.zwin
+    if half is not None and args.zwin is not None:
+        half = args.zwin
     nu = 2 * args.order
-    cases = []
-    for m in ms:
-        for s in ss:
-            for k in ks:
-                cases.append((family, m, s, k, nu, half, args.timings))
-    return cases
+    return [(name, nu, half, dict(zip(fam.axes, values)), args.timings)
+            for values in itertools.product(*grids)]
 
 
 # -- output ------------------------------------------------------------------
@@ -308,15 +164,23 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    families = list(FAMILY_GRIDS) if args.family == "all" else [args.family]
-    cases = []
-    for family in families:
-        cases.extend(_family_cases(family, args))
+    if args.family == "all":
+        families = list(FAMILIES)
+    else:
+        families = [args.family]
+        flags = _undeclared(args.family, args)
+        if flags:
+            given = ", ".join(f"--{flag}" for flag in flags)
+            print(f"verify: --family {args.family} does not take {given}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    cases = [case for name in families for case in _family_cases(name, args)]
+    columns = zip(*cases)  # one iterable per argument of check
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_run_case, cases))
+            chunks = list(pool.map(check, *columns))
     else:
-        chunks = [_run_case(case) for case in cases]
+        chunks = list(map(check, *columns))
     reports = [r for chunk in chunks for r in chunk]
     _print_reports(reports, args.format)
     return EXIT_PASS if all(r.passed() for r in reports) else EXIT_FAIL
@@ -355,6 +219,19 @@ def _range_arg(text):
         raise argparse.ArgumentTypeError(str(err))
 
 
+def _int_at_least(lo):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qchar",
@@ -369,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--s", type=int)
     series.add_argument("--k", type=int)
     series.add_argument("--j", type=int)
-    series.add_argument("--order", type=int, default=200,
+    series.add_argument("--order", type=_int_at_least(1), default=200,
                         help="guaranteed order in q-units (default 200)")
     series.add_argument("--format", choices=("json", "text", "csv"),
                         default="text")
@@ -377,12 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an identity family over a grid")
     verify.add_argument("--family", required=True,
-                        choices=sorted(FAMILY_GRIDS) + ["all"])
-    verify.add_argument("--m", type=_range_arg, help='grid "a..b" or single value')
-    verify.add_argument("--s", type=_range_arg)
-    verify.add_argument("--k", type=_range_arg)
-    verify.add_argument("--order", type=int, default=200)
-    verify.add_argument("--zwin", type=int, help="z-window half-width")
+                        choices=sorted(FAMILIES) + ["all"])
+    for axis in AXES:
+        verify.add_argument(f"--{axis}", type=_range_arg,
+                            help='grid "a..b" or single value')
+    verify.add_argument("--order", type=_int_at_least(1), default=200)
+    verify.add_argument("--zwin", type=_int_at_least(0),
+                        help="z-window half-width")
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock ms (breaks byte-identical output)")
@@ -393,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force state-count cross-check")
     oracle.add_argument("--m", type=int, required=True)
     oracle.add_argument("--s", type=int, required=True)
-    oracle.add_argument("--qbound", type=int, required=True,
+    oracle.add_argument("--qbound", type=_int_at_least(1), required=True,
                         help="count states below this q-degree")
     oracle.add_argument("--max-nodes", type=int, default=10**8)
     oracle.add_argument("--format", choices=("json", "text", "csv"),

@@ -72,7 +72,3 @@ class ArityError(ExprError):
 
 class DivisionByNonUnit(ExprError):
     pass
-
-
-class OrderUnderflow(ExprError):
-    """Evaluation lost its entire guaranteed window (see docs; defensive)."""

@@ -23,14 +23,13 @@ QSeries propagates honest truncation claims from there.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import (
     ArityError,
     DivisionByNonUnit,
     InvalidParameter,
     NonUnitLeadingCoefficient,
-    OrderUnderflow,
     ParseError,
     UnknownBuiltin,
     ZeroSeries,
@@ -348,19 +347,6 @@ def parse(text: str) -> Node:
 # -- evaluation --------------------------------------------------------------
 
 
-def _guard(result: QSeries, span: Span) -> QSeries:
-    # Canonical QSeries cannot produce a nonzero series with order <= min_exp
-    # (the constructor enforces the window); kept as the documented contract
-    # for any alternative coefficient backend.
-    if not result.is_zero() and result.order <= result.min_exp:
-        raise OrderUnderflow(
-            f"intermediate result lost its guaranteed window "
-            f"(order u^{result.order} <= lowest exponent u^{result.min_exp})",
-            span=span,
-        )
-    return result
-
-
 def eval_expr(node: Node, order: int) -> QSeries:
     """Evaluate at guaranteed u-order `order` (>= 1)."""
     if order < 1:
@@ -379,13 +365,13 @@ def _eval(node: Node, nu: int) -> QSeries:
         lhs = _eval(node.left, nu)
         rhs = _eval(node.right, nu)
         if node.op == "+":
-            return _guard(lhs + rhs, node.span)
+            return lhs + rhs
         if node.op == "-":
-            return _guard(lhs - rhs, node.span)
+            return lhs - rhs
         if node.op == "*":
-            return _guard(lhs * rhs, node.span)
+            return lhs * rhs
         try:
-            return _guard(lhs * rhs.invert(), node.span)
+            return lhs * rhs.invert()
         except (ZeroSeries, NonUnitLeadingCoefficient) as err:
             raise DivisionByNonUnit(
                 f"cannot divide: {err}", span=node.right.span
@@ -393,7 +379,7 @@ def _eval(node: Node, nu: int) -> QSeries:
     if isinstance(node, Power):
         base = _eval(node.base, nu)
         try:
-            return _guard(base ** node.exponent, node.span)
+            return base ** node.exponent
         except (ZeroSeries, NonUnitLeadingCoefficient) as err:
             raise DivisionByNonUnit(
                 f"cannot raise to a negative power: {err}", span=node.span

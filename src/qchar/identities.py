@@ -1,0 +1,164 @@
+"""The identity families that `qchar verify` checks.
+
+Each family is one FAMILIES entry, registered by the @family decorator on
+its sides function:
+
+  * axes: the grid axes it takes, each with a default inclusive range;
+  * zwin: its default z-window half-width, None unless the family compares
+    charge-graded series;
+  * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
+    triple per report at the grid point, all claimed at u-order nu.
+
+check() turns one grid point into reports.  Adding a family means adding
+one decorated sides function here; the CLI's --family choices, its grid
+expansion and `--family all` read FAMILIES.
+"""
+
+import time
+from typing import Callable, NamedTuple, Optional
+
+from .bivariate import (
+    ChargeSeries,
+    compare_charge_series,
+    fock_char_product,
+    inverse_product_sides,
+    jacobi_triple_sides,
+)
+from .characters import (
+    basic_char,
+    compare_series,
+    family_char,
+    fock_sector_char,
+    quasiparticle_char,
+    recurrence_step,
+    sector_closed_form,
+    sector_pair_product,
+    vacuum_identity_sides,
+)
+from .qseries import dist_product, euler_phi, gauss_sum
+
+
+class Family(NamedTuple):
+    axes: dict             # axis name -> default inclusive (lo, hi)
+    sides: Callable
+    zwin: Optional[int]    # default z half-width; None unless graded
+
+
+FAMILIES = {}
+
+
+def family(name: str, zwin: Optional[int] = None, **axes):
+    """Register the decorated sides function as family `name`.  Axes are
+    given in grid-nesting order, outermost first."""
+    def register(sides):
+        FAMILIES[name] = Family(axes, sides, zwin)
+        return sides
+    return register
+
+
+def check(name: str, nu: int, half: Optional[int], point: dict,
+          timings: bool = False) -> list:
+    """Reports of family `name` at one grid point.  With timings, each
+    report's ms covers its own sides and comparison."""
+    fam = FAMILIES[name]
+    compare = compare_series if fam.zwin is None else compare_charge_series
+    reports = []
+    t0 = time.perf_counter()
+    for extra, lhs, rhs in fam.sides(nu, half, **point):
+        report = compare(name, {**point, **extra}, lhs, rhs)
+        if timings:
+            t1 = time.perf_counter()
+            report.ms = (t1 - t0) * 1000.0
+            t0 = t1
+        reports.append(report)
+    return reports
+
+
+# -- the families, in `--family all` order -----------------------------------
+
+
+@family("lemma11a", m=(2, 6), s=(0, 6))
+def _mirror_pair(nu, half, m, s):
+    # u^{sm} fs(m,s) + u^{-sm} fs(m,-s), both terms claiming order nu
+    a = fock_sector_char(m, s, nu - s * m).shifted(s * m)
+    b = fock_sector_char(m, -s, nu + s * m).shifted(-s * m)
+    yield {}, a + b, sector_pair_product(m, nu)
+
+
+@family("lemma11b", m=(2, 6), s=(0, 6))
+def _reflection(nu, half, m, s):
+    yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)
+
+
+@family("prop12", m=(2, 4), k=(0, 4))
+def _closed_form(nu, half, m, k):
+    closed = sector_closed_form(m, k, nu)
+    for side, charge in (("plus", (k + 1) * (m - 1)), ("minus", -k * (m - 1))):
+        yield {"side": side}, closed, fock_sector_char(m, charge, nu)
+
+
+@family("recurrence", m=(2, 4), k=(0, 4))
+def _iterated_recurrence(nu, half, m, k):
+    # k steps from the charge-0 sector land on the charge -k(m-1) closed
+    # form; the mirror symmetry makes step j's input the charge-j(m-1)
+    # series.  Each step from charge s spends 2sm of guaranteed order, so
+    # start with the summed budget.
+    budget = m * (m - 1) * k * (k + 1)
+    f = fock_sector_char(m, 0, nu + budget)
+    for j in range(1, k + 1):
+        s = j * (m - 1)
+        f = recurrence_step(m, s, f, f.order - 2 * s * m)
+    lhs = f.restricted(nu) if f.order > nu else f
+    yield {}, lhs, sector_closed_form(m, k, nu)
+
+
+@family("thm13a", m=(2, 6))
+def _basic_forms(nu, half, m):
+    # the shared character is built, and timed, with the first form
+    ch = basic_char(m, nu)
+    d = dist_product(1, nu)
+    phi_m = euler_phi(m, nu)
+    yield {"form": "product"}, ch, (d * d) * phi_m.invert()
+    yield {"form": "vacuum-sector"}, ch, fock_sector_char(m, 0, nu) * phi_m
+    yield {"form": "mirror-sector"}, ch, fock_sector_char(m, m - 1, nu) * phi_m
+
+
+@family("thm13b", m=(2, 4), k=(-3, 3))
+def _family_vs_sector(nu, half, m, k):
+    # the family character depends on |k| only, and so does this side
+    sh = abs(k) * m * (m - 1)
+    side = fock_sector_char(m, -abs(k) * (m - 1), nu + sh) * euler_phi(m, nu + sh)
+    yield {}, family_char(m, k, nu), side.shifted(-sh)
+
+
+@family("prop21", m=(2, 4), s=(-3, 4))
+def _quasiparticle(nu, half, m, s):
+    yield {}, quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)
+
+
+@family("fockprod", zwin=4, m=(2, 3))
+def _graded_rows(nu, half, m):
+    prod = fock_char_product(m, nu, (-half, half))
+    rows = [fock_sector_char(m, s, nu) for s in range(-half, half + 1)]
+    yield {}, prod, ChargeSeries(-half, rows)
+
+
+@family("cor22", m=(2, 6))
+def _vacuum(nu, half, m):
+    yield ({}, *vacuum_identity_sides(m, nu))
+
+
+@family("jtp", zwin=10)
+def _triple_product(nu, half):
+    yield ({}, *jacobi_triple_sides(nu, (-half, half)))
+
+
+@family("kp", zwin=8)
+def _inverse_product(nu, half):
+    yield ({}, *inverse_product_sides(nu, (-half, half)))
+
+
+@family("gauss")
+def _triangular(nu, half):
+    d = dist_product(1, nu)
+    yield {}, gauss_sum(nu), euler_phi(1, nu) * (d * d)

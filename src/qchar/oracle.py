@@ -27,11 +27,6 @@ _KINDS = ("psi", "psistar", "phi", "phistar")
 _DEFAULT_NODE_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class WeightExponent:
-    u_exp: int
-
-
 def _mode_u_exp(kind: str, color: int, j: int, m: int) -> int:
     if kind == "psi":
         return 2 * color + 2 * m * j - 3 * m
@@ -41,7 +36,7 @@ def _mode_u_exp(kind: str, color: int, j: int, m: int) -> int:
     return 2 * m * j - m
 
 
-def weight_exponent(kind: str, color: int, j: int, m: int) -> WeightExponent:
+def weight_exponent(kind: str, color: int, j: int, m: int) -> int:
     """Exact u-exponent of a single mode under the principal specialization."""
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
@@ -54,7 +49,7 @@ def weight_exponent(kind: str, color: int, j: int, m: int) -> WeightExponent:
             raise InvalidParameter(f"fermion color {color} outside 1..{m}")
     elif color != 1:
         raise InvalidParameter("bosons carry a single color")
-    return WeightExponent(_mode_u_exp(kind, color, j, m))
+    return _mode_u_exp(kind, color, j, m)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from qchar.bivariate import (
     jacobi_triple_sides,
 )
 from qchar.characters import fock_sector_char
-from qchar.cli import _run_case, main
+from qchar.cli import main
+from qchar.identities import check
 
 # -- suite registry ------------------------------------------------------
 #
@@ -98,7 +99,7 @@ def test_a01_mirror_pair_suite():
     for m in range(2, 7):
         for s in range(0, 7):
             t0 = time.perf_counter()
-            reports = _run_case(("lemma11a", m, s, None, 400, None, False))
+            reports = check("lemma11a", 400, None, {"m": m, "s": s})
             elapsed = time.perf_counter() - t0
             assert all(r.passed() for r in reports)
             assert elapsed < 2.0, (m, s, elapsed)

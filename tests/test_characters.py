@@ -5,8 +5,6 @@ import pytest
 
 from qchar.characters import (
     IdentityReport,
-    ModuleLabel,
-    SpecializationTable,
     basic_char,
     compare_series,
     family_char,
@@ -313,6 +311,14 @@ def test_family_char_vs_closed_form():
         assert lhs.first_diff(rhs) is None
 
 
+def test_theta_bracket_skips_terms_beyond_order():
+    # only j = +-k lands below u^10; a loop over all 2k+1 terms would not finish
+    k = 10**9
+    assert family_char(2, k, 10) == 2 * basic_char(2, 10)
+    assert family_char(2, -k, 10) == 2 * basic_char(2, 10)
+    assert sector_closed_form(2, k, 10).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # growth
 
@@ -354,34 +360,7 @@ def test_growth_report_order_hint():
 
 
 # ---------------------------------------------------------------------------
-# bookkeeping types
-
-
-def test_specialization_table():
-    for m in (2, 3, 6):
-        t = SpecializationTable(m)
-        assert t.is_consistent()
-        assert t.delta_u_exp() == 2 * m
-        assert t.eps_u_exp(m + 1) == 0
-        assert t.eps_u_exp(1) == 2 * (m - 1)
-        # all even simple roots specialize to q, the odd one to 1
-        assert all(t.alpha_u_exp(i) == 2 for i in range(m))
-        assert t.alpha_u_exp(m) == 0
-    with pytest.raises(InvalidParameter):
-        SpecializationTable(1)
-    with pytest.raises(InvalidParameter):
-        SpecializationTable(3).eps_u_exp(5)
-
-
-def test_module_label():
-    assert ModuleLabel.family(3, 0).normalized() == ModuleLabel.basic(3)
-    assert ModuleLabel.family(3, 2).normalized().kind == "family"
-    lbl = ModuleLabel.last_fundamental(2)
-    assert lbl.specialized_char(50) == basic_char(2, 50)
-    assert ModuleLabel.family(2, 1).specialized_char(50) == family_char(2, 1, 50)
-    assert ModuleLabel.sector(2, 1).specialized_char(50) == fock_sector_char(2, 1, 50)
-    with pytest.raises(InvalidParameter):
-        ModuleLabel(2, "nonsense")
+# identity reports
 
 
 def test_identity_report():

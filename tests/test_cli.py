@@ -1,14 +1,19 @@
 import json
+import time
+from collections import Counter
 
 import pytest
 
-from qchar import cli
+from qchar import identities
 from qchar.cli import main, parse_range
 from qchar.qseries import QSeries, euler_phi
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad usage this way
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -28,6 +33,52 @@ def test_bad_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--family", "cor22", "--m", "4..2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "gauss", "--order", "0"),
+    ("verify", "--family", "lemma11a", "--m", "2", "--s", "0", "--order", "0"),
+    ("series", "--name", "gauss", "--order", "0"),
+    ("oracle", "--m", "2", "--s", "0", "--qbound", "0"),
+    ("oracle", "--m", "2", "--s", "0", "--qbound", "-5"),
+    ("verify", "--family", "fockprod", "--zwin", "-1"),
+    ("verify", "--family", "jtp", "--zwin", "-1"),
+    ("verify", "--family", "kp", "--zwin", "-1"),
+])
+def test_bad_number_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "gauss", "--m", "2..7", "--s=-8..8", "--k=-5..5"),
+    ("verify", "--family", "jtp", "--m", "2"),
+    ("verify", "--family", "kp", "--m", "2"),
+    ("verify", "--family", "lemma11b", "--k", "1"),
+    ("verify", "--family", "thm13a", "--zwin", "2"),
+])
+def test_named_family_rejects_undeclared_axis(capsys, argv):
+    code, out, err = run(capsys, *argv, "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert "does not take" in err
+
+
+def test_family_all_applies_each_axis_where_declared(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "all", "--m", "2..3",
+                       "--s", "0", "--k", "1", "--zwin", "1", "--order", "5")
+    assert code == 0
+    reports = json.loads(out)
+    counts = Counter(r["identity"] for r in reports)
+    # families without an m axis run once, the others once per m
+    assert counts["jtp"] == counts["kp"] == counts["gauss"] == 1
+    assert counts["lemma11a"] == counts["thm13b"] == counts["fockprod"] == 2
+    for r in reports:
+        axes = identities.FAMILIES[r["identity"]].axes
+        assert set(axes) <= set(r["params"])
+        assert r["params"].get("s", 0) == 0 and r["params"].get("k", 1) == 1
 
 
 # -- series --------------------------------------------------------------
@@ -132,20 +183,18 @@ def test_verify_all_families_small_order(capsys):
     assert code == 0
     reports = json.loads(out)
     names = {r["identity"] for r in reports}
-    assert {"lemma11a", "lemma11b", "prop12", "recurrence", "thm13a",
-            "thm13b", "prop21", "fockprod", "cor22", "jtp", "kp",
-            "gauss"} <= names
+    assert names == set(identities.FAMILIES)
     assert all(r["verdict"] == "pass" for r in reports)
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     # perturb one side so the harness sees a genuine mismatch
-    real = cli.sector_pair_product
+    real = identities.sector_pair_product
 
     def skewed(m, order):
         return real(m, order) + QSeries.monomial(10, order)
 
-    monkeypatch.setattr(cli, "sector_pair_product", skewed)
+    monkeypatch.setattr(identities, "sector_pair_product", skewed)
     code, out, _ = run(capsys, "verify", "--family", "lemma11a",
                        "--m", "2", "--s", "0..1", "--order", "30")
     assert code == 1
@@ -185,6 +234,19 @@ def test_verify_timings_flag(capsys):
     assert json.loads(out)[0]["ms"] > 0.0
     code, out, _ = run(capsys, "verify", "--family", "gauss", "--order", "40")
     assert json.loads(out)[0]["ms"] == 0.0
+
+
+def test_verify_timings_per_report(capsys):
+    # each form is timed on its own, so together they fit in the call
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--family", "thm13a", "--m", "2",
+                       "--order", "200", "--timings")
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == 3
+    assert all(r["ms"] > 0.0 for r in reports)
+    assert sum(r["ms"] for r in reports) <= elapsed_ms
 
 
 # -- oracle --------------------------------------------------------------

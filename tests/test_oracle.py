@@ -16,19 +16,19 @@ from qchar.oracle import (
 
 
 def test_weight_exponent_anchors():
-    assert weight_exponent("psi", 1, 1, 2).u_exp == 0
-    assert weight_exponent("phi", 1, 1, 3).u_exp == 3
-    assert weight_exponent("psistar", 2, 1, 2).u_exp == 2
+    assert weight_exponent("psi", 1, 1, 2) == 0
+    assert weight_exponent("phi", 1, 1, 3) == 3
+    assert weight_exponent("psistar", 2, 1, 2) == 2
 
 
 def test_weight_exponent_formulas():
     for m in (2, 3, 5):
         for j in (1, 2, 4):
             for i in range(1, m + 1):
-                assert weight_exponent("psi", i, j, m).u_exp == 2 * i + 2 * m * j - 3 * m
-                assert weight_exponent("psistar", i, j, m).u_exp == -2 * i + 2 * m * j + m
-            assert weight_exponent("phi", 1, j, m).u_exp == 2 * m * j - m
-            assert weight_exponent("phistar", 1, j, m).u_exp == 2 * m * j - m
+                assert weight_exponent("psi", i, j, m) == 2 * i + 2 * m * j - 3 * m
+                assert weight_exponent("psistar", i, j, m) == -2 * i + 2 * m * j + m
+            assert weight_exponent("phi", 1, j, m) == 2 * m * j - m
+            assert weight_exponent("phistar", 1, j, m) == 2 * m * j - m
 
 
 def test_weight_exponent_validation():
