@@ -77,47 +77,6 @@ class ChargeSeries:
                               f"[{self.zmin}, {self.zmax}]")
         return self.rows[d - self.zmin]
 
-    def restrict_window(self, zmin: int, zmax: int,
-                        order: Optional[int] = None) -> "ChargeSeries":
-        """Narrow the window and optionally the claimed order. Dropping a
-        row that is not zero below the surviving order forfeits the exact
-        support promise."""
-        if zmin < self.zmin or zmax > self.zmax or zmin > zmax:
-            raise OutOfWindow(f"[{zmin}, {zmax}] is not inside "
-                              f"[{self.zmin}, {self.zmax}]")
-        rows = [self.row(d) for d in range(zmin, zmax + 1)]
-        if order is not None:
-            rows = [r.restricted(order) for r in rows]
-        new_order = min(r.order for r in rows)
-        flag = self.support_exact
-        if flag:
-            dropped = [self.row(d) for d in range(self.zmin, zmin)]
-            dropped += [self.row(d) for d in range(zmax + 1, self.zmax + 1)]
-            flag = all(_zero_below(r, new_order) for r in dropped)
-        return ChargeSeries(zmin, rows, support_exact=flag,
-                            min_floor=self.min_floor)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "zmin": self.zmin,
-            "zmax": self.zmax,
-            "order_u": self.order,
-            "rows": {str(d): self.row(d).to_json_dict()
-                     for d in range(self.zmin, self.zmax + 1)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, blob: dict) -> "ChargeSeries":
-        zmin, zmax = blob["zmin"], blob["zmax"]
-        rows = [QSeries.from_json_dict(blob["rows"][str(d)])
-                for d in range(zmin, zmax + 1)]
-        # nothing can be assumed about what a serialized window left out
-        return cls(zmin, rows, support_exact=False, min_floor=None)
-
-
-def _zero_below(row: QSeries, order: int) -> bool:
-    return row.is_zero() or row.min_exp >= order
-
 
 def coeff_z(cs: ChargeSeries, s: int) -> QSeries:
     """The z^s row with its q-order contract."""
@@ -131,6 +90,16 @@ def cs_unit(order: int) -> ChargeSeries:
 
 # ---------------------------------------------------------------------------
 # general product
+
+
+def _row_product(a: ChargeSeries, b: ChargeSeries, d: int):
+    """Sum of the stored-row products a[d1] * b[d - d1], claimed to the
+    smallest order among them; None when no such pair is stored."""
+    terms = None
+    for d1 in range(max(a.zmin, d - b.zmax), min(a.zmax, d - b.zmin) + 1):
+        prod = a.rows[d1 - a.zmin] * b.rows[d - d1 - b.zmin]
+        terms = prod if terms is None else terms + prod
+    return terms
 
 
 def cs_mul(a: ChargeSeries, b: ChargeSeries, window=None,
@@ -161,28 +130,17 @@ def cs_mul(a: ChargeSeries, b: ChargeSeries, window=None,
 
     rows = []
     for d in range(lo, hi + 1):
+        terms = _row_product(a, b, d)
         claims = [alpha + beta]
-        terms = None
-        out_a = []
-        for d1 in range(a.zmin, a.zmax + 1):
-            d2 = d - d1
-            ra = a.rows[d1 - a.zmin]
-            if b.has_degree(d2):
-                rb = b.rows[d2 - b.zmin]
-                claims.append(min(ra.min_exp + rb.order,
-                                  rb.min_exp + ra.order))
-                prod = ra * rb
-                terms = prod if terms is None else terms + prod
-            elif not ra.is_zero():
-                out_a.append(ra.min_exp)
-        if out_a:
-            claims.append(min(out_a) + beta)
-        out_b = [b.rows[d2 - b.zmin].min_exp
-                 for d2 in range(b.zmin, b.zmax + 1)
-                 if not a.has_degree(d - d2)
-                 and not b.rows[d2 - b.zmin].is_zero()]
-        if out_b:
-            claims.append(min(out_b) + alpha)
+        if terms is not None:
+            claims.append(terms.order)
+        # a stored row whose partner is unstored is bounded by the other
+        # input's soundness field
+        for x, y, bound in ((a, b, beta), (b, a, alpha)):
+            out = [r.min_exp for dx, r in enumerate(x.rows, x.zmin)
+                   if not y.has_degree(d - dx) and not r.is_zero()]
+            if out:
+                claims.append(min(out) + bound)
         od = min(claims)
         if require_order is not None and od < require_order:
             raise WindowUnderflow(
@@ -223,25 +181,16 @@ class _Atom:
 
 
 class _CostTable:
-    """Exact minimum u-cost to shift net charge by r over a mover pool."""
+    """Exact minimum u-cost to reach charge r in [-cap, cap] over a mover
+    pool, starting at cost 0 anywhere in [lo, hi]."""
 
     __slots__ = ("cap", "cost")
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, lo: int = 0, hi: int = 0):
         self.cap = cap
         self.cost = [_INF] * (2 * cap + 1)
-        self.cost[cap] = 0
-
-    def copy(self) -> "_CostTable":
-        t = _CostTable.__new__(_CostTable)
-        t.cap = self.cap
-        t.cost = self.cost[:]
-        return t
-
-    def get(self, r: int):
-        if -self.cap <= r <= self.cap:
-            return self.cost[r + self.cap]
-        return _INF
+        for r in range(max(lo, -cap), min(hi, cap) + 1):
+            self.cost[r + cap] = 0
 
     def add_mover(self, step: int, cost: int, once: bool) -> None:
         n = 2 * self.cap + 1
@@ -261,12 +210,6 @@ class _CostTable:
                     old[i] = old[j] + cost
 
 
-def _into_window(table: _CostTable, d: int, lo: int, hi: int):
-    # cheapest cost of landing anywhere inside [lo, hi] starting from d;
-    # with negative movers in play the nearest target is not always optimal
-    return min(table.get(w - d) for w in range(lo, hi + 1))
-
-
 def _graded_product(atoms, req_lo: int, req_hi: int, order: int,
                     pad: int) -> ChargeSeries:
     """Multiply the atoms, claiming order on the requested window.
@@ -280,14 +223,15 @@ def _graded_product(atoms, req_lo: int, req_hi: int, order: int,
     """
     cap = order + pad + 8
     atoms = sorted(atoms, key=lambda at: at.cheapest)
-    # pullback[i]: exact costs over movers of atoms[:i]
+    # pullback[i][d + cap]: cheapest way for the movers of atoms[:i] to
+    # carry charge d into the window, i.e. to reach d from the window
+    # with every step reversed
     pullback = []
-    t = _CostTable(cap)
+    back = _CostTable(cap, req_lo, req_hi)
     for at in atoms:
-        pullback.append(t.copy())
+        pullback.append(back.cost[:])
         for step, cost, once in at.movers:
-            t.add_mover(step, cost, once)
-    full = t
+            back.add_mover(-step, cost, once)
 
     acc = cs_unit(order + pad)
     built = _CostTable(cap)
@@ -296,23 +240,15 @@ def _graded_product(atoms, req_lo: int, req_hi: int, order: int,
         for step, cost, once in at.movers:
             built.add_mover(step, cost, once)
         ret = pullback[i]
-        keep = [d for d in range(-cap, cap + 1)
-                if built.get(d) + _into_window(ret, d, req_lo, req_hi) < order]
+        keep = [k - cap for k, (b, r) in enumerate(zip(built.cost, ret))
+                if b + r < order]
         if not keep:
             acc = ChargeSeries(0, [QSeries.zero(order + pad)])
             continue
-        w_lo, w_hi = min(keep), max(keep)
-        src = at.series
         rows = []
-        for d in range(w_lo, w_hi + 1):
-            od = min(order - _into_window(ret, d, req_lo, req_hi),
-                     order + pad)
-            terms = None
-            for d2 in range(src.zmin, src.zmax + 1):
-                d1 = d - d2
-                if acc.has_degree(d1):
-                    prod = acc.rows[d1 - acc.zmin] * src.rows[d2 - src.zmin]
-                    terms = prod if terms is None else terms + prod
+        for d in range(keep[0], keep[-1] + 1):
+            od = min(order - ret[d + cap], order + pad)
+            terms = _row_product(acc, at.series, d)
             if terms is None:
                 rows.append(QSeries.zero(od))
             elif terms.order < od:
@@ -320,7 +256,7 @@ def _graded_product(atoms, req_lo: int, req_hi: int, order: int,
                     f"assembly row z^{d} claims u^{terms.order} < u^{od}")
             else:
                 rows.append(terms.restricted(od))
-        acc = ChargeSeries(w_lo, rows)
+        acc = ChargeSeries(keep[0], rows)
 
     # pad to the requested window: charges never kept are zero below order
     rows = []
@@ -329,9 +265,10 @@ def _graded_product(atoms, req_lo: int, req_hi: int, order: int,
             rows.append(acc.row(d).restricted(order))
         else:
             rows.append(QSeries.zero(order))
-    reachable = [r for r in range(-cap, cap + 1) if full.get(r) < order]
-    flag = req_lo <= min(reachable) and max(reachable) <= req_hi
-    floor = min(0, min(v for v in full.cost if v < _INF))
+    # built now covers every mover: the exact support and the floor
+    reachable = [k - cap for k, v in enumerate(built.cost) if v < order]
+    flag = req_lo <= reachable[0] and reachable[-1] <= req_hi
+    floor = min(0, min(v for v in built.cost if v < _INF))
     out = ChargeSeries(req_lo, rows, support_exact=flag, min_floor=int(floor))
     if out.order < order:
         raise WindowUnderflow(

@@ -194,9 +194,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_asympt(args) -> int:
-    if args.nmax < 1:
-        print("asympt: --nmax must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     rows = growth_report(args.m, args.nmax - 1)
     if args.format == "json":
         payload = [{"n": n, "a_n": str(a), "log_ratio": ratio}
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--order", type=_int_at_least(1), default=200)
     verify.add_argument("--zwin", type=_int_at_least(0),
                         help="z-window half-width")
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_int_at_least(1), default=1)
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock ms (breaks byte-identical output)")
     verify.add_argument("--format", choices=("json", "text", "csv"),
@@ -273,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--s", type=int, required=True)
     oracle.add_argument("--qbound", type=_int_at_least(1), required=True,
                         help="count states below this q-degree")
-    oracle.add_argument("--max-nodes", type=int, default=10**8)
+    oracle.add_argument("--max-nodes", type=_int_at_least(1), default=10**8)
     oracle.add_argument("--format", choices=("json", "text", "csv"),
                         default="json")
     oracle.set_defaults(func=cmd_oracle)
 
     asympt = sub.add_parser("asympt", help="coefficient growth vs the estimate")
     asympt.add_argument("--m", type=int, required=True)
-    asympt.add_argument("--nmax", type=int, required=True,
+    asympt.add_argument("--nmax", type=_int_at_least(1), required=True,
                         help="number of rows (n = 0 .. nmax-1)")
     asympt.add_argument("--format", choices=("json", "csv"), default="csv")
     asympt.set_defaults(func=cmd_asympt)

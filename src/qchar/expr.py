@@ -28,6 +28,7 @@ from typing import Tuple, Union
 from .errors import (
     ArityError,
     DivisionByNonUnit,
+    ExprError,
     InvalidParameter,
     NonUnitLeadingCoefficient,
     ParseError,
@@ -340,8 +341,14 @@ def _respan(node: Node, span: Span) -> Node:
     return cls(**fields)
 
 
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse(text: str) -> Node:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprError(_TOO_DEEP) from None
 
 
 # -- evaluation --------------------------------------------------------------
@@ -351,7 +358,10 @@ def eval_expr(node: Node, order: int) -> QSeries:
     """Evaluate at guaranteed u-order `order` (>= 1)."""
     if order < 1:
         raise InvalidParameter(f"evaluation order must be >= 1, got {order}")
-    return _eval(node, order)
+    try:
+        return _eval(node, order)
+    except RecursionError:
+        raise ExprError(_TOO_DEEP, span=node.span) from None
 
 
 def _eval(node: Node, nu: int) -> QSeries:

@@ -11,6 +11,7 @@ the largest order they can guarantee from their inputs' contracts.
 
 from bisect import bisect_left
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import (
     InsufficientOrder,
@@ -291,9 +292,22 @@ def format_series(qs: QSeries) -> str:
 
 
 # -- classical building blocks ----------------------------------------------
-#
-# The in-place update loops below multiply an array by (1 +- u^g): iterate
-# downward so each source cell is read before it is overwritten.
+
+
+def _factor_product(j: int, n_factors: int, order: int, op) -> QSeries:
+    """prod_{i=1..n_factors} (1 op q^{ji}) truncated below u^order, for op
+    operator.add or operator.sub."""
+    if order <= 0:
+        return QSeries.zero(order)
+    c = [0] * order
+    c[0] = 1
+    for i in range(1, n_factors + 1):
+        g = 2 * j * i
+        if g >= order:
+            break
+        # the slice assignment reads every old cell before writing any
+        c[g:] = map(op, c[g:], c)
+    return QSeries(0, order, c)
 
 
 @lru_cache(maxsize=None)
@@ -301,20 +315,8 @@ def euler_phi(j: int, order: int) -> QSeries:
     """prod_{i>=1} (1 - q^{ji}) truncated below u^order."""
     if j < 1:
         raise InvalidParameter("euler_phi needs j >= 1")
-    n = order
-    if n <= 0:
-        return QSeries.zero(order)
-    c = [0] * n
-    c[0] = 1
-    i = 1
-    while 2 * j * i < n:
-        g = 2 * j * i
-        for t in range(n - 1, g - 1, -1):
-            s = c[t - g]
-            if s:
-                c[t] -= s
-        i += 1
-    return QSeries(0, n, c)
+    # factors with 2ji >= order are 1 below u^order
+    return _factor_product(j, order, order, sub)
 
 
 @lru_cache(maxsize=None)
@@ -322,40 +324,14 @@ def dist_product(j: int, order: int) -> QSeries:
     """prod_{i>=1} (1 + q^{ji}) truncated below u^order."""
     if j < 1:
         raise InvalidParameter("dist_product needs j >= 1")
-    n = order
-    if n <= 0:
-        return QSeries.zero(order)
-    c = [0] * n
-    c[0] = 1
-    i = 1
-    while 2 * j * i < n:
-        g = 2 * j * i
-        for t in range(n - 1, g - 1, -1):
-            s = c[t - g]
-            if s:
-                c[t] += s
-        i += 1
-    return QSeries(0, n, c)
+    return _factor_product(j, order, order, add)
 
 
 def pochhammer(j: int, n_factors: int, order: int) -> QSeries:
     """Finite product prod_{i=1..n} (1 - q^{ji}) truncated below u^order."""
     if j < 1 or n_factors < 0:
         raise InvalidParameter("pochhammer needs j >= 1 and n >= 0")
-    n = order
-    if n <= 0:
-        return QSeries.zero(order)
-    c = [0] * n
-    c[0] = 1
-    for i in range(1, n_factors + 1):
-        g = 2 * j * i
-        if g >= n:
-            break
-        for t in range(n - 1, g - 1, -1):
-            s = c[t - g]
-            if s:
-                c[t] -= s
-    return QSeries(0, n, c)
+    return _factor_product(j, n_factors, order, sub)
 
 
 @lru_cache(maxsize=None)

@@ -17,9 +17,9 @@ from qchar.oracle import enumerate_charge_series, reachable_charges
 from qchar.qseries import QSeries, inv_euler_phi
 
 
-def exact(zmin, row_dicts, order, floor=0):
+def exact(zmin, row_dicts, order):
     rows = [QSeries.from_terms(t, order) for t in row_dicts]
-    return ChargeSeries(zmin, rows, support_exact=True, min_floor=floor)
+    return ChargeSeries(zmin, rows, support_exact=True, min_floor=0)
 
 
 def naive_rows(a, b):
@@ -59,32 +59,6 @@ def test_immutability_and_empty():
         cs.zmin = 3
     with pytest.raises(InvalidParameter):
         ChargeSeries(0, [])
-
-
-def test_restrict_window_narrows():
-    cs = exact(-2, [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: 1}], 20)
-    sub = cs.restrict_window(-1, 1, order=6)
-    assert sub.window() == (-1, 1)
-    assert sub.order == 6
-    # dropped rows are nonzero below 6, so the support promise is gone
-    assert not sub.support_exact
-    kept = cs.restrict_window(-2, 2, order=6)
-    assert kept.support_exact
-
-
-def test_restrict_window_rejects_widening():
-    cs = cs_unit(5)
-    with pytest.raises(OutOfWindow):
-        cs.restrict_window(-1, 1)
-
-
-def test_json_round_trip():
-    cs = exact(-1, [{-2: 3}, {0: 1, 5: -4}, {}], 9, floor=-2)
-    back = ChargeSeries.from_json_dict(cs.to_json_dict())
-    assert back.window() == cs.window()
-    assert all(back.row(d) == cs.row(d) for d in range(-1, 2))
-    # serialization forgets the soundness fields
-    assert not back.support_exact and back.min_floor is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +120,8 @@ def test_mul_subwindow_only():
 
 
 def test_mul_unbounded_inputs_underflow():
-    a = ChargeSeries.from_json_dict(exact(0, [{0: 1}], 10).to_json_dict())
+    # no support promise and no floor: nothing bounds the unstored rows
+    a = ChargeSeries(0, [QSeries.from_terms({0: 1}, 10)])
     with pytest.raises(WindowUnderflow):
         cs_mul(a, a)
 

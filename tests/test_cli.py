@@ -44,6 +44,9 @@ def test_bad_range_is_usage_error(capsys):
     ("verify", "--family", "fockprod", "--zwin", "-1"),
     ("verify", "--family", "jtp", "--zwin", "-1"),
     ("verify", "--family", "kp", "--zwin", "-1"),
+    ("verify", "--family", "gauss", "--jobs", "0"),
+    ("oracle", "--m", "2", "--s", "0", "--qbound", "5", "--max-nodes", "0"),
+    ("asympt", "--m", "2", "--nmax", "0"),
 ])
 def test_bad_number_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -138,6 +141,17 @@ def test_series_parse_error_renders_position(capsys):
     code, _, err = run(capsys, "series", "--expr", "phi(1] + 2", "--order", "5")
     assert code == 2
     assert "1:6:" in err
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "+".join(["1"] * 3000),
+])
+def test_series_deep_expression_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "series", "--expr", text, "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_series_domain_error_is_usage(capsys):
