@@ -11,16 +11,17 @@ the shared order, and min_floor lower-bounds the minimum u-exponent of
 every row of the true object, stored or not.
 
 The infinite products are assembled factor by factor, most expensive
-factor first. Which charges can matter below the truncation order, and
-how far each row can honestly be claimed, both come from exact
-min-cost displacement tables over the factors' charge movers (a
-fermionic pair moves charge once at a fixed cost, a bosonic pair any
+factor first, as shift-and-add sweeps over z-rows packed into one int
+each. Which charges can still matter below the truncation order comes
+from exact min-cost displacement tables over the factors' charge movers
+(a fermionic factor moves charge once at a fixed cost, a bosonic one any
 number of times); soundness is the triangle inequality for those
 shortest-path costs.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Optional
 
 from .characters import IdentityReport
@@ -165,19 +166,11 @@ def cs_mul(a: ChargeSeries, b: ChargeSeries, window=None,
 # ---------------------------------------------------------------------------
 # factor assembly
 #
-# An atom is one factor of a graded product: a small exact ChargeSeries
-# plus its charge movers. A mover (step, cost, once) says the factor can
-# shift charge by step at u-cost >= cost, a single time if once else
-# arbitrarily often.
-
-
-class _Atom:
-    __slots__ = ("series", "movers", "cheapest")
-
-    def __init__(self, series: ChargeSeries, movers):
-        self.series = series
-        self.movers = tuple(movers)
-        self.cheapest = min(c for _, c, _ in movers)
+# A factor (step, cost, sign, inverse) is the binomial
+# (1 + sign z^step u^cost)^(-1 if inverse else 1). Its charge mover
+# (step, cost, once) says it can shift charge by step at u-cost cost, a
+# single time if once (a plain binomial, once = not inverse) else
+# arbitrarily often (a geometric series). Inverse factors have cost > 0.
 
 
 class _CostTable:
@@ -210,70 +203,117 @@ class _CostTable:
                     old[i] = old[j] + cost
 
 
-def _graded_product(atoms, req_lo: int, req_hi: int, order: int,
-                    pad: int) -> ChargeSeries:
-    """Multiply the atoms, claiming order on the requested window.
+def _coeff_bound(factors, pad: int, length: int) -> int:
+    """Largest coefficient of u^-pad .. u^(length - pad - 1) in the product
+    at z = 1 with every sign +, truncated the same way as the packed rows.
+    Every coefficient the packed assembly holds is a signed sum over a
+    subset of the same terms, so this bounds them all."""
+    a = [0] * length
+    a[pad] = 1
+    for _, cost, _, inverse in factors:
+        if inverse:
+            for t in range(cost, length):
+                a[t] += a[t - cost]
+        elif cost >= 0:
+            a[cost:] = map(add, a[cost:], a)
+        else:
+            a[:cost] = map(add, a[:cost], a[-cost:])
+    return max(a)
 
-    Atoms must be built at order + pad, pad covering the total negative
-    u-cost available across all movers. A partial product keeps row z^d
-    only while the cheapest way to have built charge d plus the cheapest
-    way the unabsorbed factors can pull it back into the requested
-    window stays below the claimed order; each kept row is claimed
-    exactly as far as the unabsorbed factors can still protect it.
+
+def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
+                    pad: int) -> ChargeSeries:
+    """Multiply the factor pairs, claiming order on the requested window.
+
+    Each pair is two factors, applied together; pad must cover the total
+    negative u-cost available across all movers. The rows z^-cap .. z^cap
+    are Python ints, each packing the row's coefficients of u^-pad ..
+    u^(order + pad - 1) as fixed-width signed digits (Kronecker
+    substitution), and every factor is one in-place shift-and-add sweep
+    over them. After each pair, row z^d is zeroed unless the cheapest way
+    to have built charge d plus the cheapest way the unapplied pairs can
+    pull it back into the requested window stays below order.
     """
     cap = order + pad + 8
-    atoms = sorted(atoms, key=lambda at: at.cheapest)
-    # pullback[i][d + cap]: cheapest way for the movers of atoms[:i] to
+    n = 2 * cap + 1
+    pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
+    # pullback[i][d + cap]: cheapest way for the movers of pairs[:i] to
     # carry charge d into the window, i.e. to reach d from the window
     # with every step reversed
     pullback = []
     back = _CostTable(cap, req_lo, req_hi)
-    for at in atoms:
+    for pair in pairs:
         pullback.append(back.cost[:])
-        for step, cost, once in at.movers:
-            back.add_mover(-step, cost, once)
+        for step, cost, _, inverse in pair:
+            back.add_mover(-step, cost, not inverse)
 
-    acc = cs_unit(order + pad)
+    # digit t of a row is its coefficient of u^(t - pad); a row is kept
+    # canonical by ((x + half) & mask) - half, which drops the digits at
+    # and above length and leaves each lower digit in [-2^(width-1),
+    # 2^(width-1))
+    length = order + 2 * pad
+    factors = [f for pair in pairs for f in pair]
+    nbytes = (_coeff_bound(factors, pad, length).bit_length() + 9) // 8
+    width = 8 * nbytes
+    mask = (1 << width * length) - 1
+    half = mask // ((1 << width) - 1) << (width - 1)
+    rows = [0] * n
+    rows[cap] = 1 << width * pad
+    lo = hi = cap  # rows outside lo..hi are zero
     built = _CostTable(cap)
-    for i in range(len(atoms) - 1, -1, -1):
-        at = atoms[i]
-        for step, cost, once in at.movers:
-            built.add_mover(step, cost, once)
-        ret = pullback[i]
-        keep = [k - cap for k, (b, r) in enumerate(zip(built.cost, ret))
-                if b + r < order]
-        if not keep:
-            acc = ChargeSeries(0, [QSeries.zero(order + pad)])
-            continue
-        rows = []
-        for d in range(keep[0], keep[-1] + 1):
-            od = min(order - ret[d + cap], order + pad)
-            terms = _row_product(acc, at.series, d)
-            if terms is None:
-                rows.append(QSeries.zero(od))
-            elif terms.order < od:
-                raise WindowUnderflow(
-                    f"assembly row z^{d} claims u^{terms.order} < u^{od}")
+    for i in range(len(pairs) - 1, -1, -1):
+        for step, cost, sign, inverse in pairs[i]:
+            built.add_mover(step, cost, not inverse)
+            if lo > hi:
+                continue
+            # a product reads each neighbour before updating it; a
+            # geometric series reads it after, and ceil(length / cost)
+            # moves carry any row past the top digit
+            reach = step * -(-length // cost) if inverse else step
+            if step > 0:
+                hi = min(hi + reach, n - 1)
+                ks = range(lo + step, hi + 1)
             else:
-                rows.append(terms.restricted(od))
-        acc = ChargeSeries(keep[0], rows)
+                lo = max(lo + reach, 0)
+                ks = range(lo, hi + step + 1)
+            if inverse == (step < 0):
+                ks = reversed(ks)
+            minus = (sign < 0) != inverse
+            shift = cost * width
+            for k in ks:
+                x = rows[k - step]
+                if x:
+                    x = x << shift if shift >= 0 else x >> -shift
+                    x = rows[k] - x if minus else rows[k] + x
+                    rows[k] = ((x + half) & mask) - half
+        ret = pullback[i]
+        live = []
+        for k in range(lo, hi + 1):
+            if built.cost[k] + ret[k] < order:
+                live.append(k)
+            else:
+                rows[k] = 0
+        lo, hi = (live[0], live[-1]) if live else (0, -1)
 
-    # pad to the requested window: charges never kept are zero below order
-    rows = []
+    # unpack the requested window; charges outside [-cap, cap] are zero
+    # below order
+    off = 1 << (width - 1)
+    top = (order + pad) * nbytes
+    out = []
     for d in range(req_lo, req_hi + 1):
-        if acc.has_degree(d):
-            rows.append(acc.row(d).restricted(order))
-        else:
-            rows.append(QSeries.zero(order))
+        x = rows[d + cap] if -cap <= d <= cap else 0
+        if not x:
+            out.append(QSeries.zero(order))
+            continue
+        raw = (x + half).to_bytes(length * nbytes, "little")
+        out.append(QSeries(-pad, order, [
+            int.from_bytes(raw[t:t + nbytes], "little") - off
+            for t in range(0, top, nbytes)]))
     # built now covers every mover: the exact support and the floor
     reachable = [k - cap for k, v in enumerate(built.cost) if v < order]
     flag = req_lo <= reachable[0] and reachable[-1] <= req_hi
     floor = min(0, min(v for v in built.cost if v < _INF))
-    out = ChargeSeries(req_lo, rows, support_exact=flag, min_floor=int(floor))
-    if out.order < order:
-        raise WindowUnderflow(
-            f"assembled window only supports u^{out.order}, wanted u^{order}")
-    return out
+    return ChargeSeries(req_lo, out, support_exact=flag, min_floor=int(floor))
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +331,8 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     if order < 1:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
-    atoms = []
-    n = 1
-    while 2 * n - 1 < order:
-        w = 2 * n - 1
-        rows = [
-            QSeries.from_terms({w: 1}, order),
-            QSeries.from_terms({0: 1, 2 * w: 1}, order),
-            QSeries.from_terms({w: 1}, order),
-        ]
-        cs = ChargeSeries(-1, rows, support_exact=True, min_floor=0)
-        atoms.append(_Atom(cs, [(1, w, True), (-1, w, True)]))
-        n += 1
-    lhs = _graded_product(atoms, lo, hi, order, pad=0)
+    pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
+    lhs = _graded_product(pairs, lo, hi, order, pad=0)
 
     rows = []
     for j in range(lo, hi + 1):
@@ -327,24 +356,8 @@ def inverse_product_sides(order: int, window) -> tuple:
     if order < 1:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
-    atoms = []
-    k = 1
-    while 2 * k - 1 < order:
-        w = 2 * k - 1
-        dmax = (order - 1) // w
-        rows = []
-        for d in range(-dmax, dmax + 1):
-            sign = 1 if d % 2 == 0 else -1
-            terms = {}
-            e = w * abs(d)
-            while e < order:
-                terms[e] = sign
-                e += 2 * w
-            rows.append(QSeries.from_terms(terms, order))
-        cs = ChargeSeries(-dmax, rows, support_exact=True, min_floor=0)
-        atoms.append(_Atom(cs, [(1, w, False), (-1, w, False)]))
-        k += 1
-    lhs = _graded_product(atoms, lo, hi, order, pad=0)
+    pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
+    lhs = _graded_product(pairs, lo, hi, order, pad=0)
 
     inv_sq = inv_euler_phi(1, order) * inv_euler_phi(1, order)
     rows = []
@@ -374,33 +387,15 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
     budget = _neg_budget(m)
-    padded = order + budget
-    atoms = []
+    pairs = []
     k = 1
     while 2 * k - m - budget < order:
-        wp, wm = 2 * k - m, 2 * k - 2 + m
-        rows = [
-            QSeries.from_terms({wm: 1}, padded),
-            QSeries.from_terms({0: 1, wp + wm: 1}, padded),
-            QSeries.from_terms({wp: 1}, padded),
-        ]
-        cs = ChargeSeries(-1, rows, support_exact=True, min_floor=min(0, wp))
-        atoms.append(_Atom(cs, [(1, wp, True), (-1, wm, True)]))
+        pairs.append(((1, 2 * k - m, 1, False), (-1, 2 * k - 2 + m, 1, False)))
         wb = m * (2 * k - 1)
         if wb - budget < order:
-            dmax = (padded - 1) // wb
-            rows = []
-            for d in range(-dmax, dmax + 1):
-                terms = {}
-                e = wb * abs(d)
-                while e < padded:
-                    terms[e] = 1
-                    e += 2 * wb
-                rows.append(QSeries.from_terms(terms, padded))
-            cs = ChargeSeries(-dmax, rows, support_exact=True, min_floor=0)
-            atoms.append(_Atom(cs, [(1, wb, False), (-1, wb, False)]))
+            pairs.append(((1, wb, -1, True), (-1, wb, -1, True)))
         k += 1
-    return _graded_product(atoms, lo, hi, order, pad=budget)
+    return _graded_product(pairs, lo, hi, order, pad=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ tabulates coefficient growth against the analytic estimate.
 
 Orders are given in q-units on the command line and doubled internally
 (everything lives on the u = q^(1/2) lattice).  Exit codes are a stable
-contract: 0 all checks passed, 1 an identity failed, 2 usage or parse
-error, 3 resource limit hit.
+contract: 0 all checks passed, 1 an identity failed or held only below
+the requested order, 2 usage or parse error, 3 resource limit hit, 4
+internal error.
 
 Reports are emitted in sorted parameter order no matter how they were
 scheduled, and timings are zeroed unless --timings is given, so identical
@@ -32,6 +33,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 # -- grids -------------------------------------------------------------------
@@ -294,6 +296,12 @@ def main(argv=None) -> int:
     except QcharError as err:
         print(f"qchar: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:
+        # a bug, kept apart from exit 1, which only a report can cause
+        message = str(err).replace("\n", " ")
+        print(f"qchar: internal error: {type(err).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

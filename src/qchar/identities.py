@@ -58,14 +58,18 @@ def family(name: str, zwin: Optional[int] = None, **axes):
 
 def check(name: str, nu: int, half: Optional[int], point: dict,
           timings: bool = False) -> list:
-    """Reports of family `name` at one grid point.  With timings, each
-    report's ms covers its own sides and comparison."""
+    """Reports of family `name` at one grid point.  A report whose sides
+    agree only below u^nu gets the verdict "short", which does not pass.
+    With timings, each report's ms covers its own sides and comparison."""
     fam = FAMILIES[name]
     compare = compare_series if fam.zwin is None else compare_charge_series
     reports = []
     t0 = time.perf_counter()
     for extra, lhs, rhs in fam.sides(nu, half, **point):
         report = compare(name, {**point, **extra}, lhs, rhs)
+        if report.passed() and report.order_u < nu:
+            # agreement below the requested order proves too little
+            report.verdict = "short"
         if timings:
             t1 = time.perf_counter()
             report.ms = (t1 - t0) * 1000.0

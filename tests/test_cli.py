@@ -217,6 +217,37 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert reports[0]["first_diff_u_exp"] == 10
 
 
+def test_verify_short_order_is_not_a_pass(capsys, monkeypatch):
+    # both sides agree, but only below u^(nu - 2)
+    def short_sides(nu, half):
+        side = QSeries.one(nu - 2)
+        yield {}, side, side
+
+    fam = identities.FAMILIES["gauss"]._replace(sides=short_sides)
+    monkeypatch.setitem(identities.FAMILIES, "gauss", fam)
+    code, out, _ = run(capsys, "verify", "--family", "gauss", "--order", "5")
+    assert code == 1
+    reports = json.loads(out)
+    assert [(r["verdict"], r["order_u"]) for r in reports] == [("short", 8)]
+    code, out, _ = run(capsys, "verify", "--family", "gauss", "--order", "5",
+                       "--format", "text")
+    assert code == 1
+    assert out == "SHORT gauss order_u=8\n0/1 passed\n"
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken_sides(nu, half):
+        raise IndexError("row out of range")
+        yield
+
+    fam = identities.FAMILIES["gauss"]._replace(sides=broken_sides)
+    monkeypatch.setitem(identities.FAMILIES, "gauss", fam)
+    code, out, err = run(capsys, "verify", "--family", "gauss", "--order", "5")
+    assert code == 4
+    assert out == ""
+    assert err == "qchar: internal error: IndexError: row out of range\n"
+
+
 def test_verify_unknown_family_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--family", "nonsense"])

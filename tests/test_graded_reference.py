@@ -1,20 +1,22 @@
-"""Differential test of the graded product against a direct reference.
+"""Differential test of the graded products against a direct reference.
 
-The reference below builds one pull-back table per factor over relative
-charge shifts plus a `full` table for the support and the floor, and
-scans the whole requested window for every (factor, charge) pair. The
-package seeds a single table on the window instead; both must agree on
+The reference below multiplies each factor pair in as an "atom": a small
+exact ChargeSeries of the pair's expansion, convolved row by row with the
+accumulator as QSeries products. It builds one pull-back table per atom
+over relative charge shifts plus a `full` table for the support and the
+floor, and scans the whole requested window for every (atom, charge)
+pair. The package applies each factor as an in-place sweep over packed
+rows and seeds a single table on the window instead; both must agree on
 every row, the soundness fields and the raised error.
 """
 
-from unittest import mock
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchar import bivariate
 from qchar.bivariate import (
     ChargeSeries,
+    _neg_budget,
     cs_unit,
     fock_char_product,
     inverse_product_sides,
@@ -58,6 +60,16 @@ class _RefCostTable:
                 j = i - step
                 if old[j] + cost < old[i]:
                     old[i] = old[j] + cost
+
+
+class _Atom:
+    """One factor pair: its exact expansion plus its charge movers
+    (step, cost, once)."""
+
+    def __init__(self, series, movers):
+        self.series = series
+        self.movers = tuple(movers)
+        self.cheapest = min(c for _, c, _ in movers)
 
 
 def _into_window(table, d, lo, hi):
@@ -124,12 +136,65 @@ def reference_graded_product(atoms, req_lo, req_hi, order, pad):
     return out
 
 
-# (name, builder(m, order, window)) of the three graded products; only the
-# left-hand sides of jtp and kp go through the graded product
+# -- the atoms of the three graded products ----------------------------------
+
+
+def _fermion_pair(wp, wm, order, floor=0):
+    # (1 + z u^wp)(1 + 1/z u^wm)
+    rows = [
+        QSeries.from_terms({wm: 1}, order),
+        QSeries.from_terms({0: 1, wp + wm: 1}, order),
+        QSeries.from_terms({wp: 1}, order),
+    ]
+    cs = ChargeSeries(-1, rows, support_exact=True, min_floor=floor)
+    return _Atom(cs, [(1, wp, True), (-1, wm, True)])
+
+
+def _boson_pair(w, sign, order):
+    # 1/((1 - sign z u^w)(1 - sign/z u^w)): row d holds sign^d u^(w|d| + 2wj)
+    dmax = (order - 1) // w
+    rows = []
+    for d in range(-dmax, dmax + 1):
+        c = sign ** abs(d)
+        rows.append(QSeries.from_terms(
+            {e: c for e in range(w * abs(d), order, 2 * w)}, order))
+    cs = ChargeSeries(-dmax, rows, support_exact=True, min_floor=0)
+    return _Atom(cs, [(1, w, False), (-1, w, False)])
+
+
+def reference_jtp(m, order, window):
+    atoms = [_fermion_pair(w, w, order) for w in range(1, order, 2)]
+    return reference_graded_product(atoms, *window, order, pad=0)
+
+
+def reference_kp(m, order, window):
+    atoms = [_boson_pair(w, -1, order) for w in range(1, order, 2)]
+    return reference_graded_product(atoms, *window, order, pad=0)
+
+
+def reference_fockprod(m, order, window):
+    budget = _neg_budget(m)
+    padded = order + budget
+    atoms = []
+    k = 1
+    while 2 * k - m - budget < order:
+        wp, wm = 2 * k - m, 2 * k - 2 + m
+        atoms.append(_fermion_pair(wp, wm, padded, floor=min(0, wp)))
+        wb = m * (2 * k - 1)
+        if wb - budget < order:
+            atoms.append(_boson_pair(wb, 1, padded))
+        k += 1
+    return reference_graded_product(atoms, *window, order, pad=budget)
+
+
+# name -> (package builder, reference builder), each (m, order, window); only
+# the left-hand sides of jtp and kp are graded products
 GRADED = {
-    "fockprod": fock_char_product,
-    "jtp": lambda m, order, window: jacobi_triple_sides(order, window)[0],
-    "kp": lambda m, order, window: inverse_product_sides(order, window)[0],
+    "fockprod": (fock_char_product, reference_fockprod),
+    "jtp": (lambda m, order, window: jacobi_triple_sides(order, window)[0],
+            reference_jtp),
+    "kp": (lambda m, order, window: inverse_product_sides(order, window)[0],
+           reference_kp),
 }
 
 
@@ -141,14 +206,24 @@ def _outcome(build, *args):
     return cs.zmin, cs.rows, cs.support_exact, cs.min_floor
 
 
+def _assert_matches(name, m, order, window):
+    build, reference = GRADED[name]
+    assert _outcome(build, m, order, window) == \
+        _outcome(reference, m, order, window)
+
+
 # windows reach past cap = order + pad + 8 on either side, and may miss it
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(GRADED)), st.integers(2, 5), st.integers(1, 30),
        st.integers(-45, 45), st.integers(0, 60))
 def test_graded_product_matches_reference(name, m, order, lo, width):
-    window = (lo, lo + width)
-    got = _outcome(GRADED[name], m, order, window)
-    with mock.patch.object(bivariate, "_graded_product",
-                           reference_graded_product):
-        want = _outcome(GRADED[name], m, order, window)
-    assert got == want
+    _assert_matches(name, m, order, (lo, lo + width))
+
+
+# larger orders need wider packed digits
+@pytest.mark.parametrize("order", [100, 200])
+@pytest.mark.parametrize("name,m", [("jtp", 2), ("kp", 2), ("fockprod", 2),
+                                    ("fockprod", 3), ("fockprod", 4),
+                                    ("fockprod", 5)])
+def test_graded_product_matches_reference_wide_digits(name, m, order):
+    _assert_matches(name, m, order, (-8, 8))
