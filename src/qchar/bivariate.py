@@ -26,7 +26,7 @@ from typing import Optional
 
 from .characters import IdentityReport
 from .errors import InvalidParameter, OutOfWindow, WindowUnderflow
-from .qseries import QSeries, inv_euler_phi
+from .qseries import QSeries, inv_euler_phi, unpack_digits
 
 _INF = float("inf")
 
@@ -298,17 +298,14 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     # unpack the requested window; charges outside [-cap, cap] are zero
     # below order
     off = 1 << (width - 1)
-    top = (order + pad) * nbytes
     out = []
     for d in range(req_lo, req_hi + 1):
         x = rows[d + cap] if -cap <= d <= cap else 0
         if not x:
             out.append(QSeries.zero(order))
             continue
-        raw = (x + half).to_bytes(length * nbytes, "little")
-        out.append(QSeries(-pad, order, [
-            int.from_bytes(raw[t:t + nbytes], "little") - off
-            for t in range(0, top, nbytes)]))
+        out.append(QSeries(-pad, order,
+                           unpack_digits(x + half, nbytes, order + pad, off)))
     # built now covers every mover: the exact support and the floor
     reachable = [k - cap for k, v in enumerate(built.cost) if v < order]
     flag = req_lo <= reachable[0] and reachable[-1] <= req_hi

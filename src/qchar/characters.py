@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter
-from .qseries import QSeries, dist_product, inv_euler_phi
+from .qseries import QSeries, dist_product, inv_euler_phi, unpack_digits
 
 
 # ---------------------------------------------------------------------------
@@ -218,85 +219,121 @@ def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
 # a - b + c - d = s factors through the fermionic charge g = a - b:
 # collect u^(a(a+1) + b(b-1)) / ((q)_a (q)_b) into a bucket per g, then
 # convolve each bucket with the boson-pair sum at complementary charge.
-# Buckets live on the even-u lattice, boson pairs on the 2m-u lattice,
-# so both are built as compact stride-1 arrays and widened at the end.
+#
+# Every term lives on even u-exponents, so each series is one Python int
+# of fixed-width nonnegative digits, digit i holding the coefficient of
+# q^i (Kronecker substitution). Multiplying by q^j is a shift by j digits,
+# truncating below q^n is a mask, and dividing by 1 - q^j below q^n is the
+# product of the 1 + q^(j 2^i) with j 2^i < n, one shift-add per factor.
+# Boson pairs live on the q^m lattice: they are built on compact q^m
+# digits and spread to every m-th q-digit once. No digit below the
+# truncation ever carries (see _digit_bytes); digits at and above it in
+# an untruncated product carry only upwards and are masked off at the end.
 
 
-def _geometric_inplace(arr: list, stride: int) -> None:
-    # multiply by 1/(1 - x^stride) on a compact array
-    for i in range(stride, len(arr)):
-        arr[i] += arr[i - stride]
+def _geometric(x: int, j: int, n: int, w: int) -> int:
+    """x / (1 - q^j) below q^n, for x packed in w-bit digits."""
+    mask = (1 << w * n) - 1
+    x &= mask
+    while j < n:
+        x = (x + (x << w * j)) & mask
+        j <<= 1
+    return x
 
 
-def _shift_inplace(arr: list, k: int) -> None:
-    if k <= 0:
-        return
-    n = len(arr)
-    arr[k:] = arr[: n - k]
-    arr[:k] = [0] * min(k, n)
+def _digit_bytes(m: int, nu: int) -> int:
+    """Bytes per digit for quasiparticle_char(m, s, nu - s m), any s.
+
+    Every coefficient of every series built below q^L, L = (nu + 1) // 2,
+    is at most some coefficient of G = B P below q^L, where
+    B = 2 (-q;q)_inf^2 and P = 1/(q^m;q^m)_inf^2:
+      * the buckets sum to B, by Euler's sum_a z^a q^(a(a-1)/2) / (q)_a =
+        (-z;q)_inf at z = q and z = 1;
+      * the t-terms q^(mt) / ((q^m)_t (q^m)_(t+k)) of a boson-pair base
+        are at most q^(mt) / ((q^m)_t (q^m)_inf), which sum to P; P is
+        1/(1 - q^m) times a nonnegative series, so its coefficients on
+        the q^m lattice never decrease and the pair sum of charge k > 0,
+        q^(mk) times a base, is at most P too;
+      * so B, P and the quasiparticle sum are at most G, and so is the
+        combined bucket (bucket s+k) + q^(mk) (bucket s-k) <= B (1 +
+        q^(mk)), as every coefficient of P on the q^m lattice is >= 1;
+      * a partial product, quotient or sum is at most what it completes,
+        and a term stored over its lowest power has the term's digits.
+    G is 2/(1 - q) times a nonnegative series, so its largest coefficient
+    below q^L is the one at q^(L-1): 2 sum_j F_j F_(L-1-j) with
+    F = (-q;q)_inf / (q^m;q^m)_inf.
+
+    F is built packed, in digits wide enough for 1/(q;q)_inf^2, which
+    bounds it because partitions into distinct parts and partitions into
+    multiples of m are partitions. Its q^n coefficient c_n is below
+    2^sqrt(28 n): for 0 < x = e^-t < 1 and using 1 - x^l >= l x^(l-1)
+    (1 - x), log(c_n x^n) <= 2 sum_l x^l / (l (1 - x^l)) <= (pi^2 / 3)
+    x / (1 - x) < pi^2 / (3 t); at t = pi / sqrt(3 n)
+    this gives log c_n < 2 pi sqrt(n / 3) < sqrt(28 n) log 2.
+    """
+    L = (nu + 1) // 2
+    fb = (math.isqrt(28 * (L - 1)) + 8) // 8
+    w = 8 * fb
+    mask = (1 << w * L) - 1
+    x = 1
+    for j in range(1, L):
+        x = (x + (x << w * j)) & mask
+    for j in range(m, L, m):
+        x = _geometric(x, j, L, w)
+    f = unpack_digits(x, fb, L)
+    top = 2 * sum(map(mul, f, reversed(f)))
+    return (top.bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=64)
-def _charge_buckets(nu: int):
+def _charge_buckets(nu: int, nb: int):
     """Fermionic-pair generating series split by net charge, below u-order nu.
 
-    Returns a tuple of (charge, QSeries) pairs. Pairs (a, b) enter while
-    a(a+1) + b(b-1) < nu; anything omitted starts at or above nu.
+    Returns a tuple of (charge, packed series) pairs, in nb-byte q-digits.
+    Pairs (a, b) enter while a(a+1) + b(b-1) < nu; anything omitted starts
+    at or above nu.
     """
-    L = (nu + 1) // 2  # compact slot i holds the u^(2i) coefficient
+    L = (nu + 1) // 2
+    w = 8 * nb
     buckets: dict = {}
-    X = [0] * L
-    if L > 0:
-        X[0] = 1
+    X = 1  # 1/(q)_a below q^(L - a(a+1)/2)
     a = 0
     while a * (a + 1) < nu:
+        ea = a * (a + 1) // 2
         if a > 0:
-            # u^(a(a+1)) / (q)_a from its predecessor: shift 2a, divide by 1 - q^a
-            _shift_inplace(X, a)
-            _geometric_inplace(X, a)
-        R = X[:]
+            X = _geometric(X, a, L - ea, w)
+        R = X  # 1/((q)_a (q)_b) below q^(L - e)
         b = 0
-        while a * (a + 1) + b * (b - 1) < nu:
+        e = ea
+        while e < L:
             if b > 0:
-                _shift_inplace(R, b - 1)
-                _geometric_inplace(R, b)
-            tgt = buckets.setdefault(a - b, [0] * L)
-            for i in range(L):
-                tgt[i] += R[i]
+                R = _geometric(R, b, L - e, w)
+            buckets[a - b] = buckets.get(a - b, 0) + (R << w * e)
             b += 1
+            e = ea + b * (b - 1) // 2
         a += 1
-    out = []
-    for g in sorted(buckets):
-        out.append((g, QSeries.from_terms({2 * i: v for i, v in enumerate(buckets[g]) if v}, nu)))
-    return tuple(out)
+    return tuple(sorted(buckets.items()))
 
 
 @lru_cache(maxsize=256)
-def _boson_pair_base(m: int, k: int, nu: int) -> QSeries:
-    # sum over t >= 0 of u^(2mt) / ((q^m)_t (q^m)_{t+k}), k >= 0
-    span = 2 * m
-    L = (nu + span - 1) // span if nu > 0 else 0
-    if L <= 0:
-        return QSeries.zero(nu)
-    R = [0] * L
-    R[0] = 1
+def _boson_pair_base(m: int, k: int, nu: int, nb: int) -> int:
+    """sum over t >= 0 of u^(2mt) / ((q^m)_t (q^m)_{t+k}) below u^nu, k >= 0,
+    packed in nb-byte q-digits."""
+    w = 8 * nb
+    n = (nu + 2 * m - 1) // (2 * m)  # compact digit t holds u^(2mt)
+    R = 1
     for j in range(1, k + 1):
-        _geometric_inplace(R, j)
-    total = R[:]
-    for t in range(1, L):
-        _shift_inplace(R, 1)
-        _geometric_inplace(R, t)
-        _geometric_inplace(R, t + k)
-        for i in range(t, L):
-            total[i] += R[i]
-    return QSeries.from_terms({span * i: v for i, v in enumerate(total) if v}, nu)
-
-
-def _boson_pair_sum(m: int, e: int, nu: int) -> QSeries:
-    # sum over c, d >= 0 with c - d = e of u^(2mc) / ((q^m)_c (q^m)_d)
-    if e <= 0:
-        return _boson_pair_base(m, -e, nu)
-    return _boson_pair_base(m, e, nu - 2 * m * e).shifted(2 * m * e)
+        R = _geometric(R, j, n, w)
+    total = R
+    for t in range(1, n):
+        # the t-term over u^(2mt), from its predecessor
+        R = _geometric(_geometric(R, t, n - t, w), t + k, n - t, w)
+        total += R << w * t
+    raw = total.to_bytes(n * nb, "little")
+    out = bytearray((nu + 1) // 2 * nb)
+    for i in range(nb):
+        out[i::m * nb] = raw[i::nb]
+    return int.from_bytes(out, "little")
 
 
 def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
@@ -311,15 +348,28 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     nu = order + s * m
     if nu <= 0:
         return QSeries.zero(order)
-    total = QSeries.zero(nu)
-    for g, bucket in _charge_buckets(nu):
-        pair = _boson_pair_sum(m, s - g, nu)
-        if pair.is_zero():
-            continue
-        prod = bucket * pair
-        total = total + (prod.restricted(nu) if prod.order > nu else prod)
-    out = total.shifted(-s * m)
-    return out.restricted(order) if out.order > order else out
+    L = (nu + 1) // 2
+    nb = _digit_bytes(m, nu)
+    w = 8 * nb
+    mask = (1 << w * L) - 1
+    buckets = dict(_charge_buckets(nu, nb))
+    total = 0
+    for k in range(max(max(buckets) - s, s - min(buckets)) + 1):
+        # the boson pairs of charge -k and of charge k share the base
+        # sum_t u^(2mt) / ((q^m)_t (q^m)_{t+k}), the latter shifted by
+        # u^(2mk); they meet the buckets of charge s + k and s - k
+        f = buckets.get(s + k, 0)
+        if k and s - k in buckets:
+            f += (buckets[s - k] << w * m * k) & mask
+        if f:
+            # f is zero below q^low, so the base matters below q^(L - low)
+            # only, where it equals the base of order nu - 2 low
+            low = ((f & -f).bit_length() - 1) // w
+            base = _boson_pair_base(m, k, nu - 2 * low, nb)
+            total += ((f >> w * low) * base) << w * low
+    coeffs = [0] * nu
+    coeffs[::2] = unpack_digits(total, nb, L)
+    return QSeries(-s * m, order, coeffs)
 
 
 def vacuum_identity_sides(m: int, order: int):

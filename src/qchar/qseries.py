@@ -291,6 +291,15 @@ def format_series(qs: QSeries) -> str:
     return "\n".join(lines)
 
 
+def unpack_digits(x: int, nbytes: int, count: int, offset: int = 0) -> list:
+    """The lowest count digits of x >= 0 in base 256^nbytes, each minus
+    offset: the coefficients of a series packed as one int (Kronecker
+    substitution), digit t in bytes t*nbytes .. (t+1)*nbytes - 1."""
+    raw = x.to_bytes(max(count * nbytes, (x.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(raw[t:t + nbytes], "little") - offset
+            for t in range(0, count * nbytes, nbytes)]
+
+
 # -- classical building blocks ----------------------------------------------
 
 

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import time
 from collections import Counter
 
 import pytest
 
-from qchar import identities
+from qchar import identities, oracle
 from qchar.cli import main, parse_range
 from qchar.qseries import QSeries, euler_phi
 
@@ -246,6 +248,72 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "qchar: internal error: IndexError: row out of range\n"
+
+
+def _verdicts(fmt, out):
+    """The verdict of every report printed in format fmt."""
+    if fmt == "json":
+        return [r["verdict"] for r in json.loads(out)]
+    if fmt == "csv":
+        return [r["verdict"] for r in csv.DictReader(io.StringIO(out))]
+    *lines, summary = out.splitlines()
+    verdicts = [line.split()[0].lower() for line in lines]
+    assert summary == f"{verdicts.count('pass')}/{len(verdicts)} passed"
+    return verdicts
+
+
+def _skew_point(nu, half, m, s, sides):
+    # the real reports, with the s = 1 point made to fail or to fall short
+    for extra, lhs, rhs in identities._reflection(nu, half, m, s):
+        if s == 1:
+            lhs, rhs = sides(nu, lhs, rhs)
+        yield extra, lhs, rhs
+
+
+_SKEWS = {
+    "none": None,
+    "fail": lambda nu, lhs, rhs: (lhs, rhs + QSeries.monomial(6, nu)),
+    "short": lambda nu, lhs, rhs: (lhs.restricted(nu - 2),
+                                   rhs.restricted(nu - 2)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("skew", sorted(_SKEWS))
+def test_verify_exit_one_only_with_a_report_not_passing(capsys, monkeypatch,
+                                                        fmt, skew):
+    if _SKEWS[skew] is not None:
+        def sides(nu, half, m, s):
+            return _skew_point(nu, half, m, s, _SKEWS[skew])
+
+        fam = identities.FAMILIES["lemma11b"]._replace(sides=sides)
+        monkeypatch.setitem(identities.FAMILIES, "lemma11b", fam)
+    code, out, _ = run(capsys, "verify", "--family", "lemma11b", "--m", "2..3",
+                       "--s", "0..1", "--order", "20", "--format", fmt)
+    verdicts = _verdicts(fmt, out)
+    expect = "pass" if skew == "none" else skew
+    assert verdicts == ["pass", expect, "pass", expect]
+    assert code in (0, 1)
+    assert (code == 1) == any(v != "pass" for v in verdicts)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("side", [None, "quasiparticle_char", "fock_sector_char"])
+def test_oracle_exit_one_only_with_a_failing_report(capsys, monkeypatch,
+                                                    fmt, side):
+    if side is not None:
+        real = getattr(oracle, side)
+
+        def skewed(m, s, order):
+            return real(m, s, order) + QSeries.monomial(4, order)
+
+        monkeypatch.setattr(oracle, side, skewed)
+    code, out, _ = run(capsys, "oracle", "--m", "2", "--s", "0",
+                       "--qbound", "6", "--format", fmt)
+    verdicts = _verdicts(fmt, out)
+    assert verdicts == ["pass" if side is None else "fail"]
+    assert code in (0, 1)
+    assert (code == 1) == any(v != "pass" for v in verdicts)
 
 
 def test_verify_unknown_family_is_usage_error(capsys):

@@ -1,0 +1,161 @@
+"""Differential test of the quasiparticle sum against a direct reference.
+
+The reference below builds every charge bucket and every boson-pair base
+as a list of coefficients, divides by 1 - x^j with one in-place pass over
+the list, and convolves each bucket with its boson-pair sum as a QSeries
+product. The package packs each series into one int of fixed-width digits
+and multiplies packed ints; both must agree on every coefficient and on
+the claimed window.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qchar import characters
+from qchar.errors import InvalidParameter
+from qchar.qseries import QSeries, unpack_digits
+
+
+def _geometric_inplace(arr: list, stride: int) -> None:
+    # multiply by 1/(1 - x^stride) on a compact array
+    for i in range(stride, len(arr)):
+        arr[i] += arr[i - stride]
+
+
+def _shift_inplace(arr: list, k: int) -> None:
+    if k <= 0:
+        return
+    n = len(arr)
+    arr[k:] = arr[: n - k]
+    arr[:k] = [0] * min(k, n)
+
+
+@lru_cache(maxsize=64)
+def _charge_buckets(nu: int):
+    """Fermionic-pair generating series split by net charge, below u-order nu.
+
+    Returns a tuple of (charge, QSeries) pairs. Pairs (a, b) enter while
+    a(a+1) + b(b-1) < nu; anything omitted starts at or above nu.
+    """
+    L = (nu + 1) // 2  # compact slot i holds the u^(2i) coefficient
+    buckets: dict = {}
+    X = [0] * L
+    if L > 0:
+        X[0] = 1
+    a = 0
+    while a * (a + 1) < nu:
+        if a > 0:
+            # u^(a(a+1)) / (q)_a from its predecessor: shift 2a, divide by 1 - q^a
+            _shift_inplace(X, a)
+            _geometric_inplace(X, a)
+        R = X[:]
+        b = 0
+        while a * (a + 1) + b * (b - 1) < nu:
+            if b > 0:
+                _shift_inplace(R, b - 1)
+                _geometric_inplace(R, b)
+            tgt = buckets.setdefault(a - b, [0] * L)
+            for i in range(L):
+                tgt[i] += R[i]
+            b += 1
+        a += 1
+    out = []
+    for g in sorted(buckets):
+        out.append((g, QSeries.from_terms({2 * i: v for i, v in enumerate(buckets[g]) if v}, nu)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _boson_pair_base(m: int, k: int, nu: int) -> QSeries:
+    # sum over t >= 0 of u^(2mt) / ((q^m)_t (q^m)_{t+k}), k >= 0
+    span = 2 * m
+    L = (nu + span - 1) // span if nu > 0 else 0
+    if L <= 0:
+        return QSeries.zero(nu)
+    R = [0] * L
+    R[0] = 1
+    for j in range(1, k + 1):
+        _geometric_inplace(R, j)
+    total = R[:]
+    for t in range(1, L):
+        _shift_inplace(R, 1)
+        _geometric_inplace(R, t)
+        _geometric_inplace(R, t + k)
+        for i in range(t, L):
+            total[i] += R[i]
+    return QSeries.from_terms({span * i: v for i, v in enumerate(total) if v}, nu)
+
+
+def _boson_pair_sum(m: int, e: int, nu: int) -> QSeries:
+    # sum over c, d >= 0 with c - d = e of u^(2mc) / ((q^m)_c (q^m)_d)
+    if e <= 0:
+        return _boson_pair_base(m, -e, nu)
+    return _boson_pair_base(m, e, nu - 2 * m * e).shifted(2 * m * e)
+
+
+def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
+    """Sector character as a sum over quadruples of quasiparticle counts.
+
+    Net charge a - b + c - d is pinned to s and the whole sum carries a
+    u^(-sm) prefactor. Cutoffs keep every omitted quadruple at or above
+    the internal order, which is the claimed order shifted by sm.
+    """
+    if m < 2:
+        raise InvalidParameter(f"need m >= 2, got {m}")
+    nu = order + s * m
+    if nu <= 0:
+        return QSeries.zero(order)
+    total = QSeries.zero(nu)
+    for g, bucket in _charge_buckets(nu):
+        pair = _boson_pair_sum(m, s - g, nu)
+        if pair.is_zero():
+            continue
+        prod = bucket * pair
+        total = total + (prod.restricted(nu) if prod.order > nu else prod)
+    out = total.shifted(-s * m)
+    return out.restricted(order) if out.order > order else out
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+def _fields(series):
+    return series.min_exp, series.order, series.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 6), s=st.integers(-8, 9), order=st.integers(-3, 60))
+def test_quasiparticle_matches_reference(m, s, order):
+    assert (_fields(characters.quasiparticle_char(m, s, order))
+            == _fields(quasiparticle_char(m, s, order)))
+
+
+@pytest.mark.parametrize("m,s,order", [(2, 0, 1200), (2, -5, 1200), (2, 1, 2000)])
+def test_quasiparticle_matches_reference_wide_digits(m, s, order, monkeypatch):
+    # coefficients of 114 to 150 bits: the digit width is tight to the byte
+    expect = _fields(quasiparticle_char(m, s, order))
+    assert _fields(characters.quasiparticle_char(m, s, order)) == expect
+    real = characters._digit_bytes
+    monkeypatch.setattr(characters, "_digit_bytes",
+                        lambda m, nu: real(m, nu) - 1)
+    assert _fields(characters.quasiparticle_char(m, s, order)) != expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(2, 6), k=st.integers(0, 12), nu=st.integers(1, 200),
+       data=st.data())
+def test_boson_pair_base_restricts_to_lower_order(m, k, nu, data):
+    # quasiparticle_char builds each base only to the order its bucket
+    # partner needs, which relies on a restricted base being that order's
+    lower = data.draw(st.integers(1, nu))
+    nb = characters._digit_bytes(m, nu)
+    count = (lower + 1) // 2
+    wide = characters._boson_pair_base(m, k, nu, nb)
+    narrow = characters._boson_pair_base(m, k, lower, nb)
+    assert wide & ((1 << 8 * nb * count) - 1) == narrow
+    coeffs = [0] * lower
+    coeffs[::2] = unpack_digits(narrow, nb, count)
+    assert QSeries(0, lower, coeffs) == _boson_pair_base(m, k, lower)
