@@ -24,7 +24,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter
-from .qseries import QSeries, dist_product, inv_euler_phi, unpack_digits
+from .qseries import QSeries, dist_product, euler_phi, inv_euler_phi, unpack_digits
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,15 @@ def compare_series(identity: str, params: dict, lhs: QSeries,
     return IdentityReport(identity, params, order, "fail",
                           first_diff_u_exp=e,
                           lhs_coeff=lhs.coeff(e), rhs_coeff=rhs.coeff(e))
+
+
+def mark_short(report: IdentityReport, order: int) -> IdentityReport:
+    """Give a passing report whose sides agree only below u^order the
+    verdict "short", which does not pass: agreement below the requested
+    order proves too little."""
+    if report.passed() and report.order_u < order:
+        report.verdict = "short"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +144,29 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     """Specialized character of the charge-s Fock sector.
 
-    The lattice sum divided by one neutral free-fermion-pair factor and
-    two boson-pair factors. The result can start at a negative u-exponent
-    for s > 0, so the inverse factors are built with enough extra order
-    to keep the product honest down to the requested claim.
+    The lattice sum divided by one neutral free-fermion-pair factor
+    phi(q) and two boson-pair factors phi(q^m). The result can start at a
+    negative u-exponent for s > 0, so the divisors are built with enough
+    extra order to keep the quotient honest up to the requested claim.
     """
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
     h = sector_sum(m, s, order)
     if h.is_zero():
         return QSeries.zero(order)
-    pad = max(0, -h.min_exp)
-    inv1 = inv_euler_phi(1, order + pad)
-    invm = inv_euler_phi(m, order + pad)
-    out = ((h * inv1) * invm) * invm
-    if out.order > order:
-        out = out.restricted(order)
-    return out
+    n = order + max(0, -h.min_exp)
+    phi_m = euler_phi(m, n)
+    return h / euler_phi(1, n) / phi_m / phi_m
+
+
+def _pair_quotient(m: int, order: int) -> QSeries:
+    """(dist product)^2 / phi(q^m)^2 below u^order >= 1, as the quotient
+    phi(q^2)^2 / phi(q)^2 / phi(q^m)^2 of sparse Euler products, since
+    (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf."""
+    phi_2 = euler_phi(2, order)
+    phi_1 = euler_phi(1, order)
+    phi_m = euler_phi(m, order)
+    return phi_2 * phi_2 / phi_1 / phi_1 / phi_m / phi_m
 
 
 def sector_pair_product(m: int, order: int) -> QSeries:
@@ -161,9 +176,7 @@ def sector_pair_product(m: int, order: int) -> QSeries:
         raise InvalidParameter(f"need m >= 2, got {m}")
     if order <= 0:
         return QSeries.zero(order)
-    d = dist_product(1, order)
-    invm = inv_euler_phi(m, order)
-    return 2 * ((d * d) * (invm * invm))
+    return 2 * _pair_quotient(m, order)
 
 
 def _theta_bracket(m: int, k: int, order: int) -> QSeries:
@@ -192,9 +205,7 @@ def sector_closed_form(m: int, k: int, order: int) -> QSeries:
     if order <= 0:
         return QSeries.zero(order)
     br = _theta_bracket(m, k, order)
-    d = dist_product(1, order)
-    invm = inv_euler_phi(m, order)
-    out = QSeries.monomial(k * m * (m - 1), order) * (br * ((d * d) * (invm * invm)))
+    out = QSeries.monomial(k * m * (m - 1), order) * (br * _pair_quotient(m, order))
     return out.restricted(order) if out.order > order else out
 
 
@@ -380,11 +391,7 @@ def vacuum_identity_sides(m: int, order: int):
     if order <= 0:
         z = QSeries.zero(order)
         return z, z
-    d = dist_product(1, order)
-    invm = inv_euler_phi(m, order)
-    lhs = (d * d) * (invm * invm)
-    rhs = quasiparticle_char(m, 0, order)
-    return lhs, rhs
+    return _pair_quotient(m, order), quasiparticle_char(m, 0, order)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ Every AST node carries a source span (start, end) used for error reporting;
 spans are excluded from equality so `parse(format_expr(e)) == e` holds
 structurally.  Evaluation is bottom-up at a fixed guaranteed u-order: integer
 leaves claim order nu, a monomial u^e claims nu + |e|, and the arithmetic on
-QSeries propagates honest truncation claims from there.
+QSeries propagates honest truncation claims from there.  A window longer
+than MAX_WINDOW coefficients is refused with ResourceLimit before it is
+allocated.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +34,7 @@ from .errors import (
     InvalidParameter,
     NonUnitLeadingCoefficient,
     ParseError,
+    ResourceLimit,
     UnknownBuiltin,
     ZeroSeries,
 )
@@ -40,10 +43,10 @@ from .qseries import (
     dist_product,
     euler_phi,
     gauss_sum,
-    inv_euler_phi,
     pochhammer,
 )
 from .characters import (
+    _pair_quotient,
     basic_char,
     family_char,
     fock_sector_char,
@@ -105,12 +108,6 @@ Node = Union[IntLit, Monomial, Neg, BinOp, Power, Call]
 # -- builtins ----------------------------------------------------------------
 
 
-def _vacuum_product_side(m: int, order: int) -> QSeries:
-    d = dist_product(1, order)
-    p = inv_euler_phi(m, order)
-    return d * d * p * p
-
-
 # name -> (arity, fn(*args, order)).  Domain checks (m >= 2 and friends) stay
 # in the library builders; here only names and arities are validated.
 BUILTINS = {
@@ -123,7 +120,7 @@ BUILTINS = {
     "hs": (2, sector_sum),
     "L0": (1, basic_char),
     "Lk": (2, family_char),
-    "cor22lhs": (1, _vacuum_product_side),
+    "cor22lhs": (1, _pair_quotient),
 }
 
 
@@ -353,11 +350,24 @@ def parse(text: str) -> Node:
 
 # -- evaluation --------------------------------------------------------------
 
+# The longest window [min_exp, order) evaluation allocates, in coefficients.
+# Products and quotients claim no more than their shorter operand and sums
+# no more than their longer one, so only the evaluation order, a monomial
+# and x^0 can open a longer window; q^-n alone needs nu + 4n.
+MAX_WINDOW = 1 << 20
+
+
+def _bounded(lo: int, order: int) -> None:
+    if order - lo > MAX_WINDOW:
+        raise ResourceLimit(
+            f"the window u^{lo}..u^{order} holds more than {MAX_WINDOW} coefficients")
+
 
 def eval_expr(node: Node, order: int) -> QSeries:
     """Evaluate at guaranteed u-order `order` (>= 1)."""
     if order < 1:
         raise InvalidParameter(f"evaluation order must be >= 1, got {order}")
+    _bounded(0, order)
     try:
         return _eval(node, order)
     except RecursionError:
@@ -368,6 +378,7 @@ def _eval(node: Node, nu: int) -> QSeries:
     if isinstance(node, IntLit):
         return QSeries.from_terms({0: node.value}, nu)
     if isinstance(node, Monomial):
+        _bounded(node.u_exp, nu + abs(node.u_exp))
         return QSeries.monomial(node.u_exp, nu + abs(node.u_exp))
     if isinstance(node, Neg):
         return -_eval(node.operand, nu)
@@ -381,13 +392,16 @@ def _eval(node: Node, nu: int) -> QSeries:
         if node.op == "*":
             return lhs * rhs
         try:
-            return lhs * rhs.invert()
+            return lhs / rhs
         except (ZeroSeries, NonUnitLeadingCoefficient) as err:
             raise DivisionByNonUnit(
                 f"cannot divide: {err}", span=node.right.span
             ) from err
     if isinstance(node, Power):
         base = _eval(node.base, nu)
+        if node.exponent == 0:
+            # the exact 1 that x^0 gives claims the window of x * x.invert()
+            _bounded(0, max(base.order - 2 * base.min_exp, 1))
         try:
             return base ** node.exponent
         except (ZeroSeries, NonUnitLeadingCoefficient) as err:

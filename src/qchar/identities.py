@@ -29,6 +29,7 @@ from .characters import (
     compare_series,
     family_char,
     fock_sector_char,
+    mark_short,
     quasiparticle_char,
     recurrence_step,
     sector_closed_form,
@@ -66,10 +67,7 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
     reports = []
     t0 = time.perf_counter()
     for extra, lhs, rhs in fam.sides(nu, half, **point):
-        report = compare(name, {**point, **extra}, lhs, rhs)
-        if report.passed() and report.order_u < nu:
-            # agreement below the requested order proves too little
-            report.verdict = "short"
+        report = mark_short(compare(name, {**point, **extra}, lhs, rhs), nu)
         if timings:
             t1 = time.perf_counter()
             report.ms = (t1 - t0) * 1000.0

@@ -21,7 +21,12 @@ from typing import Iterator, Optional
 
 from .errors import InvalidParameter, ResourceLimit
 from .qseries import QSeries
-from .characters import IdentityReport, fock_sector_char, quasiparticle_char
+from .characters import (
+    IdentityReport,
+    fock_sector_char,
+    mark_short,
+    quasiparticle_char,
+)
 
 _KINDS = ("psi", "psistar", "phi", "phistar")
 _DEFAULT_NODE_CAP = 10**8
@@ -203,7 +208,8 @@ def reachable_charges(m: int, max_u_exp: int,
 def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,
                             max_nodes: int = _DEFAULT_NODE_CAP) -> IdentityReport:
     """Three-way check: state enumeration vs the quasiparticle sum vs the
-    lattice-sum character, on their common window."""
+    lattice-sum character, on their common window; "short" if that window
+    ends below max_u_exp."""
     counted = enumerate_charge_series(m, s, max_u_exp, max_nodes)
     qp = quasiparticle_char(m, s, max_u_exp)
     ch = fock_sector_char(m, s, max_u_exp)
@@ -216,7 +222,8 @@ def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,
                                   first_diff_u_exp=e,
                                   lhs_coeff=counted.coeff(e),
                                   rhs_coeff=other.coeff(e))
-    return IdentityReport("oracle-threeway", params, order, "pass")
+    return mark_short(
+        IdentityReport("oracle-threeway", params, order, "pass"), max_u_exp)
 
 
 # ---------------------------------------------------------------------------

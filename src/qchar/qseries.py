@@ -7,11 +7,19 @@ exponent e is e/2. Coefficients are arbitrary-precision Python ints.
 A QSeries claims its coefficients exactly on the window [min_exp, order):
 `order` is an honest truncation contract, never a guess. Operations compute
 the largest order they can guarantee from their inputs' contracts.
+
+`/` is the one exact-division kernel: x / d solves y * d = x term by term,
+y[t] = c0 (x[t] - sum_k d[k] y[t-k]), over the nonzero terms of d only,
+for a divisor whose lowest coefficient c0 is +-1. `invert` is 1 / d. The
+Euler products (q^j;q^j)_inf come from the pentagonal theorem with
+O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
+instead of the O(order^2) of multiplying by a dense inverse.
 """
 
 from bisect import bisect_left
 from functools import lru_cache
-from operator import add, sub
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import (
     InsufficientOrder,
@@ -192,24 +200,7 @@ class QSeries:
         The result claims the same window length: min_exp flips sign and
         order becomes order - 2*min_exp.
         """
-        if self.is_zero():
-            raise ZeroSeries("cannot invert the zero series")
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise NonUnitLeadingCoefficient(f"lowest coefficient {c0} is not a unit")
-        n = self.order - self.min_exp
-        a_items = [(t, c) for t, c in enumerate(self.coeffs) if t and c]
-        buf = [0] * n
-        buf[0] = c0
-        for t in range(1, n):
-            s = 0
-            for k, c in a_items:
-                if k > t:
-                    break
-                s += c * buf[t - k]
-            if s:
-                buf[t] = -c0 * s
-        return QSeries(-self.min_exp, self.order - 2 * self.min_exp, buf)
+        return QSeries.one(self.order - self.min_exp) / self
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
@@ -223,7 +214,34 @@ class QSeries:
         return acc
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
-        return self * other.invert()
+        """Exact quotient; needs the divisor's lowest coefficient +-1.
+
+        Claims the window of self * other.invert(): it starts at
+        self.min_exp - other.min_exp and is as long as the shorter of the
+        two windows. The quotient's coefficients at exponents of one
+        residue class mod g, the gcd of the divisor's exponent gaps,
+        depend only on the dividend's in that class, so each class is
+        solved on its own and a class where the dividend is zero is skipped.
+        """
+        if other.is_zero():
+            raise ZeroSeries("cannot invert the zero series")
+        c0 = other.coeffs[0]
+        if c0 not in (1, -1):
+            raise NonUnitLeadingCoefficient(f"lowest coefficient {c0} is not a unit")
+        lo = self.min_exp - other.min_exp
+        n = min(len(self.coeffs), len(other.coeffs))
+        if n == 0:
+            return QSeries.zero(self.order - other.min_exp)
+        # x / d = (c0 x) / (c0 d), whose divisor leads with 1
+        terms = [(k, c0 * c) for k, c in enumerate(other.coeffs[1:n], 1) if c]
+        g = gcd(*(k for k, _ in terms)) or 1
+        terms = [(k // g, c) for k, c in terms]
+        buf = [0] * n
+        for r in range(g):
+            x = self.coeffs[r:n:g]
+            if any(x):
+                buf[r::g] = _divide_monic(x if c0 == 1 else [-c for c in x], terms)
+        return QSeries(lo, lo + n, buf)
 
     def shifted(self, du: int) -> "QSeries":
         """Multiply by u^du (exact monomial shift)."""
@@ -291,6 +309,37 @@ def format_series(qs: QSeries) -> str:
     return "\n".join(lines)
 
 
+def _divide_monic(x, terms) -> list:
+    """y with y * d = x below len(x), for d = 1 + sum c u^k over terms
+    ((k, c) pairs, k >= 1 ascending, c != 0): y[t] = x[t] - sum c y[t-k].
+
+    Each term joins once t reaches its k; y grows by one per step, so y[-k]
+    is y[t-k]. The +-1 terms are plain sums, the others one dot product."""
+    y = []
+    get = y.__getitem__
+    plus, minus, offs, cs = [], [], [], []
+    pending = iter(terms)
+    k, c = next(pending, (len(x), 0))
+    for t, s in enumerate(x):
+        while k <= t:
+            if c == 1:
+                plus.append(-k)
+            elif c == -1:
+                minus.append(-k)
+            else:
+                offs.append(-k)
+                cs.append(c)
+            k, c = next(pending, (len(x), 0))
+        if plus:
+            s -= sum(map(get, plus))
+        if minus:
+            s += sum(map(get, minus))
+        if offs:
+            s -= sum(map(mul, cs, map(get, offs)))
+        y.append(s)
+    return y
+
+
 def unpack_digits(x: int, nbytes: int, count: int, offset: int = 0) -> list:
     """The lowest count digits of x >= 0 in base 256^nbytes, each minus
     offset: the coefficients of a series packed as one int (Kronecker
@@ -321,11 +370,22 @@ def _factor_product(j: int, n_factors: int, order: int, op) -> QSeries:
 
 @lru_cache(maxsize=None)
 def euler_phi(j: int, order: int) -> QSeries:
-    """prod_{i>=1} (1 - q^{ji}) truncated below u^order."""
+    """prod_{i>=1} (1 - q^{ji}) truncated below u^order, by Euler's
+    pentagonal theorem: the sum over k in Z of (-1)^k q^(j k(3k-1)/2)."""
     if j < 1:
         raise InvalidParameter("euler_phi needs j >= 1")
-    # factors with 2ji >= order are 1 below u^order
-    return _factor_product(j, order, order, sub)
+    if order <= 0:
+        return QSeries.zero(order)
+    c = [0] * order
+    c[0] = 1
+    k = 1
+    while j * k * (3 * k - 1) < order:
+        sign = -1 if k % 2 else 1
+        c[j * k * (3 * k - 1)] = sign
+        if j * k * (3 * k + 1) < order:
+            c[j * k * (3 * k + 1)] = sign
+        k += 1
+    return QSeries(0, order, c)
 
 
 @lru_cache(maxsize=None)

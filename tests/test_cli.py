@@ -156,6 +156,15 @@ def test_series_deep_expression_is_usage_error(capsys, text):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+def test_series_window_past_the_bound_is_resource_limit(capsys):
+    # q^-N alone claims a window of about 4N coefficients
+    code, out, err = run(capsys, "series", "--expr", "q^-100000000",
+                         "--order", "5")
+    assert code == 3
+    assert out == ""
+    assert "coefficients" in err and "Traceback" not in err
+
+
 def test_series_domain_error_is_usage(capsys):
     code, _, err = run(capsys, "series", "--expr", "L0(1)", "--order", "5")
     assert code == 2
@@ -314,6 +323,23 @@ def test_oracle_exit_one_only_with_a_failing_report(capsys, monkeypatch,
     assert verdicts == ["pass" if side is None else "fail"]
     assert code in (0, 1)
     assert (code == 1) == any(v != "pass" for v in verdicts)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_oracle_short_side_is_not_a_pass(capsys, monkeypatch, fmt):
+    # all three sides agree, but the quasiparticle sum only below u^(nu - 2)
+    real = oracle.quasiparticle_char
+
+    def short(m, s, order):
+        return real(m, s, order).restricted(order - 2)
+
+    monkeypatch.setattr(oracle, "quasiparticle_char", short)
+    code, out, _ = run(capsys, "oracle", "--m", "2", "--s", "0",
+                       "--qbound", "6", "--format", fmt)
+    assert code == 1
+    assert _verdicts(fmt, out) == ["short"]
+    if fmt == "text":
+        assert out == "SHORT oracle-threeway m=2 s=0 order_u=10\n0/1 passed\n"
 
 
 def test_verify_unknown_family_is_usage_error(capsys):

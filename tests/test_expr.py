@@ -7,9 +7,11 @@ from qchar.errors import (
     DivisionByNonUnit,
     InvalidParameter,
     ParseError,
+    ResourceLimit,
     UnknownBuiltin,
 )
 from qchar.expr import (
+    MAX_WINDOW,
     BinOp,
     Call,
     IntLit,
@@ -214,6 +216,23 @@ def test_eval_division_by_zero_series():
 def test_eval_negative_power_of_non_unit():
     with pytest.raises(DivisionByNonUnit):
         evaluate("(2 * phi(1))^-1", 10)
+
+
+@pytest.mark.parametrize("text, order", [
+    ("q^-100000000", 5),
+    # each factor passes, but x^0 claims the window of x * x.invert()
+    ("(q^-200000 * q^-200000 * q^-200000)^0", 5),
+    ("1", MAX_WINDOW + 1),
+])
+def test_eval_window_past_the_bound_is_resource_limit(text, order):
+    with pytest.raises(ResourceLimit):
+        evaluate(text, order)
+
+
+def test_eval_window_at_the_bound():
+    # q^-n claims [-2n, nu + 2n): exactly MAX_WINDOW coefficients here
+    n = (MAX_WINDOW - 2) // 4
+    assert evaluate(f"q^-{n}", 2) == QSeries.monomial(-2 * n, 2 + 2 * n)
 
 
 def test_eval_builtin_domain_errors_propagate():

@@ -1,7 +1,19 @@
 import json
+from bisect import bisect_left
+from operator import add, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from qchar import expr
+from qchar.characters import (
+    _theta_bracket,
+    fock_sector_char,
+    sector_closed_form,
+    sector_pair_product,
+    sector_sum,
+    vacuum_identity_sides,
+)
 
 from qchar.errors import (
     InsufficientOrder,
@@ -12,6 +24,7 @@ from qchar.errors import (
 )
 from qchar.qseries import (
     QSeries,
+    _factor_product,
     dist_product,
     euler_phi,
     format_series,
@@ -181,6 +194,162 @@ def test_invert_errors():
 def test_invert_negative_unit_lead():
     s = QSeries.from_terms({0: -1, 2: 5}, 12)
     assert s * s.invert() == QSeries.one(12)
+
+
+# ---------------------------------------------------------------------------
+# the exact-division kernel against the code it replaced
+#
+# ref_mul and ref_invert are QSeries.__mul__ (for two series) and
+# QSeries.invert as they were before `/` became the division kernel,
+# kept verbatim.
+
+
+def ref_mul(self, other):
+    lo = self.min_exp + other.min_exp
+    order = min(self.min_exp + other.order, other.min_exp + self.order)
+    n = order - lo
+    if n <= 0:
+        return QSeries.zero(order)
+    a_items = [(t, c) for t, c in enumerate(self.coeffs) if c]
+    b_items = [(t, c) for t, c in enumerate(other.coeffs) if c]
+    if len(b_items) > len(a_items):
+        a_items, b_items = b_items, a_items
+    b_exps = [t for t, _ in b_items]
+    b_cs = [c for _, c in b_items]
+    buf = [0] * n
+    for ta, ca in a_items:
+        lim = n - ta
+        if lim <= 0:
+            break
+        for i in range(bisect_left(b_exps, lim)):
+            buf[ta + b_exps[i]] += ca * b_cs[i]
+    return QSeries(lo, order, buf)
+
+
+def ref_invert(self):
+    if self.is_zero():
+        raise ZeroSeries("cannot invert the zero series")
+    c0 = self.coeffs[0]
+    if c0 not in (1, -1):
+        raise NonUnitLeadingCoefficient(f"lowest coefficient {c0} is not a unit")
+    n = self.order - self.min_exp
+    a_items = [(t, c) for t, c in enumerate(self.coeffs) if t and c]
+    buf = [0] * n
+    buf[0] = c0
+    for t in range(1, n):
+        s = 0
+        for k, c in a_items:
+            if k > t:
+                break
+            s += c * buf[t - k]
+        if s:
+            buf[t] = -c0 * s
+    return QSeries(-self.min_exp, self.order - 2 * self.min_exp, buf)
+
+
+def parts(qs):
+    return qs.min_exp, qs.order, qs.coeffs
+
+
+@st.composite
+def unit_divisors(draw):
+    """Lowest coefficient +-1, other coefficients any small int, nonzero
+    only at multiples of a gap, so the gcd of the exponent gaps can be > 1."""
+    lo = draw(st.integers(-8, 8))
+    gap = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 40))
+    coeffs = [draw(st.sampled_from((1, -1)))]
+    for t in range(1, width):
+        coeffs.append(draw(st.integers(-4, 4)) if t % gap == 0 else 0)
+    return QSeries(lo, lo + width, coeffs)
+
+
+@st.composite
+def dividends(draw):
+    """Zero, shorter or longer than the divisor; dense or on a sublattice,
+    so some residue classes of the quotient can be zero."""
+    lo = draw(st.integers(-8, 8))
+    width = draw(st.integers(0, 60))
+    step = draw(st.integers(1, 5))
+    coeffs = [draw(st.integers(-9, 9)) if t % step == 0 else 0
+              for t in range(width)]
+    return QSeries(lo, lo + width, coeffs)
+
+
+@given(dividends(), unit_divisors())
+@settings(max_examples=400, deadline=None)
+@example(QSeries.zero(-3), QSeries(-2, 5, [-1, 0, 3]))
+@example(QSeries(-5, -4, [7]), QSeries(-6, 30, [1] + [0] * 35))
+@example(QSeries(-4, 40, [2] * 44), QSeries(3, 6, [-1, 0, -1]))
+def test_division_matches_reference(x, d):
+    assert parts(x / d) == parts(ref_mul(x, ref_invert(d)))
+    assert parts(d.invert()) == parts(ref_invert(d))
+
+
+@pytest.mark.parametrize("d, error", [
+    (QSeries.zero(4), ZeroSeries),
+    (QSeries.zero(-6), ZeroSeries),
+    (QSeries(0, 5, [2, 1]), NonUnitLeadingCoefficient),
+    (QSeries(-3, 5, [-3, 0, 1]), NonUnitLeadingCoefficient),
+])
+def test_division_errors_match_reference(d, error):
+    for x in (QSeries.zero(3), QSeries.one(8)):
+        with pytest.raises(error):
+            ref_mul(x, ref_invert(d))
+        with pytest.raises(error):
+            x / d
+    with pytest.raises(error):
+        d.invert()
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_pentagonal_euler_phi_matches_factor_product(j):
+    for order in [*range(-3, 81), 1000, 8001]:
+        assert parts(euler_phi(j, order)) == parts(_factor_product(j, order, order, sub))
+
+
+def ref_pair_product(m, order):
+    """(dist product)^2 / phi(q^m)^2 as the old builders multiplied it."""
+    d = _factor_product(1, order, order, add)
+    invm = ref_invert(_factor_product(m, order, order, sub))
+    return ref_mul(ref_mul(d, d), ref_mul(invm, invm))
+
+
+def ref_fock_sector_char(m, s, order):
+    h = sector_sum(m, s, order)
+    if h.is_zero():
+        return QSeries.zero(order)
+    n = order + max(0, -h.min_exp)
+    inv1 = ref_invert(_factor_product(1, n, n, sub))
+    invm = ref_invert(_factor_product(m, n, n, sub))
+    out = ref_mul(ref_mul(ref_mul(h, inv1), invm), invm)
+    return out.restricted(order) if out.order > order else out
+
+
+@given(st.integers(2, 6), st.integers(-8, 9), st.integers(-3, 120))
+@settings(max_examples=150, deadline=None)
+def test_fock_sector_char_matches_product_form(m, s, order):
+    assert parts(fock_sector_char(m, s, order)) == parts(ref_fock_sector_char(m, s, order))
+
+
+@pytest.mark.parametrize("m, s", [(2, 5), (3, 1), (5, 2), (6, 3), (4, -3)])
+def test_fock_sector_char_matches_product_form_at_800(m, s):
+    # (3, 1), (5, 2) and (6, 3) start at a negative u-exponent
+    assert parts(fock_sector_char(m, s, 800)) == parts(ref_fock_sector_char(m, s, 800))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pair_quotient_builders_match_product_form(m):
+    for order in (1, 2, 37, 800):
+        pair = ref_pair_product(m, order)
+        assert parts(sector_pair_product(m, order)) == parts(2 * pair)
+        assert parts(vacuum_identity_sides(m, order)[0]) == parts(pair)
+        assert parts(expr.BUILTINS["cor22lhs"][1](m, order)) == parts(pair)
+        for k in (0, 1, 3):
+            closed = ref_mul(QSeries.monomial(k * m * (m - 1), order),
+                             ref_mul(_theta_bracket(m, k, order), pair))
+            closed = closed.restricted(order) if closed.order > order else closed
+            assert parts(sector_closed_form(m, k, order)) == parts(closed)
 
 
 # ---------------------------------------------------------------------------
