@@ -26,7 +26,7 @@ from typing import Optional
 
 from .characters import IdentityReport
 from .errors import InvalidParameter, OutOfWindow, WindowUnderflow
-from .qseries import QSeries, inv_euler_phi, unpack_digits
+from .qseries import QSeries, euler_phi, unpack_digits
 
 _INF = float("inf")
 
@@ -331,13 +331,11 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
     lhs = _graded_product(pairs, lo, hi, order, pad=0)
 
-    rows = []
-    for j in range(lo, hi + 1):
-        e = j * j
-        if e >= order:
-            rows.append(QSeries.zero(order))
-        else:
-            rows.append(inv_euler_phi(1, order - e).shifted(e))
+    phi = euler_phi(1, order)
+    # row j depends on |j| only
+    theta = {j: QSeries.monomial(j * j, order) / phi
+             for j in range(max(0, lo, -hi), max(-lo, hi) + 1)}
+    rows = [theta[abs(j)] for j in range(lo, hi + 1)]
     below = 0 if lo - 1 >= 0 else (lo - 1) ** 2
     above = 0 if hi + 1 <= 0 else (hi + 1) ** 2
     rhs = ChargeSeries(lo, rows, min_floor=0,
@@ -356,18 +354,17 @@ def inverse_product_sides(order: int, window) -> tuple:
     pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
     lhs = _graded_product(pairs, lo, hi, order, pad=0)
 
-    inv_sq = inv_euler_phi(1, order) * inv_euler_phi(1, order)
-    rows = []
-    for t in range(lo, hi + 1):
-        ta = abs(t)
+    phi = euler_phi(1, order)
+    # row t depends on |t| only
+    theta = {}
+    for ta in range(max(0, lo, -hi), max(-lo, hi) + 1):
         terms = {}
         r = 0
         while r * (r + 1) + (2 * r + 1) * ta < order:
-            terms[r * (r + 1) + (2 * r + 1) * ta] = (
-                1 if (r + ta) % 2 == 0 else -1)
+            terms[r * (r + 1) + (2 * r + 1) * ta] = (-1) ** (r + ta)
             r += 1
-        rows.append((QSeries.from_terms(terms, order) * inv_sq)
-                    .restricted(order))
+        theta[ta] = QSeries.from_terms(terms, order) / phi / phi
+    rows = [theta[abs(t)] for t in range(lo, hi + 1)]
     rhs = ChargeSeries(lo, rows, support_exact=False, min_floor=0)
     return lhs, rhs
 

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter
-from .qseries import QSeries, dist_product, euler_phi, inv_euler_phi, unpack_digits
+from .qseries import QSeries, dist_product, euler_phi, unpack_digits
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +405,18 @@ def basic_char(m: int, order: int) -> QSeries:
         raise InvalidParameter(f"need m >= 2, got {m}")
     if order <= 0:
         return QSeries.zero(order)
+    # the dense dist product on purpose, as an independent route: thm13a
+    # checks it against the pentagonal quotient (-q;q)_inf =
+    # (q^2;q^2)_inf / (q;q)_inf, and gauss against the triangular sum
     d = dist_product(1, order)
-    return (d * d) * inv_euler_phi(m, order)
+    return d * d / euler_phi(m, order)
 
 
 def family_char(m: int, k: int, order: int) -> QSeries:
     """Specialized character of the k-th member of the one-parameter family:
-    finite alternating bracket times (dist product)^2 / phi(q^m)."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
-    if order <= 0:
-        return QSeries.zero(order)
-    br = _theta_bracket(m, k, order)
-    d = dist_product(1, order)
-    return br * ((d * d) * inv_euler_phi(m, order))
+    finite alternating bracket times the basic character."""
+    ch = basic_char(m, order)
+    return _theta_bracket(m, k, order) * ch if order > 0 else ch
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ invocations produce byte-identical output.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -231,6 +232,9 @@ def _int_at_least(lo):
     return parse
 
 
+# built once per process, on first use: parsing leaves the parser
+# unchanged, so every main() call shares it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qchar",

@@ -25,6 +25,7 @@ from .bivariate import (
     jacobi_triple_sides,
 )
 from .characters import (
+    _pair_quotient,
     basic_char,
     compare_series,
     family_char,
@@ -36,6 +37,7 @@ from .characters import (
     sector_pair_product,
     vacuum_identity_sides,
 )
+from .errors import QcharError
 from .qseries import dist_product, euler_phi, gauss_sum
 
 
@@ -66,13 +68,18 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
     compare = compare_series if fam.zwin is None else compare_charge_series
     reports = []
     t0 = time.perf_counter()
-    for extra, lhs, rhs in fam.sides(nu, half, **point):
-        report = mark_short(compare(name, {**point, **extra}, lhs, rhs), nu)
-        if timings:
-            t1 = time.perf_counter()
-            report.ms = (t1 - t0) * 1000.0
-            t0 = t1
-        reports.append(report)
+    try:
+        for extra, lhs, rhs in fam.sides(nu, half, **point):
+            report = mark_short(compare(name, {**point, **extra}, lhs, rhs), nu)
+            if timings:
+                t1 = time.perf_counter()
+                report.ms = (t1 - t0) * 1000.0
+                t0 = t1
+            reports.append(report)
+    except QcharError as err:
+        # the same class, so the exit code stays; the message names the point
+        where = " ".join([name] + [f"{axis}={v}" for axis, v in point.items()])
+        raise type(err)(f"{where}: {err}") from err
     return reports
 
 
@@ -118,9 +125,9 @@ def _iterated_recurrence(nu, half, m, k):
 def _basic_forms(nu, half, m):
     # the shared character is built, and timed, with the first form
     ch = basic_char(m, nu)
-    d = dist_product(1, nu)
     phi_m = euler_phi(m, nu)
-    yield {"form": "product"}, ch, (d * d) * phi_m.invert()
+    # (dist product)^2 by the pentagonal route, apart from basic_char's own
+    yield {"form": "product"}, ch, _pair_quotient(m, nu) * phi_m
     yield {"form": "vacuum-sector"}, ch, fock_sector_char(m, 0, nu) * phi_m
     yield {"form": "mirror-sector"}, ch, fock_sector_char(m, m - 1, nu) * phi_m
 

@@ -13,7 +13,9 @@ y[t] = c0 (x[t] - sum_k d[k] y[t-k]), over the nonzero terms of d only,
 for a divisor whose lowest coefficient c0 is +-1. `invert` is 1 / d. The
 Euler products (q^j;q^j)_inf come from the pentagonal theorem with
 O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
-instead of the O(order^2) of multiplying by a dense inverse.
+instead of the O(order^2) of multiplying by a dense inverse. Every
+builder in the package divides with `/`; `inv_euler_phi` remains only as
+a public helper.
 """
 
 from bisect import bisect_left

@@ -256,6 +256,56 @@ def test_inverse_product_vacuum_row_leading_terms():
 
 
 # ---------------------------------------------------------------------------
+# theta sides as quotients, against the dense-inverse rows they replaced
+
+
+def ref_triple_rows(order, lo, hi):
+    rows = []
+    for j in range(lo, hi + 1):
+        e = j * j
+        if e >= order:
+            rows.append(QSeries.zero(order))
+        else:
+            rows.append(inv_euler_phi(1, order - e).shifted(e))
+    return rows
+
+
+def ref_inverse_rows(order, lo, hi):
+    inv_sq = inv_euler_phi(1, order) * inv_euler_phi(1, order)
+    rows = []
+    for t in range(lo, hi + 1):
+        ta = abs(t)
+        terms = {}
+        r = 0
+        while r * (r + 1) + (2 * r + 1) * ta < order:
+            terms[r * (r + 1) + (2 * r + 1) * ta] = (
+                1 if (r + ta) % 2 == 0 else -1)
+            r += 1
+        rows.append((QSeries.from_terms(terms, order) * inv_sq)
+                    .restricted(order))
+    return rows
+
+
+# symmetric, lopsided, missing 0 on either side, and rows with t^2 >= order
+# (kp's rows with |t| >= order have no numerator at all)
+THETA_CASES = [(1, (-2, 2)), (2, (5, 6)), (9, (-3, 12)), (20, (-9, 9)),
+               (30, (-2, 7)), (40, (3, 9)), (40, (-9, -4)), (121, (-12, 1)),
+               (400, (-10, 3))]
+
+
+@pytest.mark.parametrize("order,window", THETA_CASES)
+def test_theta_sides_match_dense_inverse_rows(order, window):
+    lo, hi = window
+    for sides, ref in ((jacobi_triple_sides, ref_triple_rows),
+                       (inverse_product_sides, ref_inverse_rows)):
+        _, rhs = sides(order, window)
+        assert (rhs.zmin, rhs.zmax) == window
+        assert ([(r.min_exp, r.order, r.coeffs) for r in rhs.rows]
+                == [(r.min_exp, r.order, r.coeffs)
+                    for r in ref(order, lo, hi)])
+
+
+# ---------------------------------------------------------------------------
 # two-variable Fock character
 
 

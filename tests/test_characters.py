@@ -5,6 +5,7 @@ import pytest
 
 from qchar.characters import (
     IdentityReport,
+    _theta_bracket,
     basic_char,
     compare_series,
     family_char,
@@ -314,6 +315,40 @@ def test_family_char_vs_closed_form():
         lhs = family_char(m, k, 150) * inv_euler_phi(m, 150)
         rhs = sector_closed_form(m, k, 150).shifted(-k * m * (m - 1))
         assert lhs.first_diff(rhs) is None
+
+
+# The dense-inverse products basic_char and family_char evaluated before they
+# became quotients, kept verbatim as references.
+
+
+def ref_basic_char(m, o):
+    d = dist_product(1, o)
+    return (d * d) * inv_euler_phi(m, o)
+
+
+def ref_family_char(m, k, o):
+    br = _theta_bracket(m, k, o)
+    d = dist_product(1, o)
+    return br * ((d * d) * inv_euler_phi(m, o))
+
+
+def window(qs):
+    return qs.min_exp, qs.order, qs.coeffs
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 17, 61, 199, 800])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_quotients_match_dense_inverse_products(m, order):
+    ref = ref_basic_char(m, order)
+    assert window(basic_char(m, order)) == window(ref)
+    for k in range(-4, 5):
+        assert window(family_char(m, k, order)) == window(ref_family_char(m, k, order))
+
+
+def test_quotients_below_order_one_are_zero():
+    for order in (0, -3):
+        assert window(basic_char(2, order)) == (order, order, ())
+        assert window(family_char(3, 2, order)) == (order, order, ())
 
 
 def test_theta_bracket_skips_terms_beyond_order():

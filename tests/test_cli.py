@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qchar import identities, oracle
+from qchar import characters, identities, oracle
 from qchar.cli import main, parse_range
 from qchar.qseries import QSeries, euler_phi
 
@@ -226,6 +226,30 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     reports = json.loads(out)
     assert {r["verdict"] for r in reports} == {"fail"}
     assert reports[0]["first_diff_u_exp"] == 10
+
+
+def test_thm13a_product_form_can_fail(capsys, monkeypatch):
+    # a dist product off by q^3 reaches basic_char but not the pentagonal
+    # quotient, so the product form must catch it
+    real = identities.dist_product
+
+    def skewed(j, order):
+        return real(j, order) + QSeries.monomial(6, order)
+
+    monkeypatch.setattr(characters, "dist_product", skewed)
+    monkeypatch.setattr(identities, "dist_product", skewed)
+    code, out, _ = run(capsys, "verify", "--family", "thm13a", "--m", "2",
+                       "--order", "20")
+    assert code == 1
+    verdicts = {r["params"]["form"]: r["verdict"] for r in json.loads(out)}
+    assert verdicts["product"] == "fail"
+
+
+def test_domain_error_names_family_and_point(capsys):
+    code, out, err = run(capsys, "verify", "--family", "prop12", "--k=-5..5")
+    assert code == 2
+    assert out == ""
+    assert err == "qchar: prop12 m=2 k=-5: need k >= 0, got -5\n"
 
 
 def test_verify_short_order_is_not_a_pass(capsys, monkeypatch):
