@@ -16,12 +16,17 @@ each. Which charges can still matter below the truncation order comes
 from exact min-cost displacement tables over the factors' charge movers
 (a fermionic factor moves charge once at a fixed cost, a bosonic one any
 number of times); soundness is the triangle inequality for those
-shortest-path costs.
+shortest-path costs. A cost at or above T = order + pad, pad covering
+all the negative cost the movers can spend, changes no pruning decision,
+support flag or floor, so each table keeps only the band of charges
+whose cost is below T and sweeps that band alone, and skips any mover
+that a no dearer bosonic one with the same step already covers.
 """
 
 from __future__ import annotations
 
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, sub
 from typing import Optional
 
 from .characters import IdentityReport
@@ -174,33 +179,97 @@ def cs_mul(a: ChargeSeries, b: ChargeSeries, window=None,
 
 
 class _CostTable:
-    """Exact minimum u-cost to reach charge r in [-cap, cap] over a mover
-    pool, starting at cost 0 anywhere in [lo, hi]."""
+    """Minimum u-cost to reach charge r in [-cap, cap] over a mover pool,
+    starting at cost 0 anywhere in [lo, hi], kept exact only below a limit.
 
-    __slots__ = ("cap", "cost")
+    cost[r + cap] is the entry of charge r; every entry outside the band
+    cost[self.lo .. self.hi] is inf, and the two band edges are below the
+    limit. Each stored entry is the cost of some sequence of moves, so it
+    is never below the exact minimum. An entry at or above the limit may
+    be dropped to inf, which loses nothing below it: after movers of total
+    negative cost N, every exact minimum below limit - N is stored
+    exactly, because the last move of its cheapest path leaves a source
+    at most max(0, -cost) dearer, hence exact by induction.
 
-    def __init__(self, cap: int, lo: int = 0, hi: int = 0):
-        self.cap = cap
+    `closed` maps a step to the cost of a repeatable mover the exact
+    table is closed under (cost[i] <= cost[i - step] + that cost). A
+    later mover with that step and no lower cost, once or repeatable,
+    changes nothing and is skipped. A later mover keeps the closure if
+    its step has the same sign (the detour position lies between two
+    charges in range), or if both steps are +-1 and, for a once mover,
+    its cost plus the closure's is >= 0 (a move and its undo never gain);
+    any other mover drops the closure.
+    """
+
+    __slots__ = ("limit", "cost", "lo", "hi", "closed")
+
+    def __init__(self, cap: int, limit: int, lo: int = 0, hi: int = 0):
+        self.limit = limit
         self.cost = [_INF] * (2 * cap + 1)
-        for r in range(max(lo, -cap), min(hi, cap) + 1):
-            self.cost[r + cap] = 0
+        self.lo = max(lo, -cap) + cap
+        self.hi = min(hi, cap) + cap
+        self.cost[self.lo:self.hi + 1] = [0] * (self.hi - self.lo + 1)
+        self.closed = {}
 
     def add_mover(self, step: int, cost: int, once: bool) -> None:
-        n = 2 * self.cap + 1
-        old = self.cost
+        closed = self.closed
+        if closed.get(step, _INF) <= cost:
+            return
+        for s in [s for s in closed if s * step < 0]:
+            if abs(s * step) != 1 or once and cost + closed[s] < 0:
+                del closed[s]
+        if not once:
+            closed[step] = cost
+        c, lo, hi, limit = self.cost, self.lo, self.hi, self.limit
+        if lo > hi:
+            return
+        n = len(c)
         if once:
-            new = old[:]
-            for i in range(n):
-                j = i - step
-                if 0 <= j < n and old[j] + cost < new[i]:
-                    new[i] = old[j] + cost
-            self.cost = new
-        else:
-            idx = range(step, n) if step > 0 else range(n + step - 1, -1, -1)
-            for i in idx:
-                j = i - step
-                if old[j] + cost < old[i]:
-                    old[i] = old[j] + cost
+            a, b = max(lo + step, 0), min(hi + step, n - 1)
+            if a > b:
+                return
+            c[a:b + 1] = map(min, c[a:b + 1],
+                             map(add, c[a - step:b - step + 1], repeat(cost)))
+            # the moved edge may land at or above the limit
+            if step > 0:
+                while c[b] >= limit:
+                    c[b] = _INF
+                    b -= 1
+                self.hi = max(hi, b)
+            else:
+                while c[a] >= limit:
+                    c[a] = _INF
+                    a += 1
+                self.lo = min(lo, a)
+            return
+        # one residue class mod step at a time: cost[i] = min over j of
+        # cost[i - j step] + j cost, a running minimum of cost[i] - i cost
+        s = abs(step)
+        for r in range(min(s, hi - lo + 1)):
+            if step > 0:
+                sl = slice(lo + r, hi + 1, s)
+            else:
+                sl = slice(hi - r, lo - 1 if lo else None, -s)
+            seg = c[sl]
+            ramp = range(0, len(seg) * cost, cost)
+            c[sl] = seg = list(map(add, accumulate(map(sub, seg, ramp), min),
+                                   ramp))
+            # walk out past the band while the class stays below the limit
+            v = seg[-1]
+            if v >= limit:
+                continue
+            end = sl.start + step * (len(seg) - 1)
+            k = min((limit - 1 - v) // cost,
+                    (n - 1 - end) // s if step > 0 else end // s)
+            if not k:
+                continue
+            if step > 0:
+                c[end + s:end + s * k + 1:s] = range(v + cost, v + cost * k + 1,
+                                                      cost)
+                self.hi = max(self.hi, end + s * k)
+            else:
+                c[end - s * k:end:s] = range(v + cost * k, v, -cost)
+                self.lo = min(self.lo, end - s * k)
 
 
 def _coeff_bound(factors, pad: int, length: int) -> int:
@@ -212,8 +281,12 @@ def _coeff_bound(factors, pad: int, length: int) -> int:
     a[pad] = 1
     for _, cost, _, inverse in factors:
         if inverse:
-            for t in range(cost, length):
-                a[t] += a[t - cost]
+            # 1/(1 - u^cost) below u^length as the product of the
+            # 1 + u^(cost 2^i) with cost 2^i < length
+            g = cost
+            while g < length:
+                a[g:] = map(add, a[g:], a)
+                g <<= 1
         elif cost >= 0:
             a[cost:] = map(add, a[cost:], a)
         else:
@@ -236,14 +309,25 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     """
     cap = order + pad + 8
     n = 2 * cap + 1
+    # Both tables drop costs at or above limit. Write N(S) for the total
+    # negative cost of the movers of pairs S, so N(all) <= pad. Then built
+    # after pairs[i:] is exact below limit - N(pairs[i:]) >= order +
+    # N(pairs[:i]), and pullback[i] exact below order + N(pairs[i:]).
+    # A row is kept when built + pullback < order; as pullback >=
+    # -N(pairs[:i]) and built >= -N(pairs[i:]), both terms are then exact,
+    # and a stored cost is never below the exact one, so the test prunes
+    # exactly what the full tables prune. At the end built is exact below
+    # order, which is all the support flag reads, and the floor is a
+    # minimum <= 0.
+    limit = order + pad
     pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
-    # pullback[i][d + cap]: cheapest way for the movers of pairs[:i] to
-    # carry charge d into the window, i.e. to reach d from the window
-    # with every step reversed
+    # pullback[i] = (first, band): band[d + cap - first] is the cheapest
+    # way for the movers of pairs[:i] to carry charge d into the window,
+    # i.e. to reach d from the window with every step reversed
     pullback = []
-    back = _CostTable(cap, req_lo, req_hi)
+    back = _CostTable(cap, limit, req_lo, req_hi)
     for pair in pairs:
-        pullback.append(back.cost[:])
+        pullback.append((back.lo, back.cost[back.lo:back.hi + 1]))
         for step, cost, _, inverse in pair:
             back.add_mover(-step, cost, not inverse)
 
@@ -260,7 +344,7 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     rows = [0] * n
     rows[cap] = 1 << width * pad
     lo = hi = cap  # rows outside lo..hi are zero
-    built = _CostTable(cap)
+    built = _CostTable(cap, limit)
     for i in range(len(pairs) - 1, -1, -1):
         for step, cost, sign, inverse in pairs[i]:
             built.add_mover(step, cost, not inverse)
@@ -286,10 +370,11 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
                     x = x << shift if shift >= 0 else x >> -shift
                     x = rows[k] - x if minus else rows[k] + x
                     rows[k] = ((x + half) & mask) - half
-        ret = pullback[i]
+        first, ret = pullback[i]
         live = []
         for k in range(lo, hi + 1):
-            if built.cost[k] + ret[k] < order:
+            if (0 <= k - first < len(ret)
+                    and built.cost[k] + ret[k - first] < order):
                 live.append(k)
             else:
                 rows[k] = 0
@@ -307,9 +392,10 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
         out.append(QSeries(-pad, order,
                            unpack_digits(x + half, nbytes, order + pad, off)))
     # built now covers every mover: the exact support and the floor
-    reachable = [k - cap for k, v in enumerate(built.cost) if v < order]
+    band = built.cost[built.lo:built.hi + 1]
+    reachable = [k for k, v in enumerate(band, built.lo - cap) if v < order]
     flag = req_lo <= reachable[0] and reachable[-1] <= req_hi
-    floor = min(0, min(v for v in built.cost if v < _INF))
+    floor = min(0, *band)
     return ChargeSeries(req_lo, out, support_exact=flag, min_floor=int(floor))
 
 

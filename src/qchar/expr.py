@@ -21,7 +21,7 @@ structurally.  Evaluation is bottom-up at a fixed guaranteed u-order: integer
 leaves claim order nu, a monomial u^e claims nu + |e|, and the arithmetic on
 QSeries propagates honest truncation claims from there.  A window longer
 than MAX_WINDOW coefficients is refused with ResourceLimit before it is
-allocated.
+allocated, and so is a builtin whose arguments would open one.
 """
 
 from dataclasses import dataclass, field
@@ -122,6 +122,12 @@ BUILTINS = {
     "Lk": (2, family_char),
     "cor22lhs": (1, _pair_quotient),
 }
+
+
+# The builtins (m, s) that open a window below u^0: qp(m, s) builds at
+# u-order order + s m, and every lattice term behind fs(m, s) and hs(m, s)
+# has u-exponent >= -s m. With m < 2 they build nothing.
+_CHARGED = {"fs", "qp", "hs"}
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -352,8 +358,9 @@ def parse(text: str) -> Node:
 
 # The longest window [min_exp, order) evaluation allocates, in coefficients.
 # Products and quotients claim no more than their shorter operand and sums
-# no more than their longer one, so only the evaluation order, a monomial
-# and x^0 can open a longer window; q^-n alone needs nu + 4n.
+# no more than their longer one, so only the evaluation order, a monomial,
+# x^0 and the charged builtins can open a longer window; q^-n alone needs
+# nu + 4n.
 MAX_WINDOW = 1 << 20
 
 
@@ -410,6 +417,9 @@ def _eval(node: Node, nu: int) -> QSeries:
             ) from err
     if isinstance(node, Call):
         _, fn = BUILTINS[node.name]
+        if node.name in _CHARGED:
+            m, s = node.args
+            _bounded(-s * m if m >= 2 else 0, nu)
         return fn(*node.args, nu)
     raise InvalidParameter(f"not an expression node: {node!r}")
 

@@ -126,6 +126,11 @@ class QSeries:
     def first_diff(self, other: "QSeries"):
         """Smallest exponent below both orders where the two differ, or None."""
         through = min(self.order, other.order)
+        if self.min_exp == other.min_exp:
+            # both windows hold every exponent below through
+            k = through - self.min_exp
+            if self.coeffs[:k] == other.coeffs[:k]:
+                return None
         lo = min(self.min_exp, other.min_exp, through)
         for e in range(lo, through):
             if self._at(e) != other._at(e):

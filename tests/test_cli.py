@@ -165,6 +165,15 @@ def test_series_window_past_the_bound_is_resource_limit(capsys):
     assert "coefficients" in err and "Traceback" not in err
 
 
+def test_series_builtin_window_past_the_bound_is_resource_limit(capsys):
+    # qp(m, s) builds at u-order order + s m: refused before it is built
+    code, out, err = run(capsys, "series", "--expr", "qp(2,4000000)",
+                         "--order", "1")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "coefficients" in err
+
+
 def test_series_domain_error_is_usage(capsys):
     code, _, err = run(capsys, "series", "--expr", "L0(1)", "--order", "5")
     assert code == 2

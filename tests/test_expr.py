@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchar import expr
 from qchar.errors import (
     ArityError,
     DivisionByNonUnit,
@@ -238,6 +239,53 @@ def test_eval_window_at_the_bound():
 def test_eval_builtin_domain_errors_propagate():
     with pytest.raises(InvalidParameter):
         evaluate("L0(1)", 10)  # level-1 structure needs m >= 2
+    # a huge charge does not turn a domain error into a resource limit
+    for text in ("qp(1,4000000)", "fs(-3,-4000000)", "hs(0,4000000)"):
+        with pytest.raises(InvalidParameter):
+            evaluate(text, 10)
+
+
+@pytest.fixture
+def stubbed_builtin(monkeypatch):
+    """Replace a builtin's builder by a stub that records its calls and
+    returns zero, keeping its arity and window bound: the real builders at
+    the bound would run for hours."""
+    calls = []
+
+    def stub(name):
+        def fn(*args):
+            calls.append((name,) + args)
+            return QSeries.zero(args[-1])
+        monkeypatch.setitem(expr.BUILTINS, name, (expr.BUILTINS[name][0], fn))
+        return calls
+    return stub
+
+
+@pytest.mark.parametrize("name", ["qp", "fs", "hs"])
+def test_eval_charged_builtin_window_at_the_bound(name, stubbed_builtin):
+    # qp(m, s) builds at u-order nu + s m; fs and hs reach down to u^(-s m)
+    calls = stubbed_builtin(name)
+    s = (MAX_WINDOW - 4) // 2
+    assert evaluate(f"{name}(2,{s})", 4).is_zero()
+    assert calls == [(name, 2, s, 4)]
+
+
+@pytest.mark.parametrize("name", ["qp", "fs", "hs"])
+def test_eval_charged_builtin_window_past_the_bound(name, stubbed_builtin):
+    calls = stubbed_builtin(name)
+    # one more evaluation order than at the bound
+    s = (MAX_WINDOW - 4) // 2
+    with pytest.raises(ResourceLimit):
+        evaluate(f"{name}(2,{s})", 5)
+    with pytest.raises(ResourceLimit):
+        evaluate(f"1 + {name}(3000,1500)", 4)
+    assert calls == []
+
+
+def test_eval_negative_charge_opens_no_window(stubbed_builtin):
+    calls = stubbed_builtin("qp")
+    assert evaluate("qp(2,-4000000)", 4).is_zero()
+    assert calls == [("qp", 2, -4000000, 4)]
 
 
 def test_eval_matches_library_calls():

@@ -10,12 +10,16 @@ rows and seeds a single table on the window instead; both must agree on
 every row, the soundness fields and the raised error.
 """
 
+from operator import add
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchar.bivariate import (
     ChargeSeries,
+    _coeff_bound,
+    _CostTable,
     _neg_budget,
     cs_unit,
     fock_char_product,
@@ -227,3 +231,149 @@ def test_graded_product_matches_reference(name, m, order, lo, width):
                                     ("fockprod", 5)])
 def test_graded_product_matches_reference_wide_digits(name, m, order):
     _assert_matches(name, m, order, (-8, 8))
+
+
+# -- the band cost table against the full-width table it replaced -----------
+#
+# _FullCostTable and ref_coeff_bound are bivariate._CostTable and
+# bivariate._coeff_bound as they were before the band tables and the
+# doubling geometric series, kept verbatim.
+
+
+class _FullCostTable:
+    """Exact minimum u-cost to reach charge r in [-cap, cap] over a mover
+    pool, starting at cost 0 anywhere in [lo, hi]."""
+
+    __slots__ = ("cap", "cost")
+
+    def __init__(self, cap: int, lo: int = 0, hi: int = 0):
+        self.cap = cap
+        self.cost = [_INF] * (2 * cap + 1)
+        for r in range(max(lo, -cap), min(hi, cap) + 1):
+            self.cost[r + cap] = 0
+
+    def add_mover(self, step: int, cost: int, once: bool) -> None:
+        n = 2 * self.cap + 1
+        old = self.cost
+        if once:
+            new = old[:]
+            for i in range(n):
+                j = i - step
+                if 0 <= j < n and old[j] + cost < new[i]:
+                    new[i] = old[j] + cost
+            self.cost = new
+        else:
+            idx = range(step, n) if step > 0 else range(n + step - 1, -1, -1)
+            for i in idx:
+                j = i - step
+                if old[j] + cost < old[i]:
+                    old[i] = old[j] + cost
+
+
+def ref_coeff_bound(factors, pad: int, length: int) -> int:
+    """Largest coefficient of u^-pad .. u^(length - pad - 1) in the product
+    at z = 1 with every sign +, truncated the same way as the packed rows.
+    Every coefficient the packed assembly holds is a signed sum over a
+    subset of the same terms, so this bounds them all."""
+    a = [0] * length
+    a[pad] = 1
+    for _, cost, _, inverse in factors:
+        if inverse:
+            for t in range(cost, length):
+                a[t] += a[t - cost]
+        elif cost >= 0:
+            a[cost:] = map(add, a[cost:], a)
+        else:
+            a[:cost] = map(add, a[:cost], a[-cost:])
+    return max(a)
+
+
+# a once mover may cost less than nothing; a repeatable one costs > 0
+_movers = st.lists(
+    st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.booleans()).flatmap(
+        lambda so: st.tuples(st.just(so[0]),
+                             st.integers(-3 if so[1] else 1, 40),
+                             st.just(so[1]))),
+    max_size=14)
+
+
+# seed windows inside, straddling and past [-cap, cap]. The examples land
+# moves exactly one below the limit at both band edges, skip a mover that
+# is no dearer than a cheaper one, and undo a move at the top edge after a
+# closure was recorded, which an unclipped table would not notice
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 25), st.integers(1, 60), st.integers(-35, 35),
+       st.integers(-1, 12), _movers)
+@example(5, 4, 0, 0, [(1, 3, True), (-1, 3, True)])
+@example(5, 4, 0, 0, [(-1, 2, True), (-1, 1, True), (2, 3, True)])
+@example(5, 4, 0, 0, [(1, 1, False), (-2, 1, False)])
+@example(6, 7, -1, 2, [(3, -2, True), (-3, 4, False), (3, 2, False)])
+@example(6, 40, 0, 0, [(1, 5, False), (1, 4, False), (-1, 9, False)])
+@example(5, 10, 5, 0, [(1, 1, False), (-2, 0, True), (1, 1, False)])
+@example(5, 10, 5, 0, [(1, 1, False), (-1, -3, True), (1, 1, False)])
+def test_band_table_matches_full_table(cap, limit, lo, width, movers):
+    ref = _FullCostTable(cap, lo, lo + width)
+    band = _CostTable(cap, limit, lo, lo + width)
+    spent = 0
+    for step, cost, once in movers:
+        ref.add_mover(step, cost, once)
+        band.add_mover(step, cost, once)
+        spent += max(0, -cost)
+        # exact below the limit less the negative cost spent so far; every
+        # other entry at least that (a stored cost is some path's cost)
+        below = limit - spent
+        for r, (want, got) in enumerate(zip(ref.cost, band.cost)):
+            if want < below:
+                assert got == want, (r, movers)
+            else:
+                assert got >= below, (r, movers)
+        # inf outside the band, and the band edges below the limit
+        outside = band.cost[:band.lo] + band.cost[band.hi + 1:]
+        assert all(v == _INF for v in outside)
+        if band.lo <= band.hi:
+            assert band.cost[band.lo] < limit and band.cost[band.hi] < limit
+
+
+def _factors(name, m, order):
+    # the factor lists the three graded products multiply
+    if name == "jtp":
+        return [(s, w, 1, False) for w in range(1, order, 2) for s in (1, -1)]
+    if name == "kp":
+        return [(s, w, 1, True) for w in range(1, order, 2) for s in (1, -1)]
+    budget = _neg_budget(m)
+    out = []
+    k = 1
+    while 2 * k - m - budget < order:
+        out += [(1, 2 * k - m, 1, False), (-1, 2 * k - 2 + m, 1, False)]
+        wb = m * (2 * k - 1)
+        if wb - budget < order:
+            out += [(1, wb, -1, True), (-1, wb, -1, True)]
+        k += 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 40), st.booleans()), max_size=12),
+       st.integers(0, 6), st.integers(1, 80))
+def test_coeff_bound_matches_the_loop(drawn, pad, length):
+    # inverse factors cost > 0, and no factor costs below -pad in total
+    factors, spent = [], 0
+    for cost, inverse in drawn:
+        if inverse:
+            cost = max(cost, 1)
+        elif cost < 0:
+            cost = max(cost, spent - pad)
+            spent -= cost
+        factors.append((1, cost, 1, inverse))
+    assert _coeff_bound(factors, pad, length + pad) == \
+        ref_coeff_bound(factors, pad, length + pad)
+
+
+@pytest.mark.parametrize("name,m,order", [("jtp", 2, 240), ("kp", 2, 1600),
+                                          ("fockprod", 3, 400),
+                                          ("fockprod", 5, 97)])
+def test_coeff_bound_matches_the_loop_on_the_graded_factors(name, m, order):
+    pad = _neg_budget(m) if name == "fockprod" else 0
+    factors = _factors(name, m, order)
+    assert _coeff_bound(factors, pad, order + 2 * pad) == \
+        ref_coeff_bound(factors, pad, order + 2 * pad)

@@ -581,3 +581,53 @@ def test_immutable():
     s = QSeries.one(3)
     with pytest.raises(AttributeError):
         s.order = 10
+
+
+# ---------------------------------------------------------------------------
+# first_diff against the exponent walk it short-cuts
+#
+# ref_first_diff is QSeries.first_diff as it was before the equal-prefix
+# fast path, kept verbatim.
+
+
+def ref_first_diff(self, other):
+    through = min(self.order, other.order)
+    lo = min(self.min_exp, other.min_exp, through)
+    for e in range(lo, through):
+        if self._at(e) != other._at(e):
+            return e
+    return None
+
+
+@st.composite
+def near_pairs(draw):
+    """Two series that mostly agree: the second copies the first's
+    coefficients, then may shift its start, change its order, zero itself
+    or change one coefficient (often the last one below both orders)."""
+    lo = draw(st.integers(-6, 6))
+    width = draw(st.integers(0, 12))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width))
+    a = QSeries(lo, lo + width, coeffs)
+    lo2 = lo + draw(st.sampled_from([0, 0, 0, -1, 1, 3]))
+    order2 = lo2 + width + draw(st.integers(-4, 4))
+    coeffs2 = list(coeffs[:max(0, order2 - lo2)])
+    change = draw(st.sampled_from(["none", "last", "any", "zero"]))
+    if change == "zero":
+        return a, QSeries.zero(order2)
+    if coeffs2 and change != "none":
+        t = len(coeffs2) - 1 if change == "last" else \
+            draw(st.integers(0, len(coeffs2) - 1))
+        coeffs2[t] += draw(st.sampled_from([-1, 1]))
+    b = QSeries(lo2, max(order2, lo2), coeffs2)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(near_pairs())
+@settings(max_examples=400, deadline=None)
+@example((QSeries.zero(5), QSeries.zero(9)))
+@example((QSeries.from_terms({2: 1, 7: 1}, 8), QSeries.from_terms({2: 1}, 8)))
+@example((QSeries.from_terms({-2: 1}, 4), QSeries.from_terms({-2: 1, 3: 2}, 9)))
+def test_first_diff_matches_the_walk(pair):
+    a, b = pair
+    assert a.first_diff(b) == ref_first_diff(a, b)
+    assert b.first_diff(a) == ref_first_diff(b, a)
