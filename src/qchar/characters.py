@@ -4,7 +4,11 @@ Everything here is exact integer arithmetic on truncated series in
 u = q^(1/2); see qseries. The three families of operations:
 
   * sector_sum / fock_sector_char: alternating lattice sums over a
-    charge/energy grid, divided by the free-field denominator.
+    charge/energy grid, divided by the free-field denominator.  The
+    completed square P(P+1) - m(m-1)a^2 - ms(2a+1), P = p + s + ma, makes
+    each lattice row one range of P; at an empty row the scan stops if the
+    row's quadrant edge lies beyond P = -1/2, and else jumps to the row
+    where the edge crosses it.
   * quasiparticle_char: the same characters as a restricted sum over
     quadruples of mode counts, organized as a charge-bucket convolution.
   * basic_char / family_char / sector_closed_form: product closed forms
@@ -85,59 +89,48 @@ def mark_short(report: IdentityReport, order: int) -> IdentityReport:
 # alternating lattice sum over the (a, p) grid
 
 
-def _lattice_u_exp(m: int, s: int, a: int, p: int) -> int:
-    # u-exponent of the (a, p) lattice term: doubled q-exponent
-    return (p + s) * (p + s + 1) - s * m + m * a * (a + 1) + 2 * m * a * p
-
-
-def _scan_quadrant(m: int, s: int, order: int, acc: dict, upper: bool) -> None:
-    # upper: a, p >= 0 with sign (-1)^a; lower: a, p <= -1 with sign -(-1)^a.
-    # The exponent is a parabola in p opening upward with vertex at
-    # 2p = -(2s + 1 + 2am), so each scan may walk through a dip before
-    # exponents clear the truncation order.
-    a = 0 if upper else -1
-    step = 1 if upper else -1
-    while True:
-        v2 = -(2 * s + 1 + 2 * a * m)  # twice the p-vertex
-        lo = v2 // 2
-        best = None
-        for p in (lo, lo + 1):
-            p = max(p, 0) if upper else min(p, -1)
-            e = _lattice_u_exp(m, s, a, p)
-            best = e if best is None else min(best, e)
-        if best >= order:
-            # once the vertex has left the quadrant the row minimum is
-            # monotone in |a|, so nothing further can re-enter the window
-            settled = (v2 <= 0) if upper else (v2 >= -2)
-            if settled:
-                return
-        else:
-            sign = 1 if a % 2 == 0 else -1
-            if not upper:
-                sign = -sign
-            p = 0 if upper else -1
-            while True:
-                e = _lattice_u_exp(m, s, a, p)
-                if e < order:
-                    acc[e] = acc.get(e, 0) + sign
-                elif (2 * p >= v2) if upper else (2 * p <= v2):
-                    break
-                p += step
-        a += step
-
-
 def sector_sum(m: int, s: int, order: int) -> QSeries:
     """Alternating sum over the charge/energy lattice for sector s.
 
-    Every lattice point whose u-exponent falls below order is included;
-    the two quadrants (both coordinates >= 0, both < 0) enter with
-    opposite overall sign.
+    The point (a, p) has u-exponent (p+s)(p+s+1) - sm + ma(a+1) + 2map;
+    the quadrant a, p >= 0 enters with sign (-1)^a, the quadrant
+    a, p <= -1 with -(-1)^a, and every point below order is included.
+
+    With P = p + s + ma and g = m(m-1) the exponent is the indefinite
+    theta form P(P+1) - g a^2 - ms(2a+1), so row a holds exactly the P
+    with P(P+1) < b = order + g a^2 + ms(2a+1): -r-1 <= P <= r with
+    r = (isqrt(4b-3) - 1) // 2, none if b < 1, cut at the quadrant edge
+    P >= s + ma (upper) or P <= s + ma - 1 (lower).
+
+    Each quadrant walks a away from 0.  At an empty row whose edge lies
+    beyond P = -1/2 the row minimum sits on the edge, where it grows with
+    |a|, so the scan stops.  At any other empty row b < 1, and b keeps
+    falling until the edge crosses P = -1/2 at a = -s/m, short of the
+    vertex a = -s/(m-1) of b; the scan jumps to that row, a = -(s // m)
+    (upper) or (-s) // m (lower).
     """
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
+    g = m * (m - 1)
     acc: dict = {}
-    _scan_quadrant(m, s, order, acc, upper=True)
-    _scan_quadrant(m, s, order, acc, upper=False)
+    for upper in (True, False):
+        a, step = (0, 1) if upper else (-1, -1)
+        while True:
+            shift = g * a * a + m * s * (2 * a + 1)
+            edge = s + m * a
+            b = order + shift
+            r = (math.isqrt(4 * b - 3) - 1) // 2 if b >= 1 else -1
+            lo, hi = (max(-r - 1, edge), r) if upper else (-r - 1, min(r, edge - 1))
+            if lo > hi:
+                if edge >= 0 if upper else edge <= 0:
+                    break
+                a = -(s // m) if upper else (-s) // m
+                continue
+            sign = 1 if (a + upper) % 2 else -1  # (-1)^a, or -(-1)^a below
+            for P in range(lo, hi + 1):
+                e = P * (P + 1) - shift
+                acc[e] = acc.get(e, 0) + sign
+            a += step
     return QSeries.from_terms(acc, order)
 
 
@@ -205,8 +198,7 @@ def sector_closed_form(m: int, k: int, order: int) -> QSeries:
     if order <= 0:
         return QSeries.zero(order)
     br = _theta_bracket(m, k, order)
-    out = QSeries.monomial(k * m * (m - 1), order) * (br * _pair_quotient(m, order))
-    return out.restricted(order) if out.order > order else out
+    return QSeries.monomial(k * m * (m - 1), order) * (br * _pair_quotient(m, order))
 
 
 def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
@@ -219,8 +211,7 @@ def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
             f"input order {fs.order} cannot support output order {order}")
     pair = sector_pair_product(m, order - s * m)
     diff = pair - fs.shifted(s * m)
-    out = diff.shifted(s * m)
-    return out.restricted(order) if out.order > order else out
+    return diff.shifted(s * m)
 
 
 # ---------------------------------------------------------------------------

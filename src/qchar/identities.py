@@ -117,8 +117,7 @@ def _iterated_recurrence(nu, half, m, k):
     for j in range(1, k + 1):
         s = j * (m - 1)
         f = recurrence_step(m, s, f, f.order - 2 * s * m)
-    lhs = f.restricted(nu) if f.order > nu else f
-    yield {}, lhs, sector_closed_form(m, k, nu)
+    yield {}, f, sector_closed_form(m, k, nu)
 
 
 @family("thm13a", m=(2, 6))

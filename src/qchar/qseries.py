@@ -167,8 +167,6 @@ class QSeries:
         return QSeries(self.min_exp, self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QSeries.monomial(0, self.order, other) if other else QSeries.zero(self.order)
         return self + (-other)
 
     def __rsub__(self, other):

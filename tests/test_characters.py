@@ -1,7 +1,9 @@
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar.characters import (
     IdentityReport,
@@ -58,6 +60,58 @@ def naive_sector_sum(m, s, order):
             e = lattice_exp(m, s, a, p)
             if e < order:
                 acc[e] = acc.get(e, 0) + sign
+    return QSeries.from_terms(acc, order)
+
+
+# The row-by-row scan sector_sum used before the completed-square ranges,
+# kept verbatim as a differential reference for them.
+
+
+def _lattice_u_exp(m: int, s: int, a: int, p: int) -> int:
+    # u-exponent of the (a, p) lattice term: doubled q-exponent
+    return (p + s) * (p + s + 1) - s * m + m * a * (a + 1) + 2 * m * a * p
+
+
+def _scan_quadrant(m: int, s: int, order: int, acc: dict, upper: bool) -> None:
+    # upper: a, p >= 0 with sign (-1)^a; lower: a, p <= -1 with sign -(-1)^a.
+    # The exponent is a parabola in p opening upward with vertex at
+    # 2p = -(2s + 1 + 2am), so each scan may walk through a dip before
+    # exponents clear the truncation order.
+    a = 0 if upper else -1
+    step = 1 if upper else -1
+    while True:
+        v2 = -(2 * s + 1 + 2 * a * m)  # twice the p-vertex
+        lo = v2 // 2
+        best = None
+        for p in (lo, lo + 1):
+            p = max(p, 0) if upper else min(p, -1)
+            e = _lattice_u_exp(m, s, a, p)
+            best = e if best is None else min(best, e)
+        if best >= order:
+            # once the vertex has left the quadrant the row minimum is
+            # monotone in |a|, so nothing further can re-enter the window
+            settled = (v2 <= 0) if upper else (v2 >= -2)
+            if settled:
+                return
+        else:
+            sign = 1 if a % 2 == 0 else -1
+            if not upper:
+                sign = -sign
+            p = 0 if upper else -1
+            while True:
+                e = _lattice_u_exp(m, s, a, p)
+                if e < order:
+                    acc[e] = acc.get(e, 0) + sign
+                elif (2 * p >= v2) if upper else (2 * p <= v2):
+                    break
+                p += step
+        a += step
+
+
+def scan_sector_sum(m, s, order):
+    acc = {}
+    _scan_quadrant(m, s, order, acc, upper=True)
+    _scan_quadrant(m, s, order, acc, upper=False)
     return QSeries.from_terms(acc, order)
 
 
@@ -122,6 +176,34 @@ def test_sector_sum_mirror_pair():
     for m, s in [(2, 1), (3, 2), (5, 4), (2, 0)]:
         lhs = sector_sum(m, s, 120).shifted(s * m) + sector_sum(m, -s, 120 + 2 * s * m).shifted(-s * m)
         assert lhs.first_diff(2 * gauss_sum(120)) is None
+
+
+def _exact(qs):
+    return qs.min_exp, qs.order, list(qs.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(-600, 600), st.integers(-5, 3000))
+def test_sector_sum_matches_scan_reference(m, s, order):
+    assert _exact(sector_sum(m, s, order)) == _exact(scan_sector_sum(m, s, order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(-600, 600), st.integers(-200, 200))
+def test_sector_sum_matches_scan_reference_near_gap(m, s, delta):
+    # around m s^2 / 2 the gap jump and the stop rule decide together
+    # whether a far row still holds terms
+    order = m * s * s // 2 + delta
+    assert _exact(sector_sum(m, s, order)) == _exact(scan_sector_sum(m, s, order))
+
+
+@pytest.mark.parametrize("s", [-4_000_000, 4_000_000])
+def test_sector_sum_far_charge_is_bounded(s):
+    # every term lies far above u^2; the empty rows are jumped, not walked
+    t0 = time.perf_counter()
+    h = sector_sum(2, s, 2)
+    assert time.perf_counter() - t0 < 0.5
+    assert h.is_zero() and h.order == 2
 
 
 def test_sector_sum_rejects_small_m():

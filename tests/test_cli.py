@@ -125,6 +125,16 @@ def test_series_csv(capsys):
     assert out.splitlines() == ["u_exp,coeff", "-1,1", "2,1"]
 
 
+@pytest.mark.parametrize("name", ["hs", "fs"])
+def test_series_far_charge_is_bounded(capsys, name):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "series", "--expr", f"{name}(2,-4000000)",
+                       "--order", "1")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_series_needs_exactly_one_source(capsys):
     code, _, err = run(capsys, "series", "--order", "5")
     assert code == 2
