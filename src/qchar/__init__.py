@@ -29,7 +29,6 @@ from .bivariate import (
     inverse_product_sides,
     jacobi_triple_sides,
 )
-from .expr import eval_expr, evaluate, format_expr, parse
 
 __version__ = "0.1.0"
 
@@ -62,3 +61,15 @@ __all__ = [
     "vacuum_identity_sides",
     "__version__",
 ]
+
+# The expression language loads on first use: most callers, the `verify`
+# and `asympt` subcommands among them, never parse an expression.
+_EXPR_NAMES = ("eval_expr", "evaluate", "format_expr", "parse")
+
+
+def __getattr__(name):
+    if name in _EXPR_NAMES:
+        from . import expr
+
+        return getattr(expr, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

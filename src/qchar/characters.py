@@ -22,7 +22,6 @@ the only floating-point computations in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Optional
@@ -35,18 +34,30 @@ from .qseries import QSeries, dist_product, euler_phi, unpack_digits
 # identity reports
 
 
-@dataclass
 class IdentityReport:
-    """Outcome of one truncated-series identity check."""
+    """Outcome of one truncated-series identity check.  A plain class, not
+    a dataclass: `dataclasses` costs every CLI start about 6 ms."""
 
-    identity: str
-    params: dict
-    order_u: int
-    verdict: str
-    first_diff_u_exp: Optional[int] = None
-    lhs_coeff: Optional[int] = None
-    rhs_coeff: Optional[int] = None
-    ms: float = 0.0
+    __slots__ = ("identity", "params", "order_u", "verdict",
+                 "first_diff_u_exp", "lhs_coeff", "rhs_coeff", "ms")
+
+    def __init__(self, identity: str, params: dict, order_u: int, verdict: str,
+                 first_diff_u_exp: Optional[int] = None,
+                 lhs_coeff: Optional[int] = None,
+                 rhs_coeff: Optional[int] = None, ms: float = 0.0):
+        self.identity = identity
+        self.params = params
+        self.order_u = order_u
+        self.verdict = verdict
+        self.first_diff_u_exp = first_diff_u_exp
+        self.lhs_coeff = lhs_coeff
+        self.rhs_coeff = rhs_coeff
+        self.ms = ms
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"IdentityReport({fields})"
 
     def passed(self) -> bool:
         return self.verdict == "pass"

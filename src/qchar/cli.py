@@ -14,6 +14,10 @@ internal error.
 Reports are emitted in sorted parameter order no matter how they were
 scheduled, and timings are zeroed unless --timings is given, so identical
 invocations produce byte-identical output.
+
+Only what every subcommand runs is imported up front: the worker pool,
+the expression language and the oracle load inside the one subcommand
+that uses them, so a `verify` or `asympt` call never pays for them.
 """
 
 import argparse
@@ -21,14 +25,11 @@ import functools
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .characters import growth_report
 from .errors import ExprError, QcharError, ResourceLimit
-from .expr import evaluate
-from .identities import FAMILIES, check
-from .oracle import oracle_vs_quasiparticle
-from .qseries import format_series
+from .identities import FAMILIES, check, check_domain
+from .qseries import check_window, format_series
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -150,6 +151,8 @@ def cmd_series(args) -> int:
                     return EXIT_USAGE
             values[flag] = value
         text = template.format(**values)
+    from .expr import evaluate
+
     try:
         qs = evaluate(text, 2 * args.order)
     except ExprError as err:
@@ -177,9 +180,14 @@ def cmd_verify(args) -> int:
             print(f"verify: --family {args.family} does not take {given}",
                   file=sys.stderr)
             return EXIT_USAGE
+    check_window(0, 2 * args.order)
     cases = [case for name in families for case in _family_cases(name, args)]
+    for name, _, _, point, _ in cases:
+        check_domain(name, point)
     columns = zip(*cases)  # one iterable per argument of check
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(check, *columns))
     else:
@@ -190,6 +198,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    check_window(0, 2 * args.qbound)
+    from .oracle import oracle_vs_quasiparticle
+
     report = oracle_vs_quasiparticle(args.m, args.s, 2 * args.qbound,
                                      max_nodes=args.max_nodes)
     _print_reports([report], args.format)
@@ -197,6 +208,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_asympt(args) -> int:
+    check_window(0, 2 * args.nmax)
     rows = growth_report(args.m, args.nmax - 1)
     if args.format == "json":
         payload = [{"n": n, "a_n": str(a), "log_ratio": ratio}

@@ -34,12 +34,13 @@ from .errors import (
     InvalidParameter,
     NonUnitLeadingCoefficient,
     ParseError,
-    ResourceLimit,
     UnknownBuiltin,
     ZeroSeries,
 )
 from .qseries import (
+    MAX_WINDOW,  # the bound evaluation keeps, exported here too
     QSeries,
+    check_window,
     dist_product,
     euler_phi,
     gauss_sum,
@@ -356,25 +357,18 @@ def parse(text: str) -> Node:
 
 # -- evaluation --------------------------------------------------------------
 
-# The longest window [min_exp, order) evaluation allocates, in coefficients.
+# Evaluation allocates no window longer than MAX_WINDOW coefficients.
 # Products and quotients claim no more than their shorter operand and sums
 # no more than their longer one, so only the evaluation order, a monomial,
 # x^0 and the charged builtins can open a longer window; q^-n alone needs
 # nu + 4n.
-MAX_WINDOW = 1 << 20
-
-
-def _bounded(lo: int, order: int) -> None:
-    if order - lo > MAX_WINDOW:
-        raise ResourceLimit(
-            f"the window u^{lo}..u^{order} holds more than {MAX_WINDOW} coefficients")
 
 
 def eval_expr(node: Node, order: int) -> QSeries:
     """Evaluate at guaranteed u-order `order` (>= 1)."""
     if order < 1:
         raise InvalidParameter(f"evaluation order must be >= 1, got {order}")
-    _bounded(0, order)
+    check_window(0, order)
     try:
         return _eval(node, order)
     except RecursionError:
@@ -385,7 +379,7 @@ def _eval(node: Node, nu: int) -> QSeries:
     if isinstance(node, IntLit):
         return QSeries.from_terms({0: node.value}, nu)
     if isinstance(node, Monomial):
-        _bounded(node.u_exp, nu + abs(node.u_exp))
+        check_window(node.u_exp, nu + abs(node.u_exp))
         return QSeries.monomial(node.u_exp, nu + abs(node.u_exp))
     if isinstance(node, Neg):
         return -_eval(node.operand, nu)
@@ -408,7 +402,7 @@ def _eval(node: Node, nu: int) -> QSeries:
         base = _eval(node.base, nu)
         if node.exponent == 0:
             # the exact 1 that x^0 gives claims the window of x * x.invert()
-            _bounded(0, max(base.order - 2 * base.min_exp, 1))
+            check_window(0, max(base.order - 2 * base.min_exp, 1))
         try:
             return base ** node.exponent
         except (ZeroSeries, NonUnitLeadingCoefficient) as err:
@@ -419,7 +413,7 @@ def _eval(node: Node, nu: int) -> QSeries:
         _, fn = BUILTINS[node.name]
         if node.name in _CHARGED:
             m, s = node.args
-            _bounded(-s * m if m >= 2 else 0, nu)
+            check_window(-s * m if m >= 2 else 0, nu)
         return fn(*node.args, nu)
     raise InvalidParameter(f"not an expression node: {node!r}")
 

@@ -6,6 +6,9 @@ its sides function:
   * axes: the grid axes it takes, each with a default inclusive range;
   * zwin: its default z-window half-width, None unless the family compares
     charge-graded series;
+  * floors: the least value of each axis its builders accept, m >= 2
+    wherever m is an axis and any others given by `floors=`; check_domain()
+    tests a grid point against them before any series is built;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -37,7 +40,7 @@ from .characters import (
     sector_pair_product,
     vacuum_identity_sides,
 )
-from .errors import QcharError
+from .errors import InvalidParameter, QcharError
 from .qseries import dist_product, euler_phi, gauss_sum
 
 
@@ -45,18 +48,37 @@ class Family(NamedTuple):
     axes: dict             # axis name -> default inclusive (lo, hi)
     sides: Callable
     zwin: Optional[int]    # default z half-width; None unless graded
+    floors: dict           # axis name -> least accepted value
 
 
 FAMILIES = {}
 
 
-def family(name: str, zwin: Optional[int] = None, **axes):
+def family(name: str, zwin: Optional[int] = None,
+           floors: Optional[dict] = None, **axes):
     """Register the decorated sides function as family `name`.  Axes are
-    given in grid-nesting order, outermost first."""
+    given in grid-nesting order, outermost first; `floors` maps an axis to
+    the least value the family accepts, on top of m >= 2."""
+    lows = {"m": 2} if "m" in axes else {}
+    lows.update(floors or {})
+
     def register(sides):
-        FAMILIES[name] = Family(axes, sides, zwin)
+        FAMILIES[name] = Family(axes, sides, zwin, lows)
         return sides
     return register
+
+
+def _where(name: str, point: dict) -> str:
+    return " ".join([name] + [f"{axis}={v}" for axis, v in point.items()])
+
+
+def check_domain(name: str, point: dict) -> None:
+    """Raise InvalidParameter, naming the point, if an axis of it lies below
+    family `name`'s floor: the error check() would raise once it got there."""
+    for axis, lo in FAMILIES[name].floors.items():
+        if point[axis] < lo:
+            raise InvalidParameter(
+                f"{_where(name, point)}: need {axis} >= {lo}, got {point[axis]}")
 
 
 def check(name: str, nu: int, half: Optional[int], point: dict,
@@ -78,8 +100,7 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
             reports.append(report)
     except QcharError as err:
         # the same class, so the exit code stays; the message names the point
-        where = " ".join([name] + [f"{axis}={v}" for axis, v in point.items()])
-        raise type(err)(f"{where}: {err}") from err
+        raise type(err)(f"{_where(name, point)}: {err}") from err
     return reports
 
 
@@ -99,14 +120,14 @@ def _reflection(nu, half, m, s):
     yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)
 
 
-@family("prop12", m=(2, 4), k=(0, 4))
+@family("prop12", floors={"k": 0}, m=(2, 4), k=(0, 4))
 def _closed_form(nu, half, m, k):
     closed = sector_closed_form(m, k, nu)
     for side, charge in (("plus", (k + 1) * (m - 1)), ("minus", -k * (m - 1))):
         yield {"side": side}, closed, fock_sector_char(m, charge, nu)
 
 
-@family("recurrence", m=(2, 4), k=(0, 4))
+@family("recurrence", floors={"k": 0}, m=(2, 4), k=(0, 4))
 def _iterated_recurrence(nu, half, m, k):
     # k steps from the charge-0 sector land on the charge -k(m-1) closed
     # form; the mirror symmetry makes step j's input the charge-j(m-1)

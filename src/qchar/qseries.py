@@ -28,8 +28,21 @@ from .errors import (
     InvalidParameter,
     NonUnitLeadingCoefficient,
     OutOfWindow,
+    ResourceLimit,
     ZeroSeries,
 )
+
+# The longest window [min_exp, order) a caller may ask a builder for, in
+# coefficients; longer ones are refused before anything is allocated.
+MAX_WINDOW = 1 << 20
+
+
+def check_window(lo: int, order: int) -> None:
+    """Raise ResourceLimit if the window u^lo..u^order is longer than
+    MAX_WINDOW coefficients."""
+    if order - lo > MAX_WINDOW:
+        raise ResourceLimit(
+            f"the window u^{lo}..u^{order} holds more than {MAX_WINDOW} coefficients")
 
 
 def half_exp_str(u_exp: int) -> str:

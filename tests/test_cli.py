@@ -1,14 +1,22 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from qchar import characters, identities, oracle
+from qchar import characters, cli, identities, oracle
+from qchar.characters import IdentityReport
+from qchar.errors import InvalidParameter
 from qchar.cli import main, parse_range
-from qchar.qseries import QSeries, euler_phi
+from qchar.qseries import MAX_WINDOW, QSeries, euler_phi
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -271,6 +279,93 @@ def test_domain_error_names_family_and_point(capsys):
     assert err == "qchar: prop12 m=2 k=-5: need k >= 0, got -5\n"
 
 
+def _counting(monkeypatch, name):
+    """Replace family `name`'s sides by a stub that records the u-order of
+    each call and yields no report."""
+    calls = []
+
+    def sides(nu, half, **point):
+        calls.append(nu)
+        return iter(())
+
+    fam = identities.FAMILIES[name]._replace(sides=sides)
+    monkeypatch.setitem(identities.FAMILIES, name, fam)
+    return calls
+
+
+def test_domain_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
+    # lemma11a runs before prop12, so it must not run at all
+    calls = _counting(monkeypatch, "lemma11a")
+    code, out, err = run(capsys, "verify", "--family", "all", "--k=-1..4",
+                         "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err == "qchar: prop12 m=2 k=-1: need k >= 0, got -1\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,axis", [
+    (name, axis) for name, fam in identities.FAMILIES.items()
+    for axis in fam.floors])
+def test_floor_matches_the_builders_error(name, axis):
+    # one below the floor, the builders raise what check_domain raises
+    fam = identities.FAMILIES[name]
+    point = {a: lo for a, (lo, _) in fam.axes.items()}
+    point[axis] = fam.floors[axis] - 1
+    with pytest.raises(InvalidParameter) as early:
+        identities.check_domain(name, point)
+    with pytest.raises(InvalidParameter) as late:
+        identities.check(name, 20, fam.zwin, point)
+    assert str(early.value) == str(late.value)
+    assert str(early.value).endswith(f"need {axis} >= {fam.floors[axis]}, "
+                                     f"got {point[axis]}")
+
+
+# q-orders at the window bound and one past it
+AT_BOUND = MAX_WINDOW // 2
+PAST_BOUND = AT_BOUND + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "gauss", "--order", str(PAST_BOUND)),
+    ("oracle", "--m", "2", "--s", "0", "--qbound", str(PAST_BOUND)),
+    ("asympt", "--m", "2", "--nmax", str(PAST_BOUND)),
+])
+def test_order_past_the_window_bound_is_resource_limit(capsys, monkeypatch,
+                                                       argv):
+    calls = _counting(monkeypatch, "gauss")
+    monkeypatch.setattr(oracle, "oracle_vs_quasiparticle", calls.append)
+    monkeypatch.setattr(cli, "growth_report", calls.append)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "coefficients" in err
+    assert calls == []
+
+
+def test_order_at_the_window_bound_runs(capsys, monkeypatch):
+    # the builders are stubbed: only the bound is under test
+    seen = _counting(monkeypatch, "gauss")
+
+    def threeway(m, s, order, max_nodes):
+        seen.append(order)
+        return IdentityReport("oracle-threeway", {"m": m, "s": s}, order, "pass")
+
+    monkeypatch.setattr(oracle, "oracle_vs_quasiparticle", threeway)
+
+    def growth(m, n_max):
+        seen.append(2 * n_max + 2)
+        return []
+
+    monkeypatch.setattr(cli, "growth_report", growth)
+    for argv in (("verify", "--family", "gauss", "--order", str(AT_BOUND)),
+                 ("oracle", "--m", "2", "--s", "0", "--qbound", str(AT_BOUND)),
+                 ("asympt", "--m", "2", "--nmax", str(AT_BOUND))):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert seen == [MAX_WINDOW] * 3
+
+
 def test_verify_short_order_is_not_a_pass(capsys, monkeypatch):
     # both sides agree, but only below u^(nu - 2)
     def short_sides(nu, half):
@@ -452,6 +547,49 @@ def test_oracle_resource_limit_exit_code(capsys):
                        "--qbound", "12", "--max-nodes", "3")
     assert code == 3
     assert "nodes" in err
+
+
+# -- cold start ----------------------------------------------------------
+
+
+def _fresh(code):
+    """Stdout of `code` run by a new interpreter without site packages."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_cli_import_loads_only_what_every_subcommand_runs():
+    loaded = json.loads(_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import qchar.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"))
+    assert "qchar.cli" in loaded
+    lazy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+            "qchar.expr", "qchar.oracle"}
+    assert lazy.isdisjoint(loaded)
+
+
+def test_expr_names_load_on_first_use():
+    out = _fresh(
+        "import qchar, qchar.cli\n"
+        "import sys\n"
+        "print('qchar.expr' in sys.modules)\n"
+        "star = {}\n"
+        "exec('from qchar import *', star)\n"
+        "from qchar import evaluate, parse, format_expr, eval_expr\n"
+        "from qchar import expr\n"
+        "names = ('evaluate', 'parse', 'format_expr', 'eval_expr')\n"
+        "print(all(star[n] is getattr(expr, n) for n in names))\n"
+        "print((evaluate, parse, format_expr, eval_expr)\n"
+        "      == tuple(getattr(expr, n) for n in names))\n"
+        "try:\n"
+        "    qchar.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n")
+    assert out.split() == ["False", "True", "True", "AttributeError"]
 
 
 # -- asympt --------------------------------------------------------------
