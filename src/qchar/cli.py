@@ -2,14 +2,15 @@
 
 Four subcommands: `series` renders one named or free-form series, `verify`
 runs an identity family over a parameter grid, `oracle` cross-checks the
-closed-form characters against brute-force state enumeration, and `asympt`
-tabulates coefficient growth against the analytic estimate.
+closed-form characters against a brute-force count of states, and
+`asympt` tabulates coefficient growth against the analytic estimate.
 
 Orders are given in q-units on the command line and doubled internally
 (everything lives on the u = q^(1/2) lattice).  Exit codes are a stable
 contract: 0 all checks passed, 1 an identity failed or held only below
 the requested order, 2 usage or parse error, 3 resource limit hit, 4
-internal error.
+internal error, 141 the reader closed stdout (the shell's code for a
+process that SIGPIPE ended; nothing goes to stderr).
 
 Reports are emitted in sorted parameter order no matter how they were
 scheduled, and timings are zeroed unless --timings is given, so identical
@@ -24,6 +25,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 from .characters import growth_report
@@ -36,6 +38,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 # -- grids -------------------------------------------------------------------
@@ -182,8 +185,8 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     check_window(0, 2 * args.order)
     cases = [case for name in families for case in _family_cases(name, args)]
-    for name, _, _, point, _ in cases:
-        check_domain(name, point)
+    for name, nu, _, point, _ in cases:
+        check_domain(name, point, nu)
     columns = zip(*cases)  # one iterable per argument of check
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -305,7 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone, so stop quietly; the interpreter's own
+        # flush at exit must not find the dead pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceLimit as err:
         print(f"qchar: {err}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -9,6 +9,9 @@ its sides function:
   * floors: the least value of each axis its builders accept, m >= 2
     wherever m is an axis and any others given by `floors=`; check_domain()
     tests a grid point against them before any series is built;
+  * window(nu, **point): (lo, order) of the widest window its sides build
+    when that grows with an axis, None when u^0..u^nu bounds them;
+    check_domain() refuses a point whose window exceeds MAX_WINDOW;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -40,8 +43,8 @@ from .characters import (
     sector_pair_product,
     vacuum_identity_sides,
 )
-from .errors import InvalidParameter, QcharError
-from .qseries import dist_product, euler_phi, gauss_sum
+from .errors import InvalidParameter, QcharError, ResourceLimit
+from .qseries import check_window, dist_product, euler_phi, gauss_sum
 
 
 class Family(NamedTuple):
@@ -49,21 +52,25 @@ class Family(NamedTuple):
     sides: Callable
     zwin: Optional[int]    # default z half-width; None unless graded
     floors: dict           # axis name -> least accepted value
+    window: Optional[Callable]  # (nu, **point) -> (lo, order) built
 
 
 FAMILIES = {}
 
 
 def family(name: str, zwin: Optional[int] = None,
-           floors: Optional[dict] = None, **axes):
+           floors: Optional[dict] = None,
+           window: Optional[Callable] = None, **axes):
     """Register the decorated sides function as family `name`.  Axes are
     given in grid-nesting order, outermost first; `floors` maps an axis to
-    the least value the family accepts, on top of m >= 2."""
+    the least value the family accepts, on top of m >= 2; `window` gives
+    the (lo, order) its sides build at (nu, **point) if that can be wider
+    than u^0..u^nu."""
     lows = {"m": 2} if "m" in axes else {}
     lows.update(floors or {})
 
     def register(sides):
-        FAMILIES[name] = Family(axes, sides, zwin, lows)
+        FAMILIES[name] = Family(axes, sides, zwin, lows, window)
         return sides
     return register
 
@@ -72,13 +79,21 @@ def _where(name: str, point: dict) -> str:
     return " ".join([name] + [f"{axis}={v}" for axis, v in point.items()])
 
 
-def check_domain(name: str, point: dict) -> None:
+def check_domain(name: str, point: dict, nu: int = 0) -> None:
     """Raise InvalidParameter, naming the point, if an axis of it lies below
-    family `name`'s floor: the error check() would raise once it got there."""
-    for axis, lo in FAMILIES[name].floors.items():
+    family `name`'s floor: the error check() would raise once it got there.
+    Raise ResourceLimit if the point's sides would build, at u-order nu, a
+    window longer than MAX_WINDOW."""
+    fam = FAMILIES[name]
+    for axis, lo in fam.floors.items():
         if point[axis] < lo:
             raise InvalidParameter(
                 f"{_where(name, point)}: need {axis} >= {lo}, got {point[axis]}")
+    if fam.window is not None:
+        try:
+            check_window(*fam.window(nu, **point))
+        except ResourceLimit as err:
+            raise ResourceLimit(f"{_where(name, point)}: {err}") from err
 
 
 def check(name: str, nu: int, half: Optional[int], point: dict,
@@ -127,13 +142,20 @@ def _closed_form(nu, half, m, k):
         yield {"side": side}, closed, fock_sector_char(m, charge, nu)
 
 
-@family("recurrence", floors={"k": 0}, m=(2, 4), k=(0, 4))
+def _recurrence_budget(m, k):
+    # each step from charge s spends 2sm of guaranteed order; the k steps
+    # from s = (m-1), ..., k(m-1) spend this much together
+    return m * (m - 1) * k * (k + 1)
+
+
+@family("recurrence", floors={"k": 0},
+        window=lambda nu, m, k: (0, nu + _recurrence_budget(m, k)),
+        m=(2, 4), k=(0, 4))
 def _iterated_recurrence(nu, half, m, k):
     # k steps from the charge-0 sector land on the charge -k(m-1) closed
     # form; the mirror symmetry makes step j's input the charge-j(m-1)
-    # series.  Each step from charge s spends 2sm of guaranteed order, so
-    # start with the summed budget.
-    budget = m * (m - 1) * k * (k + 1)
+    # series, so start with the summed budget.
+    budget = _recurrence_budget(m, k)
     f = fock_sector_char(m, 0, nu + budget)
     for j in range(1, k + 1):
         s = j * (m - 1)
@@ -160,7 +182,8 @@ def _family_vs_sector(nu, half, m, k):
     yield {}, family_char(m, k, nu), side.shifted(-sh)
 
 
-@family("prop21", m=(2, 4), s=(-3, 4))
+# the quasiparticle sum is built on u^(-sm)..u^nu
+@family("prop21", window=lambda nu, m, s: (-s * m, nu), m=(2, 4), s=(-3, 4))
 def _quasiparticle(nu, half, m, s):
     yield {}, quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)
 

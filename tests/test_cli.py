@@ -304,6 +304,53 @@ def test_domain_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name,axes,where", [
+    ("recurrence", ("--m", "4", "--k", "1000"), "m=4 k=1000: the window u^0.."),
+    ("prop21", ("--m", "2", "--s", "1000000"),
+     "m=2 s=1000000: the window u^-2000000.."),
+])
+def test_family_window_past_the_bound_is_resource_limit(capsys, monkeypatch,
+                                                        name, axes, where):
+    calls = _counting(monkeypatch, name)
+    code, out, err = run(capsys, "verify", "--family", name, *axes,
+                         "--order", "1")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith(f"qchar: {name} {where}")
+    assert len(err.splitlines()) == 1 and "coefficients" in err
+
+
+def test_family_window_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
+    # recurrence builds at u-order nu + 2k(k+1) for m = 2; only the last k
+    # of the grid is too wide
+    k = 0
+    while 2 + 2 * (k + 1) * (k + 2) <= MAX_WINDOW:
+        k += 1
+    identities.check_domain("recurrence", {"m": 2, "k": k}, 2)
+    calls = _counting(monkeypatch, "recurrence")
+    code, out, err = run(capsys, "verify", "--family", "recurrence",
+                         "--m", "2", f"--k=0..{k + 1}", "--order", "1")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith(f"qchar: recurrence m=2 k={k + 1}: the window u^0..")
+
+
+@pytest.mark.parametrize("name,point", [
+    ("recurrence", {"m": 3, "k": 2}),
+    ("prop21", {"m": 3, "s": 2}),
+    ("prop21", {"m": 2, "s": -3}),
+])
+def test_family_window_covers_what_its_sides_build(monkeypatch, name, point):
+    widths = []
+    for builder in ("fock_sector_char", "quasiparticle_char"):
+        def spy(m, s, order, real=getattr(identities, builder)):
+            built = real(m, s, order)
+            widths.append(built.order - built.min_exp)
+            return built
+        monkeypatch.setattr(identities, builder, spy)
+    identities.check(name, 20, None, point)
+    lo, order = identities.FAMILIES[name].window(20, **point)
+    assert widths and max(widths) <= order - lo
+
+
 @pytest.mark.parametrize("name,axis", [
     (name, axis) for name, fam in identities.FAMILIES.items()
     for axis in fam.floors])
@@ -395,6 +442,20 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "qchar: internal error: IndexError: row out of range\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # ~120 kB of rows, far more than a pipe buffers, so writes outlive the
+    # reader
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qchar.cli", "asympt", "--m", "2",
+         "--nmax", "2000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,a_n,log_ratio\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def _verdicts(fmt, out):
@@ -560,16 +621,28 @@ def _fresh(code):
     return proc.stdout
 
 
-def test_cli_import_loads_only_what_every_subcommand_runs():
-    loaded = json.loads(_fresh(
+def _loaded_by(module):
+    """Modules a fresh `import module` adds to sys.modules."""
+    return json.loads(_fresh(
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import qchar.cli\n"
+        f"import {module}\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"))
+
+
+def test_cli_import_loads_only_what_every_subcommand_runs():
+    loaded = _loaded_by("qchar.cli")
     assert "qchar.cli" in loaded
     lazy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect",
             "qchar.expr", "qchar.oracle"}
     assert lazy.isdisjoint(loaded)
+
+
+def test_oracle_import_loads_no_state_classes_or_parser():
+    # the oracle counts states without building them, and needs no parser
+    loaded = _loaded_by("qchar.oracle")
+    assert "qchar.oracle" in loaded
+    assert {"dataclasses", "qchar.expr"}.isdisjoint(loaded)
 
 
 def test_expr_names_load_on_first_use():

@@ -5,43 +5,10 @@ import pytest
 from qchar.characters import fock_sector_char, quasiparticle_char
 from qchar.errors import InvalidParameter, ResourceLimit
 from qchar.oracle import (
-    FockState,
-    dump_states,
     enumerate_charge_series,
-    iter_states,
     oracle_vs_quasiparticle,
     reachable_charges,
-    weight_exponent,
 )
-
-
-def test_weight_exponent_anchors():
-    assert weight_exponent("psi", 1, 1, 2) == 0
-    assert weight_exponent("phi", 1, 1, 3) == 3
-    assert weight_exponent("psistar", 2, 1, 2) == 2
-
-
-def test_weight_exponent_formulas():
-    for m in (2, 3, 5):
-        for j in (1, 2, 4):
-            for i in range(1, m + 1):
-                assert weight_exponent("psi", i, j, m) == 2 * i + 2 * m * j - 3 * m
-                assert weight_exponent("psistar", i, j, m) == -2 * i + 2 * m * j + m
-            assert weight_exponent("phi", 1, j, m) == 2 * m * j - m
-            assert weight_exponent("phistar", 1, j, m) == 2 * m * j - m
-
-
-def test_weight_exponent_validation():
-    with pytest.raises(InvalidParameter):
-        weight_exponent("psi", 0, 1, 2)
-    with pytest.raises(InvalidParameter):
-        weight_exponent("psi", 3, 1, 2)
-    with pytest.raises(InvalidParameter):
-        weight_exponent("phi", 2, 1, 3)
-    with pytest.raises(InvalidParameter):
-        weight_exponent("psi", 1, 0, 2)
-    with pytest.raises(InvalidParameter):
-        weight_exponent("chi", 1, 1, 2)
 
 
 def test_vacuum_sector_counts():
@@ -81,25 +48,47 @@ def test_negative_exponents_present():
     assert e.min_exp < 0
 
 
-def test_materialized_states_match_dp():
-    m, bound = 2, 8
-    cnt = Counter()
-    seen = set()
-    for st in iter_states(m, bound):
-        st.validate()
-        assert st not in seen  # canonical generation, no duplicates
-        seen.add(st)
-        cnt[(st.charge(), st.u_degree(m))] += 1
-    for s in reachable_charges(m, bound):
-        series = enumerate_charge_series(m, s, bound)
-        for d, v in series.items():
-            assert cnt[(s, d)] == v, (s, d)
+def ref_state_counts(m, bound):
+    """Counter of (charge, u-degree) over every Fock state of u-degree
+    below `bound`, listed one by one: each fermion mode used at most once,
+    each boson mode any number of times."""
+    top = bound + m * m  # no state of degree < bound reaches a mode above
+    modes = []  # (u_exp, charge step, boson?)
+    for j in range(1, top):
+        for i in range(1, m + 1):
+            modes.append((2 * i + 2 * m * j - 3 * m, 1, False))  # psi_i
+            modes.append((-2 * i + 2 * m * j + m, -1, False))    # psi*_i
+        modes.append((2 * m * j - m, 1, True))                   # phi
+        modes.append((2 * m * j - m, -1, True))                  # phi*
+    modes = sorted(mode for mode in modes if mode[0] < top)
+    counts = Counter()
+
+    def walk(k, charge, deg):
+        if k == len(modes):
+            counts[charge, deg] += 1
+            return
+        w, dc, boson = modes[k]
+        walk(k + 1, charge, deg)
+        # negative exponents come first; past them the degree only grows
+        r = 1
+        while (r == 1 or boson) and (w < 0 or deg + r * w < bound):
+            walk(k + 1, charge + r * dc, deg + r * w)
+            r += 1
+
+    walk(0, 0, 0)
+    return counts
 
 
-def test_iter_states_charge_filter():
-    states = list(iter_states(3, 6, charge=0))
-    assert all(st.charge() == 0 for st in states)
-    assert any(st == FockState(((), (), ()), ((), (), ()), (), ()) for st in states)
+def test_dp_matches_state_by_state_count():
+    # m >= 3 puts psi modes at or below u^0
+    for m, bound in [(2, 8), (2, 12), (3, 6), (4, 8)]:
+        counts = ref_state_counts(m, bound)
+        charges = reachable_charges(m, bound)
+        assert charges == tuple(sorted({c for c, _ in counts})), (m, bound)
+        for s in charges:
+            series = enumerate_charge_series(m, s, bound)
+            assert dict(series.items()) == {
+                d: v for (c, d), v in counts.items() if c == s}, (m, bound, s)
 
 
 def test_reachable_charges():
@@ -109,34 +98,9 @@ def test_reachable_charges():
     assert min(charges) < 0 < max(charges)
 
 
-def test_dump_format():
-    text = dump_states(2, 3, charge=0)
-    lines = text.splitlines()
-    assert lines[0] == "0 0 - | - | - | -"
-    for line in lines:
-        head, rest = line.split(" ", 2)[0:2], line.split(" ", 2)[2]
-        assert rest.count("|") == 3
-        int(head[0]), int(head[1])
-
-
 def test_resource_limit_dp():
     with pytest.raises(ResourceLimit):
         enumerate_charge_series(3, 0, 40, max_nodes=10)
-
-
-def test_resource_limit_materialization():
-    with pytest.raises(ResourceLimit):
-        list(iter_states(2, 20, max_states=5))
-
-
-def test_state_validation():
-    with pytest.raises(InvalidParameter):
-        FockState(((1, 1), ()), ((), ()), (), ()).validate()
-    with pytest.raises(InvalidParameter):
-        FockState(((), ()), ((), ()), (2, 1), ()).validate()
-    with pytest.raises(InvalidParameter):
-        FockState(((0,), ()), ((), ()), (), ()).validate()
-    FockState(((1, 3), ()), ((2,), ()), (1, 1), (4,)).validate()
 
 
 def test_rejects_small_m():
