@@ -26,8 +26,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional
 
-from .errors import InsufficientOrder, InvalidParameter
-from .qseries import QSeries, dist_product, euler_phi, unpack_digits
+from .errors import InsufficientOrder, InvalidParameter, ResourceLimit
+from .qseries import QSeries, check_window, dist_product, euler_phi, unpack_digits
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +232,19 @@ def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
 # a - b + c - d = s factors through the fermionic charge g = a - b:
 # collect u^(a(a+1) + b(b-1)) / ((q)_a (q)_b) into a bucket per g, then
 # convolve each bucket with the boson-pair sum at complementary charge.
+# Every boson-pair sum is a sparse partial theta over one shared
+# 1/(q^m;q^m)_inf^2 (see _pair_numerator), so the buckets meet the thetas
+# first and that shared factor once.
 #
 # Every term lives on even u-exponents, so each series is one Python int
-# of fixed-width nonnegative digits, digit i holding the coefficient of
-# q^i (Kronecker substitution). Multiplying by q^j is a shift by j digits,
-# truncating below q^n is a mask, and dividing by 1 - q^j below q^n is the
-# product of the 1 + q^(j 2^i) with j 2^i < n, one shift-add per factor.
-# Boson pairs live on the q^m lattice: they are built on compact q^m
-# digits and spread to every m-th q-digit once. No digit below the
-# truncation ever carries (see _digit_bytes); digits at and above it in
-# an untruncated product carry only upwards and are masked off at the end.
+# of fixed-width digits, digit i holding the coefficient of q^i (Kronecker
+# substitution). Multiplying by q^j is a shift by j digits, truncating
+# below q^n is a mask, and dividing by 1 - q^j below q^n is the product of
+# the 1 + q^(j 2^i) with j 2^i < n, one shift-add per factor. Evaluation
+# at q = 2^w is a ring homomorphism from Z[q]/(q^n) onto Z/2^(wn), so a
+# packed intermediate may carry or go negative: masked, it is still its
+# series mod q^n, and only the digits that are read back (see
+# _digit_bytes) must hold true coefficients.
 
 
 def _geometric(x: int, j: int, n: int, w: int) -> int:
@@ -257,21 +260,24 @@ def _geometric(x: int, j: int, n: int, w: int) -> int:
 def _digit_bytes(m: int, nu: int) -> int:
     """Bytes per digit for quasiparticle_char(m, s, nu - s m), any s.
 
-    Every coefficient of every series built below q^L, L = (nu + 1) // 2,
-    is at most some coefficient of G = B P below q^L, where
-    B = 2 (-q;q)_inf^2 and P = 1/(q^m;q^m)_inf^2:
+    Below q^L, L = (nu + 1) // 2, the sum is built by ring operations on
+    packed series, so its packed form is right mod 2^(wL) whatever the
+    intermediates hold, and its w-bit digits are its coefficients once
+    each of these lies in [0, 2^w). The compact P = 1/(q^m;q^m)_inf^2 is
+    spread to every m-th digit one digit at a time, so its digits must be
+    its coefficients too, and the buckets' digits are theirs if they fit;
+    all of these are nonnegative. So it suffices that every coefficient
+    of the sum, of P and of each bucket below q^L is at most some
+    coefficient of G = B P below q^L, where B = 2 (-q;q)_inf^2:
       * the buckets sum to B, by Euler's sum_a z^a q^(a(a-1)/2) / (q)_a =
-        (-z;q)_inf at z = q and z = 1;
+        (-z;q)_inf at z = q and z = 1, and P <= G as B starts with 2;
       * the t-terms q^(mt) / ((q^m)_t (q^m)_(t+k)) of a boson-pair base
         are at most q^(mt) / ((q^m)_t (q^m)_inf), which sum to P; P is
         1/(1 - q^m) times a nonnegative series, so its coefficients on
         the q^m lattice never decrease and the pair sum of charge k > 0,
         q^(mk) times a base, is at most P too;
-      * so B, P and the quasiparticle sum are at most G, and so is the
-        combined bucket (bucket s+k) + q^(mk) (bucket s-k) <= B (1 +
-        q^(mk)), as every coefficient of P on the q^m lattice is >= 1;
-      * a partial product, quotient or sum is at most what it completes,
-        and a term stored over its lowest power has the term's digits.
+      * so the quasiparticle sum, each bucket times a pair sum, is at
+        most B P = G.
     G is 2/(1 - q) times a nonnegative series, so its largest coefficient
     below q^L is the one at q^(L-1): 2 sum_j F_j F_(L-1-j) with
     F = (-q;q)_inf / (q^m;q^m)_inf.
@@ -328,25 +334,78 @@ def _charge_buckets(nu: int, nb: int):
     return tuple(sorted(buckets.items()))
 
 
-@lru_cache(maxsize=256)
-def _boson_pair_base(m: int, k: int, nu: int, nb: int) -> int:
-    """sum over t >= 0 of u^(2mt) / ((q^m)_t (q^m)_{t+k}) below u^nu, k >= 0,
-    packed in nb-byte q-digits."""
+@lru_cache(maxsize=64)
+def _boson_pair_base(m: int, nu: int, nb: int) -> int:
+    """1/(q^m;q^m)_inf^2 below u^nu, packed in nb-byte q-digits: the factor
+    every boson-pair sum shares."""
     w = 8 * nb
     n = (nu + 2 * m - 1) // (2 * m)  # compact digit t holds u^(2mt)
     R = 1
-    for j in range(1, k + 1):
-        R = _geometric(R, j, n, w)
-    total = R
-    for t in range(1, n):
-        # the t-term over u^(2mt), from its predecessor
-        R = _geometric(_geometric(R, t, n - t, w), t + k, n - t, w)
-        total += R << w * t
-    raw = total.to_bytes(n * nb, "little")
+    for j in range(1, n):
+        R = _geometric(_geometric(R, j, n, w), j, n, w)
+    raw = R.to_bytes(n * nb, "little")
     out = bytearray((nu + 1) // 2 * nb)
     for i in range(nb):
         out[i::m * nb] = raw[i::nb]
     return int.from_bytes(out, "little")
+
+
+def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
+    """sum over k >= 0 of f_k N_k below q^L, packed in w-bit digits as a
+    signed int that is right mod 2^(wL), where f_k is the bucket of charge
+    s + k plus, for k > 0, q^(mk) times the bucket of charge s - k.
+
+    With Q = q^m, the boson pairs of charge -k and of charge k share the
+    base sum_t Q^t / ((Q)_t (Q)_(t+k)), the latter shifted by Q^k, and
+
+        sum_t Q^t / ((Q)_t (Q)_(t+k)) = N_k / (Q;Q)_inf^2,
+        N_k = sum_(j >= 0) (-1)^j Q^(j(j+1)/2 + jk):
+
+    write 1/(Q)_(t+k) = (Q^(t+k+1);Q)_inf / (Q;Q)_inf, expand the product
+    by Euler's sum_j (-1)^j Q^(j(j-1)/2) x^j / (Q)_j and sum over t by
+    sum_t x^t / (Q)_t = 1/(x;Q)_inf (G. E. Andrews, The Theory of
+    Partitions, Cor. 2.2). So the quasiparticle sum is this numerator
+    times 1/(Q;Q)_inf^2, and each f_k enters once per term of N_k below
+    q^L, O(sqrt(L / (mk))) signed shifts.
+    """
+    mask = (1 << w * L) - 1
+    total = 0
+    for k in range(max(max(buckets) - s, s - min(buckets)) + 1):
+        f = buckets.get(s + k, 0)
+        if k and s - k in buckets:
+            f += (buckets[s - k] << w * m * k) & mask
+        if not f:
+            continue
+        j = e = 0  # N_k's term (-1)^j Q^e
+        while m * e < L:
+            shift = w * m * e
+            term = (f & mask >> shift) << shift
+            total = total - term if j & 1 else total + term
+            j += 1
+            e += j + k
+    return total
+
+
+# The largest internal u-order order + s m a quasiparticle sum is built
+# at. The buckets and the digit width dominate its time, which grows about
+# 8x per doubling of that order: seconds at the bound, hours at 10^5.
+QP_MAX_ORDER = 1 << 13
+
+
+def quasiparticle_window(m: int, s: int, order: int):
+    """(lo, order) of the window u^(-sm)..u^order that
+    quasiparticle_char(m, s, order) builds. Raises InvalidParameter if
+    m < 2, and ResourceLimit if that window is longer than MAX_WINDOW or
+    the internal u-order order + s m exceeds QP_MAX_ORDER: the check every
+    caller makes before anything is built."""
+    if m < 2:
+        raise InvalidParameter(f"need m >= 2, got {m}")
+    check_window(-s * m, order)
+    if order + s * m > QP_MAX_ORDER:
+        raise ResourceLimit(
+            f"the quasiparticle sum of charge {s} claimed at u-order {order} "
+            f"is built at u-order {order + s * m}, past its bound {QP_MAX_ORDER}")
+    return -s * m, order
 
 
 def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
@@ -356,8 +415,7 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     u^(-sm) prefactor. Cutoffs keep every omitted quadruple at or above
     the internal order, which is the claimed order shifted by sm.
     """
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    quasiparticle_window(m, s, order)
     nu = order + s * m
     if nu <= 0:
         return QSeries.zero(order)
@@ -365,21 +423,8 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     nb = _digit_bytes(m, nu)
     w = 8 * nb
     mask = (1 << w * L) - 1
-    buckets = dict(_charge_buckets(nu, nb))
-    total = 0
-    for k in range(max(max(buckets) - s, s - min(buckets)) + 1):
-        # the boson pairs of charge -k and of charge k share the base
-        # sum_t u^(2mt) / ((q^m)_t (q^m)_{t+k}), the latter shifted by
-        # u^(2mk); they meet the buckets of charge s + k and s - k
-        f = buckets.get(s + k, 0)
-        if k and s - k in buckets:
-            f += (buckets[s - k] << w * m * k) & mask
-        if f:
-            # f is zero below q^low, so the base matters below q^(L - low)
-            # only, where it equals the base of order nu - 2 low
-            low = ((f & -f).bit_length() - 1) // w
-            base = _boson_pair_base(m, k, nu - 2 * low, nb)
-            total += ((f >> w * low) * base) << w * low
+    numerator = _pair_numerator(dict(_charge_buckets(nu, nb)), m, s, L, w)
+    total = numerator * _boson_pair_base(m, nu, nb) & mask
     coeffs = [0] * nu
     coeffs[::2] = unpack_digits(total, nb, L)
     return QSeries(-s * m, order, coeffs)

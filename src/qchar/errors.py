@@ -36,7 +36,9 @@ class WindowUnderflow(QcharError):
 
 
 class ResourceLimit(QcharError):
-    """Enumeration exceeded its configured node budget."""
+    """A request past a size or work bound: a window longer than
+    MAX_WINDOW, a quasiparticle sum past QP_MAX_ORDER, or an enumeration
+    past its node budget."""
 
 
 class ExprError(QcharError):

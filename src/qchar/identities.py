@@ -11,7 +11,9 @@ its sides function:
     tests a grid point against them before any series is built;
   * window(nu, **point): (lo, order) of the widest window its sides build
     when that grows with an axis, None when u^0..u^nu bounds them;
-    check_domain() refuses a point whose window exceeds MAX_WINDOW;
+    check_domain() refuses a point whose window exceeds MAX_WINDOW, or
+    for which window() raises ResourceLimit itself, as the quasiparticle
+    sum's bound does;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -38,6 +40,7 @@ from .characters import (
     fock_sector_char,
     mark_short,
     quasiparticle_char,
+    quasiparticle_window,
     recurrence_step,
     sector_closed_form,
     sector_pair_product,
@@ -182,8 +185,8 @@ def _family_vs_sector(nu, half, m, k):
     yield {}, family_char(m, k, nu), side.shifted(-sh)
 
 
-# the quasiparticle sum is built on u^(-sm)..u^nu
-@family("prop21", window=lambda nu, m, s: (-s * m, nu), m=(2, 4), s=(-3, 4))
+@family("prop21", window=lambda nu, m, s: quasiparticle_window(m, s, nu),
+        m=(2, 4), s=(-3, 4))
 def _quasiparticle(nu, half, m, s):
     yield {}, quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)
 
@@ -195,7 +198,8 @@ def _graded_rows(nu, half, m):
     yield {}, prod, ChargeSeries(-half, rows)
 
 
-@family("cor22", m=(2, 6))
+@family("cor22", window=lambda nu, m: quasiparticle_window(m, 0, nu),
+        m=(2, 6))
 def _vacuum(nu, half, m):
     yield ({}, *vacuum_identity_sides(m, nu))
 

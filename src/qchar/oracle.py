@@ -24,6 +24,7 @@ from .characters import (
     fock_sector_char,
     mark_short,
     quasiparticle_char,
+    quasiparticle_window,
 )
 
 _DEFAULT_NODE_CAP = 10**8
@@ -108,7 +109,9 @@ def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,
                             max_nodes: int = _DEFAULT_NODE_CAP) -> IdentityReport:
     """Three-way check: the state count vs the quasiparticle sum vs the
     lattice-sum character, on their common window; "short" if that window
-    ends below max_u_exp."""
+    ends below max_u_exp.  The quasiparticle sum's bound is checked before
+    any state is counted."""
+    quasiparticle_window(m, s, max_u_exp)
     counted = enumerate_charge_series(m, s, max_u_exp, max_nodes)
     qp = quasiparticle_char(m, s, max_u_exp)
     ch = fock_sector_char(m, s, max_u_exp)

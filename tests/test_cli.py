@@ -319,6 +319,48 @@ def test_family_window_past_the_bound_is_resource_limit(capsys, monkeypatch,
     assert len(err.splitlines()) == 1 and "coefficients" in err
 
 
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Record every quasiparticle digit width and every oracle state count
+    that gets built."""
+    built = []
+    monkeypatch.setattr(characters, "_digit_bytes",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(oracle, "_full_charge_dp",
+                        lambda *args: built.append(args))
+    return built
+
+
+@pytest.mark.parametrize("argv,where", [
+    (("verify", "--family", "prop21", "--m", "1000000", "--s", "1",
+      "--order", "1"), "prop21 m=1000000 s=1: "),
+    (("verify", "--family", "cor22", "--m", "2",
+      "--order", str(characters.QP_MAX_ORDER // 2 + 1)), "cor22 m=2: "),
+    (("series", "--expr", "qp(2,100000)", "--order", "1"), ""),
+    (("oracle", "--m", "2", "--s", "5000", "--qbound", "1"), ""),
+])
+def test_quasiparticle_past_its_bound_is_resource_limit(capsys, nothing_built,
+                                                        argv, where):
+    # each window fits under MAX_WINDOW; the sum's own bound refuses it
+    code, out, err = run(capsys, *argv)
+    assert (code, out, nothing_built) == (3, "", [])
+    assert err.startswith(f"qchar: {where}the quasiparticle sum of charge ")
+    assert len(err.splitlines()) == 1 and "past its bound 8192" in err
+
+
+def test_quasiparticle_bound_is_checked_on_the_whole_grid_first(
+        capsys, monkeypatch):
+    # at q-order 1 and m = 2, s = 4095 builds at u-order 8192, the bound
+    calls = _counting(monkeypatch, "prop21")
+    code, out, err = run(capsys, "verify", "--family", "prop21", "--m", "2",
+                         "--s=4094..4096", "--order", "1")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("qchar: prop21 m=2 s=4096: ")
+    code, out, err = run(capsys, "verify", "--family", "prop21", "--m", "2",
+                         "--s=4094..4095", "--order", "1")
+    assert (code, out, err, calls) == (0, "[]\n", "", [2, 2])
+
+
 def test_family_window_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
     # recurrence builds at u-order nu + 2k(k+1) for m = 2; only the last k
     # of the grid is too wide

@@ -3,9 +3,10 @@
 The reference below builds every charge bucket and every boson-pair base
 as a list of coefficients, divides by 1 - x^j with one in-place pass over
 the list, and convolves each bucket with its boson-pair sum as a QSeries
-product. The package packs each series into one int of fixed-width digits
-and multiplies packed ints; both must agree on every coefficient and on
-the claimed window.
+product. The package packs each series into one int of fixed-width digits,
+writes every boson-pair base as a partial theta over one shared
+1/(q^m;q^m)_inf^2 and multiplies packed ints; both must agree on every
+coefficient and on the claimed window.
 """
 
 from functools import lru_cache
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from qchar import characters
 from qchar.errors import InvalidParameter
-from qchar.qseries import QSeries, unpack_digits
+from qchar.qseries import QSeries, euler_phi, unpack_digits
 
 
 def _geometric_inplace(arr: list, stride: int) -> None:
@@ -144,18 +145,34 @@ def test_quasiparticle_matches_reference_wide_digits(m, s, order, monkeypatch):
     assert _fields(characters.quasiparticle_char(m, s, order)) != expect
 
 
+@pytest.mark.parametrize("s", range(-5, 7))
+@pytest.mark.parametrize("m", range(2, 7))
+def test_quasiparticle_matches_reference_at_order_401(m, s):
+    assert (_fields(characters.quasiparticle_char(m, s, 401))
+            == _fields(quasiparticle_char(m, s, 401)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(m=st.integers(2, 6), k=st.integers(0, 12), nu=st.integers(1, 200),
-       data=st.data())
-def test_boson_pair_base_restricts_to_lower_order(m, k, nu, data):
-    # quasiparticle_char builds each base only to the order its bucket
-    # partner needs, which relies on a restricted base being that order's
-    lower = data.draw(st.integers(1, nu))
+@given(m=st.integers(2, 6), k=st.integers(0, 12), nu=st.integers(1, 200))
+def test_boson_pair_base_is_partial_theta_over_phi_squared(m, k, nu):
+    # sum_t Q^t / ((Q)_t (Q)_(t+k)) * (Q;Q)_inf^2 is the sparse
+    # sum_j (-1)^j Q^(j(j+1)/2 + jk), Q = q^m = u^(2m)
+    phi = euler_phi(m, nu)
+    theta = {}
+    j = 0
+    while (e := 2 * m * (j * (j + 1) // 2 + j * k)) < nu:
+        theta[e] = (-1) ** j
+        j += 1
+    assert _boson_pair_base(m, k, nu) * phi * phi == QSeries.from_terms(theta, nu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(2, 6), nu=st.integers(1, 400))
+def test_packed_boson_pair_base_is_inverse_phi_squared(m, nu):
+    L = (nu + 1) // 2  # compact slot i holds the q^i coefficient
+    expect = [1] + [0] * (L - 1)
+    for j in range(m, L, m):
+        _geometric_inplace(expect, j)
+        _geometric_inplace(expect, j)
     nb = characters._digit_bytes(m, nu)
-    count = (lower + 1) // 2
-    wide = characters._boson_pair_base(m, k, nu, nb)
-    narrow = characters._boson_pair_base(m, k, lower, nb)
-    assert wide & ((1 << 8 * nb * count) - 1) == narrow
-    coeffs = [0] * lower
-    coeffs[::2] = unpack_digits(narrow, nb, count)
-    assert QSeries(0, lower, coeffs) == _boson_pair_base(m, k, lower)
+    assert unpack_digits(characters._boson_pair_base(m, nu, nb), nb, L) == expect
