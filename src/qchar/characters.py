@@ -8,7 +8,8 @@ u = q^(1/2); see qseries. The three families of operations:
     completed square P(P+1) - m(m-1)a^2 - ms(2a+1), P = p + s + ma, makes
     each lattice row one range of P; at an empty row the scan stops if the
     row's quadrant edge lies beyond P = -1/2, and else jumps to the row
-    where the edge crosses it.
+    where the edge crosses it.  The character multiplies the rows by one
+    cached, packed inverse of the denominator per m.
   * quasiparticle_char: the same characters as a restricted sum over
     quadruples of mode counts, organized as a charge-bucket convolution.
   * basic_char / family_char / sector_closed_form: product closed forms
@@ -27,7 +28,15 @@ from operator import mul
 from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter, ResourceLimit
-from .qseries import QSeries, check_window, dist_product, euler_phi, unpack_digits
+from .qseries import (
+    MAX_WINDOW,
+    QSeries,
+    check_window,
+    dist_product,
+    euler_phi,
+    pack_digits,
+    unpack_digits,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +109,11 @@ def mark_short(report: IdentityReport, order: int) -> IdentityReport:
 # alternating lattice sum over the (a, p) grid
 
 
-def sector_sum(m: int, s: int, order: int) -> QSeries:
-    """Alternating sum over the charge/energy lattice for sector s.
+def _lattice_rows(m: int, s: int, order: int):
+    """Each nonempty row of sector s's lattice sum below u^order, as
+    (sign, shift, lo, hi, tail): the row is sign times the u^(P(P+1) - shift)
+    for lo <= P <= hi, which are exactly the u^(P(P+1) - shift), P >= tail,
+    below u^order.
 
     The point (a, p) has u-exponent (p+s)(p+s+1) - sm + ma(a+1) + 2map;
     the quadrant a, p >= 0 enters with sign (-1)^a, the quadrant
@@ -111,7 +123,9 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
     theta form P(P+1) - g a^2 - ms(2a+1), so row a holds exactly the P
     with P(P+1) < b = order + g a^2 + ms(2a+1): -r-1 <= P <= r with
     r = (isqrt(4b-3) - 1) // 2, none if b < 1, cut at the quadrant edge
-    P >= s + ma (upper) or P <= s + ma - 1 (lower).
+    P >= s + ma (upper) or P <= s + ma - 1 (lower). So an upper row is
+    every P >= lo below the window's top, and a lower row, under
+    P -> -1 - P, which keeps P(P+1), every P >= -1 - hi.
 
     Each quadrant walks a away from 0.  At an empty row whose edge lies
     beyond P = -1/2 the row minimum sits on the edge, where it grows with
@@ -123,7 +137,6 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
     g = m * (m - 1)
-    acc: dict = {}
     for upper in (True, False):
         a, step = (0, 1) if upper else (-1, -1)
         while True:
@@ -138,39 +151,119 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
                 a = -(s // m) if upper else (-s) // m
                 continue
             sign = 1 if (a + upper) % 2 else -1  # (-1)^a, or -(-1)^a below
-            for P in range(lo, hi + 1):
-                e = P * (P + 1) - shift
-                acc[e] = acc.get(e, 0) + sign
+            yield sign, shift, lo, hi, lo if upper else -1 - hi
             a += step
+
+
+def sector_sum(m: int, s: int, order: int) -> QSeries:
+    """Alternating sum over the charge/energy lattice for sector s, below
+    u^order; see _lattice_rows."""
+    acc: dict = {}
+    for sign, shift, lo, hi, _ in _lattice_rows(m, s, order):
+        for P in range(lo, hi + 1):
+            e = P * (P + 1) - shift
+            acc[e] = acc.get(e, 0) + sign
     return QSeries.from_terms(acc, order)
+
+
+def _build_order(n: int) -> int:
+    """The u-order the cached Euler quotients are built at for a request
+    below u^n >= 1: the next power of two, so every charge, recurrence step
+    and family of a grid shares one build per m, but never past MAX_WINDOW
+    (a longer request is built as asked)."""
+    return max(n, min(1 << (n - 1).bit_length(), MAX_WINDOW))
+
+
+@lru_cache(maxsize=64)
+def _inverse_denominator(m: int, n: int) -> QSeries:
+    """1/(phi(q) phi(q^m)^2) below u^n: the free-field denominator every
+    sector character of that m shares."""
+    phi_m = euler_phi(m, n)
+    return QSeries.one(n) / euler_phi(1, n) / phi_m / phi_m
 
 
 def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     """Specialized character of the charge-s Fock sector.
 
-    The lattice sum divided by one neutral free-fermion-pair factor
-    phi(q) and two boson-pair factors phi(q^m). The result can start at a
-    negative u-exponent for s > 0, so the divisors are built with enough
-    extra order to keep the quotient honest up to the requested claim.
+    The lattice sum h divided by one neutral free-fermion-pair factor
+    phi(q) and two boson-pair factors phi(q^m), on the window
+    [h.min_exp, order), which starts at a negative u-exponent for some
+    s > 0. Every lattice exponent is congruent to sm mod 2, so the
+    quotient lives on q-digits from h.min_exp.
+
+    It is built as h times the cached I = 1/(phi(q) phi(q^m)^2), packed
+    one q-digit per w-bit digit in one int, row by row. By _lattice_rows
+    each row is sign u^(-shift) T_t, T_t = sum over P >= t of u^(P(P+1)),
+    and for t < 0 T_t = 2 T_0 - T_(-t). With K_t = u^(-t(t+1)) T_t I,
+
+        K_(t-1) = I + q^t K_t,
+
+    so every row costs one or two signed shifts of a running K_t, and the
+    walk from the largest t down to 0 one shift-add per step:
+    O(sqrt(order)) shifts of one int in all, against the O(order^1.5)
+    Python steps of dividing h by the three Euler products.
+
+    I is 1/(1 - q) times a nonnegative series, so its largest coefficient
+    in the window is its last, and no coefficient of the quotient exceeds
+    the count of lattice points times that in absolute value; w keeps
+    them inside (-2^(w-1), 2^(w-1)). Masked to the window, the packed sum
+    is exact mod 2^(wL) whatever the intermediates hold, so after a bias
+    of 2^(w-1) per digit its digits are the coefficients.
     """
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
-    h = sector_sum(m, s, order)
-    if h.is_zero():
+    rows = list(_lattice_rows(m, s, order))
+    if not rows:
         return QSeries.zero(order)
-    n = order + max(0, -h.min_exp)
+    # each row's least exponent is that of its P = max(t, 0)
+    lo = min(max(t, 0) * (max(t, 0) + 1) - shift for _, shift, _, _, t in rows)
+    n = order - lo
+    L = (n + 1) // 2  # q-digits in the window
+    points = 0
+    uses: dict = {}  # t -> [(q-digit of the first term of T_t, sign)]
+    for sign, shift, first, last, t in rows:
+        points += last - first + 1
+        if t < 0:
+            uses.setdefault(0, []).append(((-shift - lo) // 2, 2 * sign))
+            t, sign = -t, -sign
+        d = (t * (t + 1) - shift - lo) // 2
+        if d < L:
+            uses.setdefault(t, []).append((d, sign))
+    inv = _inverse_denominator(m, _build_order(n)).coeffs[:2 * L:2]
+    nb = (points * inv[-1]).bit_length() // 8 + 1  # so it is < 2^(8 nb - 1)
+    w = 8 * nb
+    mask = (1 << w * L) - 1
+    I = pack_digits(inv, nb)
+    # K_top = I times the sum over P >= top of q^((P - top)(P + top + 1)/2)
+    top = max(uses)
+    K, P = 0, top
+    while (e := (P - top) * (P + top + 1) // 2) < L:
+        K += I << w * e
+        P += 1
+    total = 0
+    for t in range(top, -1, -1):
+        for d, c in uses.get(t, ()):
+            total += c * (K << w * d)
+        K = I + (K << w * t) & mask  # K_(t-1)
+    half = 1 << w - 1
+    bias = int.from_bytes(half.to_bytes(nb, "little") * L, "little")
+    coeffs = [0] * n
+    coeffs[::2] = unpack_digits(total + bias & mask, nb, L, half)
+    return QSeries(lo, order, coeffs)
+
+
+@lru_cache(maxsize=64)
+def _built_pair_quotient(m: int, n: int) -> QSeries:
+    phi_2 = euler_phi(2, n)
+    phi_1 = euler_phi(1, n)
     phi_m = euler_phi(m, n)
-    return h / euler_phi(1, n) / phi_m / phi_m
+    return phi_2 * phi_2 / phi_1 / phi_1 / phi_m / phi_m
 
 
 def _pair_quotient(m: int, order: int) -> QSeries:
     """(dist product)^2 / phi(q^m)^2 below u^order >= 1, as the quotient
     phi(q^2)^2 / phi(q)^2 / phi(q^m)^2 of sparse Euler products, since
-    (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf."""
-    phi_2 = euler_phi(2, order)
-    phi_1 = euler_phi(1, order)
-    phi_m = euler_phi(m, order)
-    return phi_2 * phi_2 / phi_1 / phi_1 / phi_m / phi_m
+    (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf; built once per m at
+    _build_order(order) and restricted."""
+    return _built_pair_quotient(m, _build_order(order)).restricted(order)
 
 
 def sector_pair_product(m: int, order: int) -> QSeries:
@@ -445,6 +538,7 @@ def vacuum_identity_sides(m: int, order: int):
 # irreducible characters
 
 
+@lru_cache(maxsize=64)
 def basic_char(m: int, order: int) -> QSeries:
     """Specialized character of the basic module (and of the module at the
     last fundamental weight): (dist product)^2 / phi(q^m)."""

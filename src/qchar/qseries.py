@@ -14,8 +14,13 @@ for a divisor whose lowest coefficient c0 is +-1. `invert` is 1 / d. The
 Euler products (q^j;q^j)_inf come from the pentagonal theorem with
 O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
 instead of the O(order^2) of multiplying by a dense inverse. Every
-builder in the package divides with `/`; `inv_euler_phi` remains only as
-a public helper.
+Euler quotient in the package is built with `/`. The sector characters
+divide only once per m: characters.py builds 1/(phi(q) phi(q^m)^2) with
+`/` at a power-of-two order, caches it, and multiplies the sparse lattice
+sum by it packed in one int (pack_digits, unpack_digits), O(sqrt(order))
+shifts of that int against the O(order^1.5) Python steps of dividing
+each character anew. `inv_euler_phi` remains only as a public helper.
+Every cached builder keeps at most 64 entries.
 """
 
 from bisect import bisect_left
@@ -358,6 +363,13 @@ def _divide_monic(x, terms) -> list:
     return y
 
 
+def pack_digits(digits, nbytes: int) -> int:
+    """The int whose base-256^nbytes digits are the given ones, lowest
+    first, each in [0, 256^nbytes): the inverse of unpack_digits."""
+    return int.from_bytes(b"".join(d.to_bytes(nbytes, "little") for d in digits),
+                          "little")
+
+
 def unpack_digits(x: int, nbytes: int, count: int, offset: int = 0) -> list:
     """The lowest count digits of x >= 0 in base 256^nbytes, each minus
     offset: the coefficients of a series packed as one int (Kronecker
@@ -386,7 +398,7 @@ def _factor_product(j: int, n_factors: int, order: int, op) -> QSeries:
     return QSeries(0, order, c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def euler_phi(j: int, order: int) -> QSeries:
     """prod_{i>=1} (1 - q^{ji}) truncated below u^order, by Euler's
     pentagonal theorem: the sum over k in Z of (-1)^k q^(j k(3k-1)/2)."""
@@ -406,7 +418,7 @@ def euler_phi(j: int, order: int) -> QSeries:
     return QSeries(0, order, c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def dist_product(j: int, order: int) -> QSeries:
     """prod_{i>=1} (1 + q^{ji}) truncated below u^order."""
     if j < 1:
@@ -421,7 +433,7 @@ def pochhammer(j: int, n_factors: int, order: int) -> QSeries:
     return _factor_product(j, n_factors, order, sub)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gauss_sum(order: int) -> QSeries:
     """sum_{p>=0} q^{p(p+1)/2}: coefficient 1 at the triangular exponents."""
     terms = {}
@@ -432,6 +444,6 @@ def gauss_sum(order: int) -> QSeries:
     return QSeries.from_terms(terms, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def inv_euler_phi(j: int, order: int) -> QSeries:
     return euler_phi(j, order).invert()

@@ -255,6 +255,21 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert reports[0]["first_diff_u_exp"] == 10
 
 
+@pytest.fixture
+def fresh_caches():
+    """Clear the cached characters before and after a test that patches what
+    they are built from, so a cached value neither hides the patch nor
+    outlives it."""
+    cached = (characters.basic_char, characters._inverse_denominator,
+              characters._built_pair_quotient)
+    for builder in cached:
+        builder.cache_clear()
+    yield
+    for builder in cached:
+        builder.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_caches")
 def test_thm13a_product_form_can_fail(capsys, monkeypatch):
     # a dist product off by q^3 reaches basic_char but not the pentagonal
     # quotient, so the product form must catch it
@@ -270,6 +285,22 @@ def test_thm13a_product_form_can_fail(capsys, monkeypatch):
     assert code == 1
     verdicts = {r["params"]["form"]: r["verdict"] for r in json.loads(out)}
     assert verdicts["product"] == "fail"
+
+
+def test_prop21_fails_with_a_skewed_boson_pair_base(capsys, monkeypatch):
+    # the sector character's denominator is built apart from the
+    # quasiparticle sum's 1/(q^m;q^m)^2, so skewing the latter by q^3
+    # must show
+    real = characters._boson_pair_base
+
+    def skewed(m, nu, nb):
+        return real(m, nu, nb) + (1 << 8 * nb * 3)
+
+    monkeypatch.setattr(characters, "_boson_pair_base", skewed)
+    code, out, _ = run(capsys, "verify", "--family", "prop21", "--m", "2",
+                       "--s", "1", "--order", "40")
+    assert code == 1
+    assert [r["verdict"] for r in json.loads(out)] == ["fail"]
 
 
 def test_domain_error_names_family_and_point(capsys):

@@ -5,9 +5,10 @@ from operator import add, sub
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qchar import expr
+from qchar import characters, expr
 from qchar.characters import (
     _theta_bracket,
+    basic_char,
     fock_sector_char,
     sector_closed_form,
     sector_pair_product,
@@ -415,6 +416,21 @@ def test_gauss_sum_product_expansion():
     order = 100
     prod = euler_phi(1, order) * dist_product(1, order) * dist_product(1, order)
     assert gauss_sum(order).first_diff(prod) is None
+
+
+def test_builder_caches_stay_bounded():
+    # a long grid of distinct orders keeps at most 64 of each builder
+    calls = (
+        (euler_phi, (2,)), (dist_product, (1,)), (gauss_sum, ()),
+        (inv_euler_phi, (3,)), (basic_char, (2,)),
+        (characters._inverse_denominator, (2,)),
+        (characters._built_pair_quotient, (2,)),
+    )
+    for order in range(1, 101):
+        for builder, args in calls:
+            builder(*args, order)
+    for builder, _ in calls:
+        assert builder.cache_info().currsize <= 64, builder.__name__
 
 
 # ---------------------------------------------------------------------------
