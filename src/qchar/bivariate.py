@@ -12,15 +12,16 @@ every row of the true object, stored or not.
 
 The infinite products are assembled factor by factor, most expensive
 factor first, as shift-and-add sweeps over z-rows packed into one int
-each. Which charges can still matter below the truncation order comes
-from exact min-cost displacement tables over the factors' charge movers
-(a fermionic factor moves charge once at a fixed cost, a bosonic one any
-number of times); soundness is the triangle inequality for those
-shortest-path costs. A cost at or above T = order + pad, pad covering
-all the negative cost the movers can spend, changes no pruning decision,
-support flag or floor, so each table keeps only the band of charges
-whose cost is below T and sweeps that band alone, and skips any mover
-that a no dearer bosonic one with the same step already covers.
+each, every row a residue read back once, as qseries packs series. Which
+charges can still matter below the truncation order comes from exact
+min-cost displacement tables over the factors' charge movers (a
+fermionic factor moves charge by +-1 once at a fixed cost, a bosonic one
+any number of times); soundness is the triangle inequality for those
+shortest-path costs. A cost at or above T = order + pad, pad the total
+negative cost of the factors, changes no pruning decision, support flag
+or floor, so each table keeps only the band of charges whose cost is
+below T and sweeps that band alone, and skips any mover that a no
+dearer bosonic one with the same step already covers.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Optional
 
-from .characters import IdentityReport
-from .errors import InvalidParameter, OutOfWindow, WindowUnderflow
-from .qseries import QSeries, euler_phi, unpack_digits
+from .characters import QP_MAX_ORDER, IdentityReport
+from .errors import (InvalidParameter, OutOfWindow, ResourceLimit,
+                     WindowUnderflow)
+from .qseries import QSeries, euler_phi, unpack_signed
 
 _INF = float("inf")
 
@@ -179,8 +181,9 @@ def cs_mul(a: ChargeSeries, b: ChargeSeries, window=None,
 
 
 class _CostTable:
-    """Minimum u-cost to reach charge r in [-cap, cap] over a mover pool,
-    starting at cost 0 anywhere in [lo, hi], kept exact only below a limit.
+    """Minimum u-cost to reach charge r in [-cap, cap] over a pool of
+    movers, each of step +-1, starting at cost 0 anywhere in [lo, hi],
+    kept exact only below a limit.
 
     cost[r + cap] is the entry of charge r; every entry outside the band
     cost[self.lo .. self.hi] is inf, and the two band edges are below the
@@ -194,11 +197,9 @@ class _CostTable:
     `closed` maps a step to the cost of a repeatable mover the exact
     table is closed under (cost[i] <= cost[i - step] + that cost). A
     later mover with that step and no lower cost, once or repeatable,
-    changes nothing and is skipped. A later mover keeps the closure if
-    its step has the same sign (the detour position lies between two
-    charges in range), or if both steps are +-1 and, for a once mover,
-    its cost plus the closure's is >= 0 (a move and its undo never gain);
-    any other mover drops the closure.
+    changes nothing and is skipped. A later mover keeps the closure unless
+    it is a once mover of the opposite step whose cost plus the closure's
+    is < 0: a move and its undo never gain otherwise.
     """
 
     __slots__ = ("limit", "cost", "lo", "hi", "closed")
@@ -215,9 +216,8 @@ class _CostTable:
         closed = self.closed
         if closed.get(step, _INF) <= cost:
             return
-        for s in [s for s in closed if s * step < 0]:
-            if abs(s * step) != 1 or once and cost + closed[s] < 0:
-                del closed[s]
+        if once and closed.get(-step, _INF) + cost < 0:
+            del closed[-step]
         if not once:
             closed[step] = cost
         c, lo, hi, limit = self.cost, self.lo, self.hi, self.limit
@@ -226,57 +226,42 @@ class _CostTable:
         n = len(c)
         if once:
             a, b = max(lo + step, 0), min(hi + step, n - 1)
-            if a > b:
-                return
             c[a:b + 1] = map(min, c[a:b + 1],
                              map(add, c[a - step:b - step + 1], repeat(cost)))
-            # the moved edge may land at or above the limit
-            if step > 0:
-                while c[b] >= limit:
-                    c[b] = _INF
-                    b -= 1
-                self.hi = max(hi, b)
-            else:
-                while c[a] >= limit:
-                    c[a] = _INF
-                    a += 1
-                self.lo = min(lo, a)
+            # the moved edge may land at or above the limit; the one
+            # behind it was an edge before, and no entry rose
+            e = b if step > 0 else a
+            if c[e] >= limit:
+                c[e] = _INF
+                e -= step
+            self.lo, self.hi = min(lo, e), max(hi, e)
             return
-        # one residue class mod step at a time: cost[i] = min over j of
-        # cost[i - j step] + j cost, a running minimum of cost[i] - i cost
-        s = abs(step)
-        for r in range(min(s, hi - lo + 1)):
-            if step > 0:
-                sl = slice(lo + r, hi + 1, s)
-            else:
-                sl = slice(hi - r, lo - 1 if lo else None, -s)
-            seg = c[sl]
-            ramp = range(0, len(seg) * cost, cost)
-            c[sl] = seg = list(map(add, accumulate(map(sub, seg, ramp), min),
-                                   ramp))
-            # walk out past the band while the class stays below the limit
-            v = seg[-1]
-            if v >= limit:
-                continue
-            end = sl.start + step * (len(seg) - 1)
-            k = min((limit - 1 - v) // cost,
-                    (n - 1 - end) // s if step > 0 else end // s)
-            if not k:
-                continue
-            if step > 0:
-                c[end + s:end + s * k + 1:s] = range(v + cost, v + cost * k + 1,
-                                                      cost)
-                self.hi = max(self.hi, end + s * k)
-            else:
-                c[end - s * k:end:s] = range(v + cost * k, v, -cost)
-                self.lo = min(self.lo, end - s * k)
+        # cost[i] = min over j of cost[i - j step] + j cost, a running
+        # minimum of cost[i] - i cost along the step
+        sl = (slice(lo, hi + 1) if step > 0
+              else slice(hi, lo - 1 if lo else None, -1))
+        seg = c[sl]
+        ramp = range(0, len(seg) * cost, cost)
+        c[sl] = seg = list(map(add, accumulate(map(sub, seg, ramp), min),
+                               ramp))
+        # walk out past the band while the cost stays below the limit; the
+        # far edge v was below it and only fell
+        v = seg[-1]
+        if step > 0:
+            k = min((limit - 1 - v) // cost, n - 1 - hi)
+            c[hi + 1:hi + k + 1] = range(v + cost, v + cost * k + 1, cost)
+            self.hi = hi + k
+        else:
+            k = min((limit - 1 - v) // cost, lo)
+            c[lo - k:lo] = range(v + cost * k, v, -cost)
+            self.lo = lo - k
 
 
 def _coeff_bound(factors, pad: int, length: int) -> int:
     """Largest coefficient of u^-pad .. u^(length - pad - 1) in the product
     at z = 1 with every sign +, truncated the same way as the packed rows.
-    Every coefficient the packed assembly holds is a signed sum over a
-    subset of the same terms, so this bounds them all."""
+    Each coefficient read back from the packed rows is a signed sum over a
+    subset of the same terms, so this bounds them all, not intermediates."""
     a = [0] * length
     a[pad] = 1
     for _, cost, _, inverse in factors:
@@ -294,23 +279,24 @@ def _coeff_bound(factors, pad: int, length: int) -> int:
     return max(a)
 
 
-def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
-                    pad: int) -> ChargeSeries:
+def _graded_product(pairs, req_lo: int, req_hi: int,
+                    order: int) -> ChargeSeries:
     """Multiply the factor pairs, claiming order on the requested window.
 
-    Each pair is two factors, applied together; pad must cover the total
-    negative u-cost available across all movers. The rows z^-cap .. z^cap
-    are Python ints, each packing the row's coefficients of u^-pad ..
-    u^(order + pad - 1) as fixed-width signed digits (Kronecker
-    substitution), and every factor is one in-place shift-and-add sweep
-    over them. After each pair, row z^d is zeroed unless the cheapest way
-    to have built charge d plus the cheapest way the unapplied pairs can
-    pull it back into the requested window stays below order.
+    Each pair is two factors of charge step +-1, applied together. The
+    rows z^-cap .. z^cap are Python ints, each packing the row's
+    coefficients of u^-pad .. u^(order + pad - 1), pad the total negative
+    cost of the factors, as fixed-width digits (Kronecker substitution),
+    and every factor is one in-place shift-and-add sweep over them. After
+    each pair, row z^d is zeroed unless the cheapest way to have built
+    charge d plus the cheapest way the unapplied pairs can pull it back
+    into the requested window stays below order.
     """
+    pad = -sum(min(0, f[1]) for pair in pairs for f in pair)
     cap = order + pad + 8
     n = 2 * cap + 1
     # Both tables drop costs at or above limit. Write N(S) for the total
-    # negative cost of the movers of pairs S, so N(all) <= pad. Then built
+    # negative cost of the movers of pairs S, so N(all) = pad. Then built
     # after pairs[i:] is exact below limit - N(pairs[i:]) >= order +
     # N(pairs[:i]), and pullback[i] exact below order + N(pairs[i:]).
     # A row is kept when built + pullback < order; as pullback >=
@@ -331,16 +317,20 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
         for step, cost, _, inverse in pair:
             back.add_mover(-step, cost, not inverse)
 
-    # digit t of a row is its coefficient of u^(t - pad); a row is kept
-    # canonical by ((x + half) & mask) - half, which drops the digits at
-    # and above length and leaves each lower digit in [-2^(width-1),
-    # 2^(width-1))
+    # Digit t of a row is its coefficient of u^(t - pad), below length,
+    # and a row is kept only as its residue mod 2^(width length). Masked
+    # adds, subtractions and left shifts are ring operations, so they
+    # keep every digit that was right. A right shift comes only from a
+    # once factor of negative cost c: no coefficient of any partial
+    # product lies below u^-pad, so it drops only zero digits, and it
+    # moves the unknown digits at and above length down by -c. Those
+    # moves total pad, so every digit below order + pad, all that is
+    # read back, is right at the end.
     length = order + 2 * pad
     factors = [f for pair in pairs for f in pair]
     nbytes = (_coeff_bound(factors, pad, length).bit_length() + 9) // 8
     width = 8 * nbytes
     mask = (1 << width * length) - 1
-    half = mask // ((1 << width) - 1) << (width - 1)
     rows = [0] * n
     rows[cap] = 1 << width * pad
     lo = hi = cap  # rows outside lo..hi are zero
@@ -368,8 +358,7 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
                 x = rows[k - step]
                 if x:
                     x = x << shift if shift >= 0 else x >> -shift
-                    x = rows[k] - x if minus else rows[k] + x
-                    rows[k] = ((x + half) & mask) - half
+                    rows[k] = (rows[k] - x if minus else rows[k] + x) & mask
         first, ret = pullback[i]
         live = []
         for k in range(lo, hi + 1):
@@ -382,15 +371,10 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
 
     # unpack the requested window; charges outside [-cap, cap] are zero
     # below order
-    off = 1 << (width - 1)
     out = []
     for d in range(req_lo, req_hi + 1):
         x = rows[d + cap] if -cap <= d <= cap else 0
-        if not x:
-            out.append(QSeries.zero(order))
-            continue
-        out.append(QSeries(-pad, order,
-                           unpack_digits(x + half, nbytes, order + pad, off)))
+        out.append(QSeries(-pad, order, unpack_signed(x, nbytes, order + pad)))
     # built now covers every mover: the exact support and the floor
     band = built.cost[built.lo:built.hi + 1]
     reachable = [k for k, v in enumerate(band, built.lo - cap) if v < order]
@@ -404,7 +388,8 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
 
 
 def _neg_budget(m: int) -> int:
-    return sum(max(0, m - 2 * k) for k in range(1, m + 1))
+    # sum over k >= 1 of max(0, m - 2k), the k <= (m - 1) / 2 terms
+    return (m - 1) // 2 * (m // 2)
 
 
 def jacobi_triple_sides(order: int, window) -> tuple:
@@ -415,7 +400,7 @@ def jacobi_triple_sides(order: int, window) -> tuple:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
     pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
-    lhs = _graded_product(pairs, lo, hi, order, pad=0)
+    lhs = _graded_product(pairs, lo, hi, order)
 
     phi = euler_phi(1, order)
     # row j depends on |j| only
@@ -438,7 +423,7 @@ def inverse_product_sides(order: int, window) -> tuple:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
     pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
-    lhs = _graded_product(pairs, lo, hi, order, pad=0)
+    lhs = _graded_product(pairs, lo, hi, order)
 
     phi = euler_phi(1, order)
     # row t depends on |t| only
@@ -455,18 +440,31 @@ def inverse_product_sides(order: int, window) -> tuple:
     return lhs, rhs
 
 
+def fock_char_window(m: int, order: int):
+    """(-pad, order), pad = _neg_budget(m) ~ m^2 / 4: the u-window of the
+    rows fock_char_product(m, order, ...) builds. Raises InvalidParameter
+    if m < 2, and ResourceLimit, before anything is built, if the packed
+    rows, order + 2 pad digits long, would exceed QP_MAX_ORDER."""
+    if m < 2:
+        raise InvalidParameter(f"need m >= 2, got {m}")
+    pad = _neg_budget(m)
+    if order + 2 * pad > QP_MAX_ORDER:
+        raise ResourceLimit(
+            f"the two-variable Fock character of m={m} at u-order {order} "
+            f"packs {order + 2 * pad} digits a row, past its bound {QP_MAX_ORDER}")
+    return -pad, order
+
+
 def fock_char_product(m: int, order: int, window) -> ChargeSeries:
     """Specialized two-variable character of the whole charged Fock space:
     product over k >= 1 of
     (1 + z u^(2k-m)) (1 + 1/z u^(2k-2+m))
     / ((1 - z u^(m(2k-1))) (1 - 1/z u^(m(2k-1)))),
     on the requested z-window. Rows can start at negative u-exponents."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    budget = -fock_char_window(m, order)[0]
     if order < 1:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
-    budget = _neg_budget(m)
     pairs = []
     k = 1
     while 2 * k - m - budget < order:
@@ -475,7 +473,7 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
         if wb - budget < order:
             pairs.append(((1, wb, -1, True), (-1, wb, -1, True)))
         k += 1
-    return _graded_product(pairs, lo, hi, order, pad=budget)
+    return _graded_product(pairs, lo, hi, order)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .qseries import (
     euler_phi,
     pack_digits,
     unpack_digits,
+    unpack_signed,
 )
 
 
@@ -206,9 +207,9 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     I is 1/(1 - q) times a nonnegative series, so its largest coefficient
     in the window is its last, and no coefficient of the quotient exceeds
     the count of lattice points times that in absolute value; w keeps
-    them inside (-2^(w-1), 2^(w-1)). Masked to the window, the packed sum
-    is exact mod 2^(wL) whatever the intermediates hold, so after a bias
-    of 2^(w-1) per digit its digits are the coefficients.
+    them inside (-2^(w-1), 2^(w-1)). The packed sum is exact mod 2^(wL)
+    whatever the intermediates hold, so its signed digits are the
+    coefficients.
     """
     rows = list(_lattice_rows(m, s, order))
     if not rows:
@@ -243,10 +244,8 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
         for d, c in uses.get(t, ()):
             total += c * (K << w * d)
         K = I + (K << w * t) & mask  # K_(t-1)
-    half = 1 << w - 1
-    bias = int.from_bytes(half.to_bytes(nb, "little") * L, "little")
     coeffs = [0] * n
-    coeffs[::2] = unpack_digits(total + bias & mask, nb, L, half)
+    coeffs[::2] = unpack_signed(total, nb, L)
     return QSeries(lo, order, coeffs)
 
 

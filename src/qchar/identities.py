@@ -29,6 +29,7 @@ from .bivariate import (
     ChargeSeries,
     compare_charge_series,
     fock_char_product,
+    fock_char_window,
     inverse_product_sides,
     jacobi_triple_sides,
 )
@@ -191,7 +192,8 @@ def _quasiparticle(nu, half, m, s):
     yield {}, quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)
 
 
-@family("fockprod", zwin=4, m=(2, 3))
+@family("fockprod", zwin=4, window=lambda nu, m: fock_char_window(m, nu),
+        m=(2, 3))
 def _graded_rows(nu, half, m):
     prod = fock_char_product(m, nu, (-half, half))
     rows = [fock_sector_char(m, s, nu) for s in range(-half, half + 1)]

@@ -17,10 +17,13 @@ instead of the O(order^2) of multiplying by a dense inverse. Every
 Euler quotient in the package is built with `/`. The sector characters
 divide only once per m: characters.py builds 1/(phi(q) phi(q^m)^2) with
 `/` at a power-of-two order, caches it, and multiplies the sparse lattice
-sum by it packed in one int (pack_digits, unpack_digits), O(sqrt(order))
-shifts of that int against the O(order^1.5) Python steps of dividing
-each character anew. `inv_euler_phi` remains only as a public helper.
-Every cached builder keeps at most 64 entries.
+sum by it packed in one int, O(sqrt(order)) shifts of that int against
+the O(order^1.5) Python steps of dividing each character anew.
+`inv_euler_phi` remains only as a public helper. Every cached builder
+keeps at most 64 entries.
+
+A series packed in w-bit digits below q^L (Kronecker substitution) is
+kept as its residue mod 2^(wL); unpack_signed reads back signed digits.
 """
 
 from bisect import bisect_left
@@ -370,13 +373,23 @@ def pack_digits(digits, nbytes: int) -> int:
                           "little")
 
 
-def unpack_digits(x: int, nbytes: int, count: int, offset: int = 0) -> list:
-    """The lowest count digits of x >= 0 in base 256^nbytes, each minus
-    offset: the coefficients of a series packed as one int (Kronecker
-    substitution), digit t in bytes t*nbytes .. (t+1)*nbytes - 1."""
+def unpack_digits(x: int, nbytes: int, count: int) -> list:
+    """The lowest count digits of x >= 0 in base 256^nbytes: the
+    coefficients of a series packed as one int (Kronecker substitution),
+    digit t in bytes t*nbytes .. (t+1)*nbytes - 1."""
     raw = x.to_bytes(max(count * nbytes, (x.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(raw[t:t + nbytes], "little") - offset
+    return [int.from_bytes(raw[t:t + nbytes], "little")
             for t in range(0, count * nbytes, nbytes)]
+
+
+def unpack_signed(x: int, nbytes: int, count: int) -> list:
+    """unpack_digits for signed digits in [-2^(w-1), 2^(w-1)), w = 8 nbytes,
+    of any x congruent to the packed series mod 2^(w count): a bias of
+    2^(w-1) per digit makes every digit nonnegative with no carries."""
+    half = 1 << 8 * nbytes - 1
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
+    mask = (1 << 8 * nbytes * count) - 1
+    return [d - half for d in unpack_digits(x + bias & mask, nbytes, count)]
 
 
 # -- classical building blocks ----------------------------------------------

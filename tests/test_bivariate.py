@@ -8,11 +8,13 @@ from qchar.bivariate import (
     cs_mul,
     cs_unit,
     fock_char_product,
+    fock_char_window,
     inverse_product_sides,
     jacobi_triple_sides,
 )
 from qchar.characters import fock_sector_char
-from qchar.errors import InvalidParameter, OutOfWindow, WindowUnderflow
+from qchar.errors import (InvalidParameter, OutOfWindow, ResourceLimit,
+                          WindowUnderflow)
 from qchar.oracle import enumerate_charge_series, reachable_charges
 from qchar.qseries import QSeries, inv_euler_phi
 
@@ -345,6 +347,16 @@ def test_fock_product_rejects_bad_params():
         fock_char_product(1, 20, (-1, 1))
     with pytest.raises(InvalidParameter):
         fock_char_product(3, 0, (-1, 1))
+
+
+def test_fock_product_rows_are_bounded_by_qp_max_order():
+    # m = 128 pads every row by 4032, so 2 + 2 * 4032 = 8066 digits fit the
+    # bound 8192; m = 129 pads by 4096, and 1 more digit than that is past it
+    assert fock_char_window(128, 2) == (-4032, 2)
+    assert fock_char_window(129, 0) == (-4096, 0)
+    for m, order in [(129, 1), (1000, 2), (10 ** 9, 2)]:
+        with pytest.raises(ResourceLimit, match="past its bound 8192"):
+            fock_char_product(m, order, (-1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,22 @@ def test_family_window_past_the_bound_is_resource_limit(capsys, monkeypatch,
     assert len(err.splitlines()) == 1 and "coefficients" in err
 
 
+def test_fockprod_rows_past_their_bound_are_refused_first(capsys, monkeypatch):
+    # m = 128 packs 2 + 2 * 4032 = 8066 digits a row at q-order 1, m = 129
+    # packs 8194, past QP_MAX_ORDER; the whole grid is checked first
+    calls = _counting(monkeypatch, "fockprod")
+    for m, refused in (("1000", "1000"), ("128..129", "129")):
+        code, out, err = run(capsys, "verify", "--family", "fockprod",
+                             "--m", m, "--order", "1")
+        assert (code, out, calls) == (3, "", [])
+        assert err.startswith(f"qchar: fockprod m={refused}: the two-variable "
+                              f"Fock character of m={refused} ")
+        assert len(err.splitlines()) == 1 and "past its bound 8192" in err
+    code, out, err = run(capsys, "verify", "--family", "fockprod", "--m", "128",
+                         "--order", "1")
+    assert (code, out, err, calls) == (0, "[]\n", "", [2])
+
+
 @pytest.fixture
 def nothing_built(monkeypatch):
     """Record every quasiparticle digit width and every oracle state count

@@ -33,6 +33,7 @@ from qchar.qseries import (
     half_exp_str,
     inv_euler_phi,
     pochhammer,
+    unpack_signed,
 )
 
 
@@ -351,6 +352,33 @@ def test_pair_quotient_builders_match_product_form(m):
                              ref_mul(_theta_bracket(m, k, order), pair))
             closed = closed.restricted(order) if closed.order > order else closed
             assert parts(sector_closed_form(m, k, order)) == parts(closed)
+
+
+@st.composite
+def signed_packings(draw):
+    """(nbytes, digits, x): x is the packed signed sum of the digits plus
+    any multiple of 256^(nbytes count)."""
+    nbytes = draw(st.integers(1, 3))
+    half = 1 << 8 * nbytes - 1
+    digits = draw(st.lists(st.one_of(st.sampled_from([-half, half - 1]),
+                                     st.integers(-half, half - 1)),
+                           min_size=1, max_size=40))
+    w = 8 * nbytes
+    packed = sum(d << w * t for t, d in enumerate(digits))
+    return nbytes, digits, packed + (draw(st.integers()) << w * len(digits))
+
+
+@given(signed_packings())
+@settings(max_examples=300, deadline=None)
+@example((1, [-128], -128))
+@example((1, [127, -128, 0], 127 - (128 << 8)))
+@example((3, [-(1 << 23)] * 40, sum(-(1 << 23) << 24 * t for t in range(40))
+          - (5 << 24 * 40)))
+@example((2, [(1 << 15) - 1] * 3, sum(((1 << 15) - 1) << 16 * t
+                                      for t in range(3)) + (1 << 48)))
+def test_unpack_signed_reads_any_residue(case):
+    nbytes, digits, x = case
+    assert unpack_signed(x, nbytes, len(digits)) == digits
 
 
 # ---------------------------------------------------------------------------
