@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter, ResourceLimit
@@ -370,29 +369,13 @@ def _digit_bytes(m: int, nu: int) -> int:
         q^(mk) times a base, is at most P too;
       * so the quasiparticle sum, each bucket times a pair sum, is at
         most B P = G.
-    G is 2/(1 - q) times a nonnegative series, so its largest coefficient
-    below q^L is the one at q^(L-1): 2 sum_j F_j F_(L-1-j) with
-    F = (-q;q)_inf / (q^m;q^m)_inf.
-
-    F is built packed, in digits wide enough for 1/(q;q)_inf^2, which
-    bounds it because partitions into distinct parts and partitions into
-    multiples of m are partitions. Its q^n coefficient c_n is below
-    2^sqrt(28 n): for 0 < x = e^-t < 1 and using 1 - x^l >= l x^(l-1)
-    (1 - x), log(c_n x^n) <= 2 sum_l x^l / (l (1 - x^l)) <= (pi^2 / 3)
-    x / (1 - x) < pi^2 / (3 t); at t = pi / sqrt(3 n)
-    this gives log c_n < 2 pi sqrt(n / 3) < sqrt(28 n) log 2.
+    G is sector_pair_product's series, twice the cached pair quotient. It
+    is 2/(1 - q) times a nonnegative series, so its largest coefficient
+    below q^L is the one at q^(L-1). The quotient only sizes the digits:
+    the sum's values come from the buckets and the boson-pair base alone.
     """
     L = (nu + 1) // 2
-    fb = (math.isqrt(28 * (L - 1)) + 8) // 8
-    w = 8 * fb
-    mask = (1 << w * L) - 1
-    x = 1
-    for j in range(1, L):
-        x = (x + (x << w * j)) & mask
-    for j in range(m, L, m):
-        x = _geometric(x, j, L, w)
-    f = unpack_digits(x, fb, L)
-    top = 2 * sum(map(mul, f, reversed(f)))
+    top = 2 * _built_pair_quotient(m, _build_order(nu)).q_coeff(L - 1)
     return (top.bit_length() + 7) // 8
 
 
@@ -479,8 +462,8 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
 
 
 # The largest internal u-order order + s m a quasiparticle sum is built
-# at. The buckets and the digit width dominate its time, which grows about
-# 8x per doubling of that order: seconds at the bound, hours at 10^5.
+# at. The buckets dominate its time, which grows about 6x per doubling of
+# that order: seconds at the bound, about an hour at 10^5.
 QP_MAX_ORDER = 1 << 13
 
 
@@ -579,7 +562,7 @@ def log_coeff_estimate(m: int, n: int) -> float:
             - math.log(8.0 * math.sqrt(3.0) * n))
 
 
-def growth_report(m: int, n_max: int, order: Optional[int] = None):
+def growth_report(m: int, n_max: int):
     """Rows (n, a_n, ratio) for n = 0..n_max, where a_n is the n-th
     q-coefficient of basic_char(m) and ratio = log(a_n) / log_coeff_estimate.
     The n = 0 row carries ratio 0.0 since the estimate starts at n = 1."""
@@ -587,12 +570,7 @@ def growth_report(m: int, n_max: int, order: Optional[int] = None):
         raise InvalidParameter(f"need m >= 2, got {m}")
     if n_max < 0:
         raise InvalidParameter(f"need n_max >= 0, got {n_max}")
-    need = 2 * n_max + 1
-    if order is None:
-        order = need + 1
-    if order < need:
-        raise InsufficientOrder(f"order {order} cannot reach q^{n_max}")
-    ch = basic_char(m, order)
+    ch = basic_char(m, 2 * n_max + 2)
     rows = []
     for n in range(n_max + 1):
         a_n = ch.q_coeff(n)

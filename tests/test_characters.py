@@ -476,11 +476,6 @@ def test_growth_report_ratio_approaches_one():
     assert rows[200][2] == pytest.approx(1.0, abs=0.1)
 
 
-def test_growth_report_order_hint():
-    with pytest.raises(InsufficientOrder):
-        growth_report(2, 100, order=50)
-
-
 # ---------------------------------------------------------------------------
 # identity reports
 

@@ -45,6 +45,19 @@ def test_builtin_claims_are_honest(name, data, order, delta):
     assert fn(*args, order + delta).restricted(order) == fn(*args, order)
 
 
+# the cached Euler quotients are built at the next power of two, and the
+# packed routes size their digits there, so a claim just past one is made
+# from a build twice as long as the claim just below it
+@pytest.mark.parametrize("edge", [512, 2048])
+@pytest.mark.parametrize("name,args", [("qp", (2, 0)), ("qp", (3, 0)),
+                                       ("fs", (2, 0)), ("fs", (3, 2))])
+def test_builtin_claims_are_honest_at_build_order_edges(name, args, edge):
+    _, fn = BUILTINS[name]
+    big = fn(*args, edge + 1)
+    for order in (edge - 1, edge):
+        assert big.restricted(order) == fn(*args, order)
+
+
 # each graded product as a list of ChargeSeries built from (m, order, window)
 GRADED_SIDES = {
     "fockprod": lambda m, order, window: [fock_char_product(m, order, window)],
@@ -63,3 +76,14 @@ def test_graded_claims_are_honest(name, m, order, delta, lo, width):
     big = GRADED_SIDES[name](m, order + delta, window)
     for cs_small, cs_big in zip(small, big):
         assert [r.restricted(order) for r in cs_big.rows] == list(cs_small.rows)
+
+
+# past the random orders above, where the packed rows are wider
+@pytest.mark.parametrize("name", sorted(GRADED_SIDES))
+def test_graded_claims_are_honest_around_u_order_512(name):
+    window = (-2, 2)
+    big = GRADED_SIDES[name](3, 513, window)
+    for order in (511, 512):
+        small = GRADED_SIDES[name](3, order, window)
+        for cs_small, cs_big in zip(small, big):
+            assert [r.restricted(order) for r in cs_big.rows] == list(cs_small.rows)

@@ -6,7 +6,8 @@ the list, and convolves each bucket with its boson-pair sum as a QSeries
 product. The package packs each series into one int of fixed-width digits,
 writes every boson-pair base as a partial theta over one shared
 1/(q^m;q^m)_inf^2 and multiplies packed ints; both must agree on every
-coefficient and on the claimed window.
+coefficient and on the claimed window. ref_digit_bytes sizes the package's
+digits the slow way, from F = (-q;q)_inf / (q^m;q^m)_inf on plain lists.
 """
 
 from functools import lru_cache
@@ -120,6 +121,23 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     return out.restricted(order) if out.order > order else out
 
 
+def ref_digit_bytes(m: int, nu: int) -> int:
+    """Bytes of 2 sum_j F_j F_(L-1-j), the q^(L-1) coefficient of
+    2 F^2 with F = (-q;q)_inf / (q^m;q^m)_inf, L = (nu + 1) // 2: the
+    largest coefficient below q^L of the series that bounds every digit
+    of quasiparticle_char(m, s, nu - s m)."""
+    L = (nu + 1) // 2
+    f = [1] + [0] * (L - 1)
+    for j in range(1, L):
+        # times 1 + q^j, from the top down so each part enters once
+        for i in range(L - 1, j - 1, -1):
+            f[i] += f[i - j]
+    for j in range(m, L, m):
+        _geometric_inplace(f, j)
+    top = 2 * sum(f[j] * f[L - 1 - j] for j in range(L))
+    return (top.bit_length() + 7) // 8
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -143,6 +161,29 @@ def test_quasiparticle_matches_reference_wide_digits(m, s, order, monkeypatch):
     monkeypatch.setattr(characters, "_digit_bytes",
                         lambda m, nu: real(m, nu) - 1)
     assert _fields(characters.quasiparticle_char(m, s, order)) != expect
+
+
+@pytest.mark.parametrize("m,s,order", [(2, 0, 1200), (2, -5, 1200), (2, 1, 2000)])
+def test_quasiparticle_is_the_same_one_byte_wider(m, s, order, monkeypatch):
+    # the width only has to hold the digits: a wider one changes no value
+    expect = _fields(characters.quasiparticle_char(m, s, order))
+    real = characters._digit_bytes
+    monkeypatch.setattr(characters, "_digit_bytes",
+                        lambda m, nu: real(m, nu) + 1)
+    assert _fields(characters.quasiparticle_char(m, s, order)) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(2, 8), nu=st.integers(1, 600))
+def test_digit_bytes_matches_reference(m, nu):
+    assert characters._digit_bytes(m, nu) == ref_digit_bytes(m, nu)
+
+
+@pytest.mark.parametrize("nu", [511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049])
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_digit_bytes_matches_reference_at_build_order_edges(m, nu):
+    # past a power of two the width is read from a quotient built at the next
+    assert characters._digit_bytes(m, nu) == ref_digit_bytes(m, nu)
 
 
 @pytest.mark.parametrize("s", range(-5, 7))
