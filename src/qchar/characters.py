@@ -34,6 +34,7 @@ from .qseries import (
     dist_product,
     euler_phi,
     pack_digits,
+    repack,
     unpack_digits,
     unpack_signed,
 )
@@ -175,11 +176,14 @@ def _build_order(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _inverse_denominator(m: int, n: int) -> QSeries:
-    """1/(phi(q) phi(q^m)^2) below u^n: the free-field denominator every
-    sector character of that m shares."""
+def _inverse_denominator(m: int, n: int):
+    """1/(phi(q) phi(q^m)^2) below u^n, the free-field denominator every
+    sector character of that m shares, as (packed, nb): its q-digits
+    packed in nb bytes each, enough for the last and largest."""
     phi_m = euler_phi(m, n)
-    return QSeries.one(n) / euler_phi(1, n) / phi_m / phi_m
+    inv = (QSeries.one(n) / euler_phi(1, n) / phi_m / phi_m).coeffs[::2]
+    nb = (inv[-1].bit_length() + 7) // 8
+    return pack_digits(inv, nb), nb
 
 
 def fock_sector_char(m: int, s: int, order: int) -> QSeries:
@@ -192,7 +196,7 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     quotient lives on q-digits from h.min_exp.
 
     It is built as h times the cached I = 1/(phi(q) phi(q^m)^2), packed
-    one q-digit per w-bit digit in one int, row by row. By _lattice_rows
+    and repacked to one q-digit per w-bit digit, row by row. By _lattice_rows
     each row is sign u^(-shift) T_t, T_t = sum over P >= t of u^(P(P+1)),
     and for t < 0 T_t = 2 T_0 - T_(-t). With K_t = u^(-t(t+1)) T_t I,
 
@@ -227,11 +231,12 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
         d = (t * (t + 1) - shift - lo) // 2
         if d < L:
             uses.setdefault(t, []).append((d, sign))
-    inv = _inverse_denominator(m, _build_order(n)).coeffs[:2 * L:2]
-    nb = (points * inv[-1]).bit_length() // 8 + 1  # so it is < 2^(8 nb - 1)
+    I, ib = _inverse_denominator(m, _build_order(n))
+    top = I >> 8 * ib * (L - 1) & (1 << 8 * ib) - 1  # I's digit at q^(L-1)
+    nb = (points * top).bit_length() // 8 + 1  # so it is < 2^(8 nb - 1)
     w = 8 * nb
     mask = (1 << w * L) - 1
-    I = pack_digits(inv, nb)
+    I = repack(I, ib, L, nb)
     # K_top = I times the sum over P >= top of q^((P - top)(P + top + 1)/2)
     top = max(uses)
     K, P = 0, top
@@ -373,6 +378,8 @@ def _digit_bytes(m: int, nu: int) -> int:
     is 2/(1 - q) times a nonnegative series, so its largest coefficient
     below q^L is the one at q^(L-1). The quotient only sizes the digits:
     the sum's values come from the buckets and the boson-pair base alone.
+    As every bucket and base coefficient is at most G's for every m, a
+    shared build is read exactly in any caller's width (see _QP_BUILDS).
     """
     L = (nu + 1) // 2
     top = 2 * _built_pair_quotient(m, _build_order(nu)).q_coeff(L - 1)
@@ -385,7 +392,8 @@ def _charge_buckets(nu: int, nb: int):
 
     Returns a tuple of (charge, packed series) pairs, in nb-byte q-digits.
     Pairs (a, b) enter while a(a+1) + b(b-1) < nu; anything omitted starts
-    at or above nu.
+    at or above nu, so charge g starts at u^(g(g+1)), and a longer build
+    masked below u^nu is this one: see _shared_buckets.
     """
     L = (nu + 1) // 2
     w = 8 * nb
@@ -418,11 +426,7 @@ def _boson_pair_base(m: int, nu: int, nb: int) -> int:
     R = 1
     for j in range(1, n):
         R = _geometric(_geometric(R, j, n, w), j, n, w)
-    raw = R.to_bytes(n * nb, "little")
-    out = bytearray((nu + 1) // 2 * nb)
-    for i in range(nb):
-        out[i::m * nb] = raw[i::nb]
-    return int.from_bytes(out, "little")
+    return repack(R, nb, n, nb, m)
 
 
 def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
@@ -461,9 +465,46 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     return total
 
 
+# The buckets and each m's boson-pair base are built once per process, at
+# exactly the longest u-order asked for so far (a cold point pays only for
+# its own order) in the digit width of the call that asked; each call
+# masks them to its L q-digits and repacks them to its own width. Every
+# bucket coefficient is at most B = 2 (-q;q)_inf^2's and every base one
+# at most P's, both at most G = B P's for every m (see _digit_bytes), so
+# an exact build holds its digits and every caller's width those it
+# reads. _QP_BUILDS maps None (the buckets) and each m (its base) to the
+# (nu, nb) of its one build, for at most 64 keys.
+_QP_BUILDS: dict = {}
+
+
+def _shared_build(key, nu: int, nb: int):
+    """The (nu, nb) of the build kept under key, grown to nu if shorter."""
+    built = _QP_BUILDS.get(key)
+    if built is None or built[0] < nu:
+        built = _QP_BUILDS[key] = (nu, nb)
+        if len(_QP_BUILDS) > 64:
+            del _QP_BUILDS[next(iter(_QP_BUILDS))]
+    return built
+
+
+def _shared_buckets(nu: int, nb: int) -> dict:
+    """dict(_charge_buckets(nu, nb)), read from the shared build."""
+    L = (nu + 1) // 2
+    bnu, bnb = _shared_build(None, nu, nb)
+    return {g: repack(x, bnb, L, nb)
+            for g, x in _charge_buckets(bnu, bnb) if g * (g + 1) < nu}
+
+
+def _shared_base(m: int, nu: int, nb: int) -> int:
+    """_boson_pair_base(m, nu, nb), read from the shared build."""
+    bnu, bnb = _shared_build(m, nu, nb)
+    return repack(_boson_pair_base(m, bnu, bnb), bnb, (nu + 1) // 2, nb)
+
+
 # The largest internal u-order order + s m a quasiparticle sum is built
 # at. The buckets dominate its time, which grows about 6x per doubling of
-# that order: seconds at the bound, about an hour at 10^5.
+# that order: seconds at the bound, about an hour at 10^5. A grid run
+# longest point first builds them once.
 QP_MAX_ORDER = 1 << 13
 
 
@@ -498,8 +539,8 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     nb = _digit_bytes(m, nu)
     w = 8 * nb
     mask = (1 << w * L) - 1
-    numerator = _pair_numerator(dict(_charge_buckets(nu, nb)), m, s, L, w)
-    total = numerator * _boson_pair_base(m, nu, nb) & mask
+    numerator = _pair_numerator(_shared_buckets(nu, nb), m, s, L, w)
+    total = numerator * _shared_base(m, nu, nb) & mask
     coeffs = [0] * nu
     coeffs[::2] = unpack_digits(total, nb, L)
     return QSeries(-s * m, order, coeffs)

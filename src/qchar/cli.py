@@ -185,9 +185,10 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     check_window(0, 2 * args.order)
     cases = [case for name in families for case in _family_cases(name, args)]
-    for name, nu, _, point, _ in cases:
-        check_domain(name, point, nu)
-    columns = zip(*cases)  # one iterable per argument of check
+    lengths = [check_domain(name, point, nu) for name, nu, _, point, _ in cases]
+    # longest point first, so the builds a grid shares are made once
+    run = sorted(range(len(cases)), key=lambda i: -lengths[i])
+    columns = zip(*(cases[i] for i in run))  # one iterable per argument of check
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -195,7 +196,7 @@ def cmd_verify(args) -> int:
             chunks = list(pool.map(check, *columns))
     else:
         chunks = list(map(check, *columns))
-    reports = [r for chunk in chunks for r in chunk]
+    reports = [r for _, chunk in sorted(zip(run, chunks)) for r in chunk]
     _print_reports(reports, args.format)
     return EXIT_PASS if all(r.passed() for r in reports) else EXIT_FAIL
 

@@ -83,21 +83,26 @@ def _where(name: str, point: dict) -> str:
     return " ".join([name] + [f"{axis}={v}" for axis, v in point.items()])
 
 
-def check_domain(name: str, point: dict, nu: int = 0) -> None:
-    """Raise InvalidParameter, naming the point, if an axis of it lies below
+def check_domain(name: str, point: dict, nu: int = 0) -> int:
+    """The length of the widest window the point's sides build at u-order
+    nu: order - lo of its family's window(), else nu.
+
+    Raise InvalidParameter, naming the point, if an axis of it lies below
     family `name`'s floor: the error check() would raise once it got there.
-    Raise ResourceLimit if the point's sides would build, at u-order nu, a
-    window longer than MAX_WINDOW."""
+    Raise ResourceLimit if that window is longer than MAX_WINDOW."""
     fam = FAMILIES[name]
     for axis, lo in fam.floors.items():
         if point[axis] < lo:
             raise InvalidParameter(
                 f"{_where(name, point)}: need {axis} >= {lo}, got {point[axis]}")
-    if fam.window is not None:
-        try:
-            check_window(*fam.window(nu, **point))
-        except ResourceLimit as err:
-            raise ResourceLimit(f"{_where(name, point)}: {err}") from err
+    if fam.window is None:
+        return nu
+    try:
+        lo, order = fam.window(nu, **point)
+        check_window(lo, order)
+    except ResourceLimit as err:
+        raise ResourceLimit(f"{_where(name, point)}: {err}") from err
+    return order - lo
 
 
 def check(name: str, nu: int, half: Optional[int], point: dict,

@@ -16,14 +16,19 @@ O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
 instead of the O(order^2) of multiplying by a dense inverse. Every
 Euler quotient in the package is built with `/`. The sector characters
 divide only once per m: characters.py builds 1/(phi(q) phi(q^m)^2) with
-`/` at a power-of-two order, caches it, and multiplies the sparse lattice
-sum by it packed in one int, O(sqrt(order)) shifts of that int against
-the O(order^1.5) Python steps of dividing each character anew.
+`/` at a power-of-two order and caches it packed in one int, and each
+character repacks it to its own digit width and multiplies the sparse
+lattice sum by it, O(sqrt(order)) shifts of that int against the
+O(order^1.5) Python steps of dividing each character anew. The
+quasiparticle sums' packed series are built at exactly the longest order
+asked for so far and read back the same way.
 `inv_euler_phi` remains only as a public helper. Every cached builder
 keeps at most 64 entries.
 
 A series packed in w-bit digits below q^L (Kronecker substitution) is
-kept as its residue mod 2^(wL); unpack_signed reads back signed digits.
+kept as its residue mod 2^(wL); unpack_signed reads back signed digits,
+and repack moves nonnegative ones to another width, exactly when each
+fits it.
 """
 
 from bisect import bisect_left
@@ -380,6 +385,20 @@ def unpack_digits(x: int, nbytes: int, count: int) -> list:
     raw = x.to_bytes(max(count * nbytes, (x.bit_length() + 7) // 8), "little")
     return [int.from_bytes(raw[t:t + nbytes], "little")
             for t in range(0, count * nbytes, nbytes)]
+
+
+def repack(x: int, nbytes: int, count: int, width: int, step: int = 1) -> int:
+    """The lowest count digits of x >= 0 in base 256^nbytes, as digits 0,
+    step, 2 step, ... in base 256^width, by byte slicing. Each digit must
+    fit in width bytes: the bytes past them are dropped."""
+    x &= (1 << 8 * nbytes * count) - 1
+    if nbytes == width and step == 1:
+        return x
+    raw = x.to_bytes(count * nbytes, "little")
+    out = bytearray(((count - 1) * step + 1) * width)
+    for i in range(min(nbytes, width)):
+        out[i::step * width] = raw[i::nbytes]
+    return int.from_bytes(out, "little")
 
 
 def unpack_signed(x: int, nbytes: int, count: int) -> list:

@@ -261,12 +261,17 @@ def fresh_caches():
     they are built from, so a cached value neither hides the patch nor
     outlives it."""
     cached = (characters.basic_char, characters._inverse_denominator,
-              characters._built_pair_quotient)
-    for builder in cached:
-        builder.cache_clear()
+              characters._built_pair_quotient, characters._charge_buckets,
+              characters._boson_pair_base)
+
+    def clear():
+        for builder in cached:
+            builder.cache_clear()
+        characters._QP_BUILDS.clear()  # the shared quasiparticle builds
+
+    clear()
     yield
-    for builder in cached:
-        builder.cache_clear()
+    clear()
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -287,6 +292,7 @@ def test_thm13a_product_form_can_fail(capsys, monkeypatch):
     assert verdicts["product"] == "fail"
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_prop21_fails_with_a_skewed_boson_pair_base(capsys, monkeypatch):
     # the sector character's denominator is built apart from the
     # quasiparticle sum's 1/(q^m;q^m)^2, so skewing the latter by q^3
@@ -301,6 +307,65 @@ def test_prop21_fails_with_a_skewed_boson_pair_base(capsys, monkeypatch):
                        "--s", "1", "--order", "40")
     assert code == 1
     assert [r["verdict"] for r in json.loads(out)] == ["fail"]
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_prop21_fails_with_a_skewed_shared_bucket(capsys, monkeypatch):
+    # a bucket skewed by q^3 in the build a longer point made must fail a
+    # later, shorter point that only restricts that build
+    real = characters._charge_buckets
+    built = []
+
+    def skewed(nu, nb):
+        built.append(nu)
+        return tuple((g, x + (1 << 8 * nb * 3) if g == 1 else x)
+                     for g, x in real(nu, nb))
+
+    monkeypatch.setattr(characters, "_charge_buckets", skewed)
+    for order in ("40", "20"):
+        code, out, _ = run(capsys, "verify", "--family", "prop21", "--m", "2",
+                           "--s", "1", "--order", order)
+        assert code == 1
+        assert [r["verdict"] for r in json.loads(out)] == ["fail"]
+    assert built == [82, 82]
+
+
+def test_prop21_grid_runs_longest_first_and_reports_in_grid_order(
+        capsys, monkeypatch):
+    # the same bytes with one job and with two, and the reports in grid
+    # order, whatever order the points ran in
+    outs = [run(capsys, "verify", "--family", "prop21", "--order", "40",
+                "--jobs", jobs) for jobs in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    points = [(r["params"]["m"], r["params"]["s"]) for r in json.loads(outs[0][1])]
+    assert points == [(m, s) for m in range(2, 5) for s in range(-3, 5)]
+    ran = []
+
+    def sides(nu, half, m, s):
+        ran.append(nu + s * m)
+        return iter(())
+
+    fam = identities.FAMILIES["prop21"]._replace(sides=sides)
+    monkeypatch.setitem(identities.FAMILIES, "prop21", fam)
+    assert run(capsys, "verify", "--family", "prop21", "--order", "40")[0] == 0
+    assert ran == sorted(ran, reverse=True) and len(ran) == 24
+
+
+@pytest.mark.parametrize("name,point,length", [
+    ("prop21", {"m": 3, "s": 2}, 86),
+    ("prop21", {"m": 2, "s": -3}, 74),
+    ("cor22", {"m": 5}, 80),
+    ("recurrence", {"m": 2, "k": 1}, 84),
+    ("lemma11a", {"m": 2, "s": 3}, 80),
+    ("gauss", {}, 80),
+])
+def test_check_domain_returns_the_length_built(name, point, length):
+    # order - lo of the family's window(), else nu
+    assert identities.check_domain(name, point, 80) == length
+    window = identities.FAMILIES[name].window
+    if window is not None:
+        lo, order = window(80, **point)
+        assert order - lo == length
 
 
 def test_domain_error_names_family_and_point(capsys):

@@ -32,7 +32,10 @@ from qchar.qseries import (
     gauss_sum,
     half_exp_str,
     inv_euler_phi,
+    pack_digits,
     pochhammer,
+    repack,
+    unpack_digits,
     unpack_signed,
 )
 
@@ -379,6 +382,25 @@ def signed_packings(draw):
 def test_unpack_signed_reads_any_residue(case):
     nbytes, digits, x = case
     assert unpack_signed(x, nbytes, len(digits)) == digits
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_repack_matches_unpack_then_pack(nbytes, width, step, data):
+    # digits that fit both widths, junk above the count read, and every
+    # step-th digit of the result
+    top = 1 << 8 * min(nbytes, width)
+    digits = data.draw(st.lists(st.one_of(st.sampled_from([0, top - 1]),
+                                          st.integers(0, top - 1)),
+                                min_size=1, max_size=30))
+    count = len(digits)
+    junk = data.draw(st.integers(0, 1 << 64)) << 8 * nbytes * count
+    x = pack_digits(digits, nbytes) + junk
+    spread = [0] * ((count - 1) * step + 1)
+    spread[::step] = unpack_digits(x, nbytes, count)
+    out = repack(x, nbytes, count, width, step)
+    assert out == pack_digits(spread, width)
+    assert unpack_digits(out, width, len(spread)) == spread
 
 
 # ---------------------------------------------------------------------------

@@ -217,3 +217,112 @@ def test_packed_boson_pair_base_is_inverse_phi_squared(m, nu):
         _geometric_inplace(expect, j)
     nb = characters._digit_bytes(m, nu)
     assert unpack_digits(characters._boson_pair_base(m, nu, nb), nb, L) == expect
+
+
+# -- the shared builds -----------------------------------------------------------
+
+
+def ref_charge_buckets(nu: int, nb: int):
+    """The buckets as each call built them before they were shared: (charge,
+    packed series) pairs below u-order nu, in nb-byte q-digits."""
+    L = (nu + 1) // 2
+    w = 8 * nb
+    buckets: dict = {}
+    X = 1  # 1/(q)_a below q^(L - a(a+1)/2)
+    a = 0
+    while a * (a + 1) < nu:
+        ea = a * (a + 1) // 2
+        if a > 0:
+            X = characters._geometric(X, a, L - ea, w)
+        R = X  # 1/((q)_a (q)_b) below q^(L - e)
+        b = 0
+        e = ea
+        while e < L:
+            if b > 0:
+                R = characters._geometric(R, b, L - e, w)
+            buckets[a - b] = buckets.get(a - b, 0) + (R << w * e)
+            b += 1
+            e = ea + b * (b - 1) // 2
+        a += 1
+    return tuple(sorted(buckets.items()))
+
+
+def ref_boson_pair_base(m: int, nu: int, nb: int) -> int:
+    """1/(q^m;q^m)_inf^2 below u^nu as each call built it before it was
+    shared, packed in nb-byte q-digits, spread one digit at a time."""
+    w = 8 * nb
+    n = (nu + 2 * m - 1) // (2 * m)  # compact digit t holds u^(2mt)
+    R = 1
+    for j in range(1, n):
+        R = characters._geometric(characters._geometric(R, j, n, w), j, n, w)
+    raw = R.to_bytes(n * nb, "little")
+    out = bytearray((nu + 1) // 2 * nb)
+    for i in range(nb):
+        out[i::m * nb] = raw[i::nb]
+    return int.from_bytes(out, "little")
+
+
+def check_requests(requests):
+    """From empty stores, read the buckets and the base of each (m, s, order,
+    wider) request in its digit width plus wider bytes, and check them
+    against the per-call builds; each store keeps its longest request."""
+    characters._QP_BUILDS.clear()
+    longest: dict = {}
+    for m, s, order, wider in requests:
+        nu = order + s * m
+        if nu <= 0:
+            continue
+        nb = characters._digit_bytes(m, nu) + wider
+        assert characters._shared_buckets(nu, nb) == dict(ref_charge_buckets(nu, nb))
+        assert characters._shared_base(m, nu, nb) == ref_boson_pair_base(m, nu, nb)
+        for key in (None, m):
+            longest[key] = max(longest.get(key, 0), nu)
+            assert characters._QP_BUILDS[key][0] == longest[key]
+    assert len(characters._QP_BUILDS) <= 64
+
+
+requests = st.lists(st.tuples(st.integers(2, 6), st.integers(-4, 5),
+                              st.integers(-3, 150), st.integers(0, 2)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests)
+def test_shared_builds_match_per_call_builds(reqs):
+    check_requests(reqs)
+
+
+@pytest.mark.parametrize("reqs", [
+    [(2, 0, 300, 0), (2, 1, 40, 0)],  # long then short
+    [(2, 1, 40, 0), (2, 0, 300, 0)],  # short then long
+    [(2, 0, 100, 0), (5, 3, 80, 0), (3, -2, 150, 0), (2, 4, 20, 0),
+     (5, -1, 120, 0)],  # interleaved m
+    [(6, 0, 300, 0), (2, 0, 299, 0)],  # built narrow, read wider
+    [(2, 0, 300, 0), (6, 0, 299, 0)],  # built wide, read narrower
+    [(3, 1, 200, 2), (3, 0, 100, 0), (3, 2, 60, 1)],  # a width change
+])
+def test_shared_builds_in_any_request_order(reqs):
+    check_requests(reqs)
+
+
+@pytest.mark.parametrize("reqs", [
+    [(2, 0, 300, 0), (2, 1, 40, 0)],
+    [(6, 0, 300, 0), (2, 0, 299, 0)],
+    [(2, 0, 300, 0), (6, 0, 299, 0)],
+])
+def test_quasiparticle_from_shared_builds_matches_reference(reqs):
+    characters._QP_BUILDS.clear()
+    for m, s, order, _ in reqs:
+        assert (_fields(characters.quasiparticle_char(m, s, order))
+                == _fields(quasiparticle_char(m, s, order)))
+
+
+def test_shared_builds_keep_at_most_64_keys():
+    # one base per m; past 64 keys the oldest goes, and a later read of it
+    # builds it anew
+    characters._QP_BUILDS.clear()
+    for m in [*range(2, 80), 2]:
+        nb = characters._digit_bytes(m, 3)
+        assert characters._shared_base(m, 3, nb) == ref_boson_pair_base(m, 3, nb)
+        assert len(characters._QP_BUILDS) <= 64
+    assert list(characters._QP_BUILDS)[-2:] == [79, 2]
