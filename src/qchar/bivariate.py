@@ -11,16 +11,18 @@ the shared order, and min_floor lower-bounds the minimum u-exponent of
 every row of the true object, stored or not.
 
 The infinite products are assembled factor by factor, most expensive
-factor first, as shift-and-add sweeps over z-rows packed into one int
-each, every row a residue read back once, as qseries packs series. Which
-charges can still matter below the truncation order comes from exact
-min-cost displacement tables over the factors' charge movers (a
-fermionic factor moves charge by +-1 once at a fixed cost, a bosonic one
-any number of times); soundness is the triangle inequality for those
-shortest-path costs. A cost at or above T = order + pad, pad the total
-negative cost of the factors, changes no pruning decision, support flag
-or floor, so each table keeps only the band of charges whose cost is
-below T and sweeps that band alone, and skips any mover that a no
+factor first, as shift-and-add sweeps over z-rows. Each row is an offset
+and one packed int, a residue read back once, as qseries packs series,
+holding only the u-window that can still reach the claim: from the
+cheapest way to build its charge up to order less the cheapest way the
+unapplied factors carry it back into the requested window. Both costs
+come from exact min-cost displacement tables over the factors' charge
+movers (a fermionic factor moves charge by +-1 once at a fixed cost, a
+bosonic one any number of times); soundness is the triangle inequality
+for those shortest-path costs. With pad the total negative cost of the
+factors, a table keeps only the band of charges whose cost is below
+order + 2 pad, exact below order + pad, which covers every digit any
+row holds; it sweeps that band alone, and skips any mover that a no
 dearer bosonic one with the same step already covers.
 """
 
@@ -33,14 +35,16 @@ from typing import Optional
 from .characters import QP_MAX_ORDER, IdentityReport
 from .errors import (InvalidParameter, OutOfWindow, ResourceLimit,
                      WindowUnderflow)
-from .qseries import QSeries, euler_phi, unpack_signed
+from .qseries import QSeries, euler_phi, repack, unpack_digits, unpack_signed
 
 _INF = float("inf")
 
 
 class ChargeSeries:
     """Immutable window of z-rows. rows[i] is the coefficient of
-    z^(zmin + i); the shared order is the minimum row order."""
+    z^(zmin + i); the shared order is the minimum row order. The graded
+    products read each row back from its packed (offset, int) form, whose
+    offset is never below the cheapest cost of building that charge."""
 
     __slots__ = ("zmin", "zmax", "rows", "order", "support_exact", "min_floor")
 
@@ -212,17 +216,18 @@ class _CostTable:
         self.cost[self.lo:self.hi + 1] = [0] * (self.hi - self.lo + 1)
         self.closed = {}
 
-    def add_mover(self, step: int, cost: int, once: bool) -> None:
+    def add_mover(self, step: int, cost: int, once: bool) -> bool:
+        """Add the mover; False when that leaves the table as it was."""
         closed = self.closed
         if closed.get(step, _INF) <= cost:
-            return
+            return False
         if once and closed.get(-step, _INF) + cost < 0:
             del closed[-step]
         if not once:
             closed[step] = cost
         c, lo, hi, limit = self.cost, self.lo, self.hi, self.limit
         if lo > hi:
-            return
+            return False
         n = len(c)
         if once:
             a, b = max(lo + step, 0), min(hi + step, n - 1)
@@ -235,7 +240,7 @@ class _CostTable:
                 c[e] = _INF
                 e -= step
             self.lo, self.hi = min(lo, e), max(hi, e)
-            return
+            return True
         # cost[i] = min over j of cost[i - j step] + j cost, a running
         # minimum of cost[i] - i cost along the step
         sl = (slice(lo, hi + 1) if step > 0
@@ -255,127 +260,181 @@ class _CostTable:
             k = min((limit - 1 - v) // cost, lo)
             c[lo - k:lo] = range(v + cost * k, v, -cost)
             self.lo = lo - k
+        return True
 
 
 def _coeff_bound(factors, pad: int, length: int) -> int:
     """Largest coefficient of u^-pad .. u^(length - pad - 1) in the product
-    at z = 1 with every sign +, truncated the same way as the packed rows.
+    at z = 1 with every sign +, each factor applied below u^(length - pad).
     Each coefficient read back from the packed rows is a signed sum over a
-    subset of the same terms, so this bounds them all, not intermediates."""
-    a = [0] * length
-    a[pad] = 1
+    subset of the same terms, so this bounds them all, not intermediates.
+
+    The product is one nonnegative int of nb-byte digits, digit t the
+    coefficient of u^(t - pad). A pass adds a shifted copy of it, so it at
+    most doubles every digit, and no carry crosses a digit while all are
+    below 2^(8 nb - 1). Each digit is below 2^bits; when bits reaches
+    8 nb, one test of the top byte of every digit either lowers bits to
+    8 nb - 8 or widens the digits by a byte."""
+    nb = bits = 1
+    x, mask = 1 << 8 * pad, (1 << 8 * length) - 1
     for _, cost, _, inverse in factors:
-        if inverse:
-            # 1/(1 - u^cost) below u^length as the product of the
-            # 1 + u^(cost 2^i) with cost 2^i < length
-            g = cost
-            while g < length:
-                a[g:] = map(add, a[g:], a)
-                g <<= 1
-        elif cost >= 0:
-            a[cost:] = map(add, a[cost:], a)
-        else:
-            a[:cost] = map(add, a[:cost], a[-cost:])
-    return max(a)
+        # 1/(1 - u^cost) below u^length is the product of the
+        # 1 + u^(cost 2^i) with cost 2^i < length
+        for c in ([cost << i for i in range(((length - 1) // cost).bit_length())]
+                  if inverse else [cost]):
+            if bits == 8 * nb:
+                if x & int.from_bytes((bytes(nb - 1) + b"\xff") * length,
+                                      "little"):
+                    x = repack(x, nb, length, nb + 1)
+                    nb += 1
+                    mask = (1 << 8 * nb * length) - 1
+                bits = 8 * nb - 8
+            x = (x + (x << 8 * nb * c)) & mask if c >= 0 else x + (x >> -8 * nb * c)
+            bits += 1
+    return max(unpack_digits(x, nb, length))
 
 
 def _graded_product(pairs, req_lo: int, req_hi: int,
                     order: int) -> ChargeSeries:
     """Multiply the factor pairs, claiming order on the requested window.
 
-    Each pair is two factors of charge step +-1, applied together. The
-    rows z^-cap .. z^cap are Python ints, each packing the row's
-    coefficients of u^-pad .. u^(order + pad - 1), pad the total negative
-    cost of the factors, as fixed-width digits (Kronecker substitution),
-    and every factor is one in-place shift-and-add sweep over them. After
-    each pair, row z^d is zeroed unless the cheapest way to have built
-    charge d plus the cheapest way the unapplied pairs can pull it back
-    into the requested window stays below order.
+    Each pair is two factors of charge step +-1, applied together. Row
+    z^d is an offset o and a Python int that packs the row's coefficients
+    of u^o and up as fixed-width digits (Kronecker substitution), and
+    every factor is one in-place shift-and-add sweep over the rows. A row
+    keeps only its digits from the cheapest way to have built charge d up
+    to order less the cheapest way the unapplied pairs can pull it back
+    into the requested window, and is dropped when none are left.
     """
     pad = -sum(min(0, f[1]) for pair in pairs for f in pair)
     cap = order + pad + 8
-    n = 2 * cap + 1
-    # Both tables drop costs at or above limit. Write N(S) for the total
-    # negative cost of the movers of pairs S, so N(all) = pad. Then built
-    # after pairs[i:] is exact below limit - N(pairs[i:]) >= order +
-    # N(pairs[:i]), and pullback[i] exact below order + N(pairs[i:]).
-    # A row is kept when built + pullback < order; as pullback >=
-    # -N(pairs[:i]) and built >= -N(pairs[i:]), both terms are then exact,
-    # and a stored cost is never below the exact one, so the test prunes
-    # exactly what the full tables prune. At the end built is exact below
-    # order, which is all the support flag reads, and the floor is a
-    # minimum <= 0.
-    limit = order + pad
     pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
-    # pullback[i] = (first, band): band[d + cap - first] is the cheapest
-    # way for the movers of pairs[:i] to carry charge d into the window,
-    # i.e. to reach d from the window with every step reversed
-    pullback = []
+    factors = [f for pair in pairs for f in pair]
+    # Both tables drop costs at or above order + 2 pad. The movers spend
+    # at most pad of negative cost, so every cost below order + pad is
+    # exact, and one missing from a table is order + pad or more.
+    limit = order + 2 * pad
+    # tops[i] = (first, top): top[k - first] is order less the cheapest
+    # way the movers of pairs[:i + 1] carry charge k - cap into the window
+    # (reach it from the window with every step reversed), over the
+    # charges they reach below limit; a pair that changes nothing shares
+    # the list before it
+    tops = []
     back = _CostTable(cap, limit, req_lo, req_hi)
     for pair in pairs:
-        pullback.append((back.lo, back.cost[back.lo:back.hi + 1]))
-        for step, cost, _, inverse in pair:
-            back.add_mover(-step, cost, not inverse)
+        changed = [back.add_mover(-step, cost, not inverse)
+                   for step, cost, _, inverse in pair]
+        if any(changed) or not tops:
+            table = (back.lo, [order - c for c in back.cost[back.lo:back.hi + 1]])
+        tops.append(table)
 
-    # Digit t of a row is its coefficient of u^(t - pad), below length,
-    # and a row is kept only as its residue mod 2^(width length). Masked
-    # adds, subtractions and left shifts are ring operations, so they
-    # keep every digit that was right. A right shift comes only from a
-    # once factor of negative cost c: no coefficient of any partial
-    # product lies below u^-pad, so it drops only zero digits, and it
-    # moves the unknown digits at and above length down by -c. Those
-    # moves total pad, so every digit below order + pad, all that is
-    # read back, is right at the end.
-    length = order + 2 * pad
-    factors = [f for pair in pairs for f in pair]
-    nbytes = (_coeff_bound(factors, pad, length).bit_length() + 9) // 8
-    width = 8 * nbytes
-    mask = (1 << width * length) - 1
-    rows = [0] * n
-    rows[cap] = 1 << width * pad
-    lo = hi = cap  # rows outside lo..hi are zero
-    built = _CostTable(cap, limit)
+    # Row k, charge k + base - cap, is x(u) u^offs[k]: the int x packs its
+    # coefficients as w-bit digits, each mod 2^w. While pair i is applied,
+    # a write to row k keeps at least its digits below the top T(k) of
+    # tops[i]; before that, a row missing from tops[i] is dropped, and so
+    # is one whose offset reaches T(k).
+    #
+    # Why the digits read back are right. No row has a digit below
+    # u^-pad, as offsets are costs of moves. Let H(k) be order less the
+    # exact cheapest way the unapplied movers carry charge k into the
+    # window: no term of row k at or above u^H(k) reaches a window term
+    # below order. Claim: every row's digits below H are right. A factor
+    # with mover (s, c) adds to row k u^c times row k - s, the updated one
+    # for a geometric series, so that row k gains u^(jc) times the old
+    # row k - js for every j >= 1. A term of the new row k below its new
+    # edge H' comes from the old row k below H' <= H, or from the old row
+    # k - js below H' - jc <= H(k - js), as the mover can first carry
+    # k - js to k. So the claim holds unless a mask cuts such a digit on
+    # its way, at u^(e - hc) in row k - hs for 0 <= h < j. The movers
+    # still unapplied during pair i are among those of pairs[:i + 1], and
+    # a geometric one stays among them, as it repeats, so T(k - hs) >=
+    # H'(k) - hc wherever that table entry is exact. Every entry below
+    # order + pad is; where one is not, the edge it bounds is at most
+    # -pad, below every digit. The same bounds drop only rows with no
+    # digit below H. Masked adds, subtractions and left shifts are ring
+    # operations, and offsets take the place of right shifts, so at the
+    # end the window rows are right below H = order.
+    nbytes = (_coeff_bound(factors, pad, order + 2 * pad).bit_length() + 9) // 8
+    w = 8 * nbytes
+    # the last table is the widest
+    base, top = tops[-1] if tops else (cap, [order])
+    rows, offs = [0] * len(top), [0] * len(top)
+    lo = hi = cap - base
+    if 0 <= lo < len(top):
+        rows[lo] = 1
+    else:
+        lo, hi = 0, -1
+    masks = {}
     for i in range(len(pairs) - 1, -1, -1):
+        first, top = tops[i]
+        a, b = first - base, first - base + len(top) - 1  # top[k - a]
+        for k in range(lo, hi + 1):
+            if rows[k] and not (a <= k <= b and offs[k] < top[k - a]):
+                rows[k] = 0
+        while lo <= hi and not rows[lo]:
+            lo += 1
+        while hi >= lo and not rows[hi]:
+            hi -= 1
         for step, cost, sign, inverse in pairs[i]:
-            built.add_mover(step, cost, not inverse)
-            if lo > hi:
-                continue
             # a product reads each neighbour before updating it; a
-            # geometric series reads it after, and ceil(length / cost)
-            # moves carry any row past the top digit
-            reach = step * -(-length // cost) if inverse else step
+            # geometric series reads it after and runs on until a row
+            # past the old ones gets nothing
             if step > 0:
-                hi = min(hi + reach, n - 1)
-                ks = range(lo + step, hi + 1)
+                ks = range(lo + 1, (b if inverse else min(hi + 1, b)) + 1)
+                end = hi
             else:
-                lo = max(lo + reach, 0)
-                ks = range(lo, hi + step + 1)
+                ks = range(a if inverse else max(lo - 1, a), hi)
+                end = lo
             if inverse == (step < 0):
                 ks = reversed(ks)
             minus = (sign < 0) != inverse
-            shift = cost * width
             for k in ks:
                 x = rows[k - step]
-                if x:
-                    x = x << shift if shift >= 0 else x >> -shift
-                    rows[k] = (rows[k] - x if minus else rows[k] + x) & mask
-        first, ret = pullback[i]
-        live = []
-        for k in range(lo, hi + 1):
-            if (0 <= k - first < len(ret)
-                    and built.cost[k] + ret[k - first] < order):
-                live.append(k)
-            else:
-                rows[k] = 0
-        lo, hi = (live[0], live[-1]) if live else (0, -1)
+                if not x:
+                    if inverse and (k - step - end) * step > 0:
+                        break
+                    continue
+                o = offs[k - step] + cost
+                t = top[k - a]
+                if o >= t:
+                    continue
+                y = rows[k]
+                if y:
+                    # one alignment shift onto the lower offset
+                    if o > offs[k]:
+                        x <<= w * (o - offs[k])
+                        o = offs[k]
+                    else:
+                        y <<= w * (offs[k] - o)
+                m = masks.get(t - o)
+                if m is None:
+                    # t - o digits or more: the count rounded up to four
+                    # leading bits, eight masks per doubling of it
+                    g = max(0, (t - o).bit_length() - 4)
+                    r = -(-(t - o) >> g) << g
+                    m = masks[t - o] = masks.get(-r) or masks.setdefault(
+                        -r, (1 << w * r) - 1)
+                rows[k] = (y - x if minus else y + x) & m
+                offs[k] = o
+            # the rows written past the old ones have no gap
+            while hi < b and rows[hi + 1]:
+                hi += 1
+            while lo > a and rows[lo - 1]:
+                lo -= 1
 
-    # unpack the requested window; charges outside [-cap, cap] are zero
-    # below order
+    # unpack the requested window; the other charges are zero below order
     out = []
-    for d in range(req_lo, req_hi + 1):
-        x = rows[d + cap] if -cap <= d <= cap else 0
-        out.append(QSeries(-pad, order, unpack_signed(x, nbytes, order + pad)))
-    # built now covers every mover: the exact support and the floor
+    for c in range(req_lo, req_hi + 1):
+        k = c + cap - base
+        if lo <= k <= hi and rows[k] and offs[k] < order:
+            out.append(QSeries(offs[k], order,
+                               unpack_signed(rows[k], nbytes, order - offs[k])))
+        else:
+            out.append(QSeries.zero(order))
+    # the exact support and the floor, cheapest movers first
+    built = _CostTable(cap, limit)
+    for step, cost, _, inverse in factors:
+        built.add_mover(step, cost, not inverse)
     band = built.cost[built.lo:built.hi + 1]
     reachable = [k for k, v in enumerate(band, built.lo - cap) if v < order]
     flag = req_lo <= reachable[0] and reachable[-1] <= req_hi

@@ -473,17 +473,20 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
 # at most P's, both at most G = B P's for every m (see _digit_bytes), so
 # an exact build holds its digits and every caller's width those it
 # reads. _QP_BUILDS maps None (the buckets) and each m (its base) to the
-# (nu, nb) of its one build, for at most 64 keys.
+# (nu, nb) of its one build, for at most 64 keys; past them the least
+# recently used key goes.
 _QP_BUILDS: dict = {}
 
 
 def _shared_build(key, nu: int, nb: int):
-    """The (nu, nb) of the build kept under key, grown to nu if shorter."""
-    built = _QP_BUILDS.get(key)
+    """The (nu, nb) of the build kept under key, grown to nu if shorter;
+    the key becomes the most recently used."""
+    built = _QP_BUILDS.pop(key, None)
     if built is None or built[0] < nu:
-        built = _QP_BUILDS[key] = (nu, nb)
-        if len(_QP_BUILDS) > 64:
-            del _QP_BUILDS[next(iter(_QP_BUILDS))]
+        built = (nu, nb)
+    _QP_BUILDS[key] = built
+    if len(_QP_BUILDS) > 64:
+        del _QP_BUILDS[next(iter(_QP_BUILDS))]
     return built
 
 

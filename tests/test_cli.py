@@ -431,6 +431,23 @@ def test_fockprod_rows_past_their_bound_are_refused_first(capsys, monkeypatch):
     assert (code, out, err, calls) == (0, "[]\n", "", [2])
 
 
+def test_fockprod_at_the_row_bound_passes(capsys):
+    # m = 128 at q-order 1 pads its rows by 4032 digits on either side,
+    # of which the per-row u-windows keep about 4%; the bytes printed are
+    # those of the rows packed in full
+    code, out, err = run(capsys, "verify", "--family", "fockprod", "--m", "128",
+                         "--order", "1", "--format", "text")
+    assert (code, out, err) == (0, "PASS fockprod m=128 order_u=2\n1/1 passed\n", "")
+    code, out, err = run(capsys, "verify", "--family", "fockprod", "--m", "128",
+                         "--order", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        '[\n  {\n    "first_diff_u_exp": null,\n    "identity": "fockprod",\n'
+        '    "lhs_coeff": null,\n    "ms": 0.0,\n    "order_u": 2,\n'
+        '    "params": {\n      "m": 128\n    },\n    "rhs_coeff": null,\n'
+        '    "verdict": "pass"\n  }\n]\n')
+
+
 @pytest.fixture
 def nothing_built(monkeypatch):
     """Record every quasiparticle digit width and every oracle state count

@@ -6,8 +6,9 @@ accumulator as QSeries products. It builds one pull-back table per atom
 over relative charge shifts plus a `full` table for the support and the
 floor, and scans the whole requested window for every (atom, charge)
 pair. The package applies each factor as an in-place sweep over packed
-rows and seeds a single table on the window instead; both must agree on
-every row, the soundness fields and the raised error.
+rows, each kept only on its own u-window, and seeds a single table on the
+window instead; both must agree on every row, the soundness fields and
+the raised error.
 """
 
 from operator import add
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qchar import bivariate
 from qchar.bivariate import (
     ChargeSeries,
     _coeff_bound,
@@ -234,8 +236,8 @@ def test_graded_product_matches_reference(name, m, order, lo, width):
     _assert_matches(name, m, order, (lo, lo + width))
 
 
-# larger orders need wider packed digits; fockprod m = 6 and 8 shift rows
-# right by 6 and 12 digits in all
+# larger orders need wider packed digits; fockprod m = 6 and 8 move rows
+# down to 6 and 12 digits below u^0
 @pytest.mark.parametrize("order", [100, 200])
 @pytest.mark.parametrize("name,m", [("jtp", 2), ("kp", 2), ("fockprod", 2),
                                     ("fockprod", 3), ("fockprod", 4),
@@ -243,6 +245,31 @@ def test_graded_product_matches_reference(name, m, order, lo, width):
                                     ("fockprod", 8)])
 def test_graded_product_matches_reference_wide_digits(name, m, order):
     _assert_matches(name, m, order, (-8, 8))
+
+
+# large pads: fockprod at m = 9..20 moves rows down by up to 90 digits
+# before the costly factors lift them, and cap = order + pad + 8 reaches
+# past 100, so windows are drawn inside, across and past it
+@settings(max_examples=60, deadline=None)
+@given(st.integers(9, 20), st.integers(1, 12), st.integers(-125, 125),
+       st.integers(0, 12))
+@example(20, 2, 97, 5)
+@example(20, 6, -106, 3)
+def test_graded_product_matches_reference_large_pad(m, order, lo, width):
+    _assert_matches("fockprod", m, order, (lo, lo + width))
+
+
+# the digit width only has to hold the coefficients read back: one byte
+# more changes no row
+@pytest.mark.parametrize("name,m,order", [("jtp", 2, 60), ("kp", 2, 60),
+                                          ("fockprod", 3, 40),
+                                          ("fockprod", 12, 6)])
+def test_rows_do_not_depend_on_a_wider_digit(monkeypatch, name, m, order):
+    build = GRADED[name][0]
+    want = _outcome(build, m, order, (-6, 6))
+    bound = bivariate._coeff_bound
+    monkeypatch.setattr(bivariate, "_coeff_bound", lambda *a: bound(*a) << 8)
+    assert _outcome(build, m, order, (-6, 6)) == want
 
 
 # -- the band cost table against the full-width table it replaced -----------
@@ -390,6 +417,18 @@ def test_coeff_bound_matches_the_loop(drawn, pad, length):
                                           ("fockprod", 3, 400),
                                           ("fockprod", 5, 97)])
 def test_coeff_bound_matches_the_loop_on_the_graded_factors(name, m, order):
+    pad = ref_neg_budget(m) if name == "fockprod" else 0
+    factors = _factors(name, m, order)
+    assert _coeff_bound(factors, pad, order + 2 * pad) == \
+        ref_coeff_bound(factors, pad, order + 2 * pad)
+
+
+# every factor list the graded products multiply at small orders, fockprod
+# up to pads of 110 digits
+@pytest.mark.parametrize("order", [1, 7, 60])
+@pytest.mark.parametrize("name,m", [("jtp", 2), ("kp", 2)]
+                         + [("fockprod", m) for m in range(2, 22)])
+def test_coeff_bound_matches_the_loop_on_small_graded_factors(name, m, order):
     pad = ref_neg_budget(m) if name == "fockprod" else 0
     factors = _factors(name, m, order)
     assert _coeff_bound(factors, pad, order + 2 * pad) == \

@@ -326,3 +326,18 @@ def test_shared_builds_keep_at_most_64_keys():
         assert characters._shared_base(m, 3, nb) == ref_boson_pair_base(m, 3, nb)
         assert len(characters._QP_BUILDS) <= 64
     assert list(characters._QP_BUILDS)[-2:] == [79, 2]
+
+
+def test_shared_builds_keep_the_buckets_while_they_are_used():
+    # the buckets key (None) is the oldest, but a read between new m's
+    # makes it the most recently used, so it outlives the 64-key bound
+    characters._QP_BUILDS.clear()
+    nb = characters._digit_bytes(2, 3)
+    characters._shared_buckets(3, nb)
+    for m in range(2, 80):
+        characters._shared_base(m, 3, characters._digit_bytes(m, 3))
+        assert None in characters._QP_BUILDS
+        assert len(characters._QP_BUILDS) <= 64
+        assert characters._shared_buckets(3, nb) == \
+            dict(characters._charge_buckets(3, nb))
+    assert list(characters._QP_BUILDS)[-2:] == [79, None]
