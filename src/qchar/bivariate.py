@@ -502,15 +502,16 @@ def inverse_product_sides(order: int, window) -> tuple:
 def fock_char_window(m: int, order: int):
     """(-pad, order), pad = _neg_budget(m) ~ m^2 / 4: the u-window of the
     rows fock_char_product(m, order, ...) builds. Raises InvalidParameter
-    if m < 2, and ResourceLimit, before anything is built, if the packed
-    rows, order + 2 pad digits long, would exceed QP_MAX_ORDER."""
+    if m < 2, and ResourceLimit, before anything is built, if the span
+    its digit-width bound packs, order + 2 pad digits, would exceed
+    QP_MAX_ORDER."""
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
     pad = _neg_budget(m)
     if order + 2 * pad > QP_MAX_ORDER:
         raise ResourceLimit(
             f"the two-variable Fock character of m={m} at u-order {order} "
-            f"packs {order + 2 * pad} digits a row, past its bound {QP_MAX_ORDER}")
+            f"spans {order + 2 * pad} packed digits, past its bound {QP_MAX_ORDER}")
     return -pad, order
 
 

@@ -416,8 +416,8 @@ def test_family_window_past_the_bound_is_resource_limit(capsys, monkeypatch,
 
 
 def test_fockprod_rows_past_their_bound_are_refused_first(capsys, monkeypatch):
-    # m = 128 packs 2 + 2 * 4032 = 8066 digits a row at q-order 1, m = 129
-    # packs 8194, past QP_MAX_ORDER; the whole grid is checked first
+    # m = 128 spans 2 + 2 * 4032 = 8066 packed digits at q-order 1, m = 129
+    # spans 8194, past QP_MAX_ORDER; the whole grid is checked first
     calls = _counting(monkeypatch, "fockprod")
     for m, refused in (("1000", "1000"), ("128..129", "129")):
         code, out, err = run(capsys, "verify", "--family", "fockprod",
