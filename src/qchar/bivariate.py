@@ -32,10 +32,11 @@ from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Optional
 
-from .characters import QP_MAX_ORDER, IdentityReport
+from .characters import QP_MAX_ORDER, IdentityReport, sector_window
 from .errors import (InvalidParameter, OutOfWindow, ResourceLimit,
                      WindowUnderflow)
-from .qseries import QSeries, euler_phi, repack, unpack_digits, unpack_signed
+from .qseries import (QSeries, euler_phi, repack, round_up, unpack_digits,
+                      unpack_signed)
 
 _INF = float("inf")
 
@@ -408,10 +409,8 @@ def _graded_product(pairs, req_lo: int, req_hi: int,
                         y <<= w * (offs[k] - o)
                 m = masks.get(t - o)
                 if m is None:
-                    # t - o digits or more: the count rounded up to four
-                    # leading bits, eight masks per doubling of it
-                    g = max(0, (t - o).bit_length() - 4)
-                    r = -(-(t - o) >> g) << g
+                    # t - o digits or more, eight masks per doubling
+                    r = round_up(t - o)
                     m = masks[t - o] = masks.get(-r) or masks.setdefault(
                         -r, (1 << w * r) - 1)
                 rows[k] = (y - x if minus else y + x) & m
@@ -444,11 +443,6 @@ def _graded_product(pairs, req_lo: int, req_hi: int,
 
 # ---------------------------------------------------------------------------
 # the three graded products
-
-
-def _neg_budget(m: int) -> int:
-    # sum over k >= 1 of max(0, m - 2k), the k <= (m - 1) / 2 terms
-    return (m - 1) // 2 * (m // 2)
 
 
 def jacobi_triple_sides(order: int, window) -> tuple:
@@ -500,14 +494,11 @@ def inverse_product_sides(order: int, window) -> tuple:
 
 
 def fock_char_window(m: int, order: int):
-    """(-pad, order), pad = _neg_budget(m) ~ m^2 / 4: the u-window of the
-    rows fock_char_product(m, order, ...) builds. Raises InvalidParameter
-    if m < 2, and ResourceLimit, before anything is built, if the span
-    its digit-width bound packs, order + 2 pad digits, would exceed
-    QP_MAX_ORDER."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
-    pad = _neg_budget(m)
+    """(-pad, order) = sector_window(m, order), pad ~ m^2 / 4: the u-window
+    of the rows fock_char_product(m, order, ...) builds. Raises as that
+    does, or ResourceLimit, before anything is built, if its digit-width
+    bound's span, order + 2 pad digits, passes QP_MAX_ORDER."""
+    pad = -sector_window(m, order)[0]
     if order + 2 * pad > QP_MAX_ORDER:
         raise ResourceLimit(
             f"the two-variable Fock character of m={m} at u-order {order} "

@@ -28,13 +28,13 @@ from typing import Optional
 
 from .errors import InsufficientOrder, InvalidParameter, ResourceLimit
 from .qseries import (
-    MAX_WINDOW,
     QSeries,
     check_window,
     dist_product,
     euler_phi,
     pack_digits,
     repack,
+    round_up,
     unpack_digits,
     unpack_signed,
 )
@@ -133,10 +133,9 @@ def _lattice_rows(m: int, s: int, order: int):
     |a|, so the scan stops.  At any other empty row b < 1, and b keeps
     falling until the edge crosses P = -1/2 at a = -s/m, short of the
     vertex a = -s/(m-1) of b; the scan jumps to that row, a = -(s // m)
-    (upper) or (-s) // m (lower).
+    (upper) or (-s) // m (lower). Checks m and the window first.
     """
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    check_window(*sector_window(m, order))
     g = m * (m - 1)
     for upper in (True, False):
         a, step = (0, 1) if upper else (-1, -1)
@@ -156,6 +155,17 @@ def _lattice_rows(m: int, s: int, order: int):
             a += step
 
 
+def sector_window(m: int, order: int):
+    """(-pad, order): sector s of m, the z^s row of fock_char_product,
+    starts no lower than u^-pad, -pad the sum of the product's negative
+    u-costs, reached at s = (m - 1) // 2. Raises InvalidParameter if m < 2."""
+    if m < 2:
+        raise InvalidParameter(f"need m >= 2, got {m}")
+    # sum over k >= 1 of max(0, m - 2k), the k <= (m - 1) / 2 terms
+    pad = (m - 1) // 2 * (m // 2)
+    return -pad, order
+
+
 def sector_sum(m: int, s: int, order: int) -> QSeries:
     """Alternating sum over the charge/energy lattice for sector s, below
     u^order; see _lattice_rows."""
@@ -167,12 +177,30 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
     return QSeries.from_terms(acc, order)
 
 
-def _build_order(n: int) -> int:
-    """The u-order the cached Euler quotients are built at for a request
-    below u^n >= 1: the next power of two, so every charge, recurrence step
-    and family of a grid shares one build per m, but never past MAX_WINDOW
-    (a longer request is built as asked)."""
-    return max(n, min(1 << (n - 1).bit_length(), MAX_WINDOW))
+# ---------------------------------------------------------------------------
+# the series every character of an m shares
+#
+# The free-field inverse denominator, the pair quotient, the charge buckets
+# and each m's boson-pair base are built by lru-cached builders at one
+# u-order per key of _BUILDS: the longest order asked for under that key so
+# far, rounded up by round_up. So a cold call builds at most an eighth more
+# than it asks for, a grid run longest point first makes one build per key,
+# and every call restricts or repacks that build to its own window. As
+# MAX_WINDOW and QP_MAX_ORDER are powers of two, no build passes either.
+# Past 64 keys the least recently used key goes.
+_BUILDS: dict = {}
+
+
+def _shared_build(key, n: int, m: int = 0):
+    """(N, nb) of the build under key, remade at N = round_up(n) if shorter
+    than n, nb = _digit_bytes(m, N) if m else 0; key is now the newest."""
+    built = _BUILDS.pop(key, (0, 0))
+    if built[0] < n:
+        built = round_up(n), (_digit_bytes(m, round_up(n)) if m else 0)
+    _BUILDS[key] = built
+    if len(_BUILDS) > 64:
+        del _BUILDS[next(iter(_BUILDS))]
+    return built
 
 
 @lru_cache(maxsize=64)
@@ -231,7 +259,7 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
         d = (t * (t + 1) - shift - lo) // 2
         if d < L:
             uses.setdefault(t, []).append((d, sign))
-    I, ib = _inverse_denominator(m, _build_order(n))
+    I, ib = _inverse_denominator(m, _shared_build(("inverse", m), n)[0])
     top = I >> 8 * ib * (L - 1) & (1 << 8 * ib) - 1  # I's digit at q^(L-1)
     nb = (points * top).bit_length() // 8 + 1  # so it is < 2^(8 nb - 1)
     w = 8 * nb
@@ -264,9 +292,10 @@ def _built_pair_quotient(m: int, n: int) -> QSeries:
 def _pair_quotient(m: int, order: int) -> QSeries:
     """(dist product)^2 / phi(q^m)^2 below u^order >= 1, as the quotient
     phi(q^2)^2 / phi(q)^2 / phi(q^m)^2 of sparse Euler products, since
-    (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf; built once per m at
-    _build_order(order) and restricted."""
-    return _built_pair_quotient(m, _build_order(order)).restricted(order)
+    (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, restricted from the shared
+    build."""
+    n, _ = _shared_build(("pair", m), order)
+    return _built_pair_quotient(m, n).restricted(order)
 
 
 def sector_pair_product(m: int, order: int) -> QSeries:
@@ -378,11 +407,8 @@ def _digit_bytes(m: int, nu: int) -> int:
     is 2/(1 - q) times a nonnegative series, so its largest coefficient
     below q^L is the one at q^(L-1). The quotient only sizes the digits:
     the sum's values come from the buckets and the boson-pair base alone.
-    As every bucket and base coefficient is at most G's for every m, a
-    shared build is read exactly in any caller's width (see _QP_BUILDS).
     """
-    L = (nu + 1) // 2
-    top = 2 * _built_pair_quotient(m, _build_order(nu)).q_coeff(L - 1)
+    top = 2 * _pair_quotient(m, nu).q_coeff((nu - 1) // 2)  # at q^(L-1)
     return (top.bit_length() + 7) // 8
 
 
@@ -465,49 +491,31 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     return total
 
 
-# The buckets and each m's boson-pair base are built once per process, at
-# exactly the longest u-order asked for so far (a cold point pays only for
-# its own order) in the digit width of the call that asked; each call
-# masks them to its L q-digits and repacks them to its own width. Every
-# bucket coefficient is at most B = 2 (-q;q)_inf^2's and every base one
-# at most P's, both at most G = B P's for every m (see _digit_bytes), so
-# an exact build holds its digits and every caller's width those it
-# reads. _QP_BUILDS maps None (the buckets) and each m (its base) to the
-# (nu, nb) of its one build, for at most 64 keys; past them the least
-# recently used key goes.
-_QP_BUILDS: dict = {}
+# The buckets and the base are read from builds shared by every call (see
+# _BUILDS), each made in _digit_bytes(m, N) for its own u-order N, masked
+# to the call's L q-digits and repacked to its width. Every bucket
+# coefficient is at most B = 2 (-q;q)_inf^2's and every base one at most
+# P's, both at most G = B P's for every m (see _digit_bytes), so a build
+# holds its digits and every caller's width those it reads.
 
 
-def _shared_build(key, nu: int, nb: int):
-    """The (nu, nb) of the build kept under key, grown to nu if shorter;
-    the key becomes the most recently used."""
-    built = _QP_BUILDS.pop(key, None)
-    if built is None or built[0] < nu:
-        built = (nu, nb)
-    _QP_BUILDS[key] = built
-    if len(_QP_BUILDS) > 64:
-        del _QP_BUILDS[next(iter(_QP_BUILDS))]
-    return built
-
-
-def _shared_buckets(nu: int, nb: int) -> dict:
+def _shared_buckets(m: int, nu: int, nb: int) -> dict:
     """dict(_charge_buckets(nu, nb)), read from the shared build."""
-    L = (nu + 1) // 2
-    bnu, bnb = _shared_build(None, nu, nb)
-    return {g: repack(x, bnb, L, nb)
+    bnu, bnb = _shared_build("buckets", nu, m)
+    return {g: repack(x, bnb, (nu + 1) // 2, nb)
             for g, x in _charge_buckets(bnu, bnb) if g * (g + 1) < nu}
 
 
 def _shared_base(m: int, nu: int, nb: int) -> int:
     """_boson_pair_base(m, nu, nb), read from the shared build."""
-    bnu, bnb = _shared_build(m, nu, nb)
+    bnu, bnb = _shared_build(("base", m), nu, m)
     return repack(_boson_pair_base(m, bnu, bnb), bnb, (nu + 1) // 2, nb)
 
 
-# The largest internal u-order order + s m a quasiparticle sum is built
-# at. The buckets dominate its time, which grows about 6x per doubling of
-# that order: seconds at the bound, about an hour at 10^5. A grid run
-# longest point first builds them once.
+# The largest internal u-order order + s m a quasiparticle sum is asked
+# at; a power of two, so its rounded build stays within it. The buckets
+# dominate its time, which grows about 6x per doubling of that order:
+# seconds at the bound, about an hour at 10^5.
 QP_MAX_ORDER = 1 << 13
 
 
@@ -542,7 +550,7 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     nb = _digit_bytes(m, nu)
     w = 8 * nb
     mask = (1 << w * L) - 1
-    numerator = _pair_numerator(_shared_buckets(nu, nb), m, s, L, w)
+    numerator = _pair_numerator(_shared_buckets(m, nu, nb), m, s, L, w)
     total = numerator * _shared_base(m, nu, nb) & mask
     coeffs = [0] * nu
     coeffs[::2] = unpack_digits(total, nb, L)

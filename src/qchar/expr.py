@@ -125,12 +125,6 @@ BUILTINS = {
 }
 
 
-# The builtins (m, s) that open a window below u^0: qp(m, s) builds at
-# u-order order + s m, and every lattice term behind fs(m, s) and hs(m, s)
-# has u-exponent >= -s m. With m < 2 they build nothing.
-_CHARGED = {"fs", "qp", "hs"}
-
-
 # -- tokenizer ---------------------------------------------------------------
 
 _SYMBOLS = "+-*/^(),"
@@ -359,9 +353,9 @@ def parse(text: str) -> Node:
 
 # Evaluation allocates no window longer than MAX_WINDOW coefficients.
 # Products and quotients claim no more than their shorter operand and sums
-# no more than their longer one, so only the evaluation order, a monomial,
-# x^0 and the charged builtins can open a longer window; q^-n alone needs
-# nu + 4n.
+# no more than their longer one, so only the evaluation order, a monomial
+# and x^0 can open a longer window; q^-n alone needs nu + 4n. The builtins
+# whose window opens below u^0, fs, hs and qp, check their own first.
 
 
 def eval_expr(node: Node, order: int) -> QSeries:
@@ -410,11 +404,7 @@ def _eval(node: Node, nu: int) -> QSeries:
                 f"cannot raise to a negative power: {err}", span=node.span
             ) from err
     if isinstance(node, Call):
-        _, fn = BUILTINS[node.name]
-        if node.name in _CHARGED:
-            m, s = node.args
-            check_window(-s * m if m >= 2 else 0, nu)
-        return fn(*node.args, nu)
+        return BUILTINS[node.name][1](*node.args, nu)
     raise InvalidParameter(f"not an expression node: {node!r}")
 
 

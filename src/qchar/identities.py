@@ -9,11 +9,11 @@ its sides function:
   * floors: the least value of each axis its builders accept, m >= 2
     wherever m is an axis and any others given by `floors=`; check_domain()
     tests a grid point against them before any series is built;
-  * window(nu, **point): (lo, order) of the widest window its sides build
-    when that grows with an axis, None when u^0..u^nu bounds them;
+  * window(nu, **point): (lo, order) of the widest window its sides build,
+    u^0..u^nu unless given, as sector_window's for sector characters;
     check_domain() refuses a point whose window exceeds MAX_WINDOW, or
     for which window() raises ResourceLimit itself, as the quasiparticle
-    sum's bound does;
+    sum's bound does, and `verify` runs the longest point first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -45,6 +45,7 @@ from .characters import (
     recurrence_step,
     sector_closed_form,
     sector_pair_product,
+    sector_window,
     vacuum_identity_sides,
 )
 from .errors import InvalidParameter, QcharError, ResourceLimit
@@ -56,7 +57,7 @@ class Family(NamedTuple):
     sides: Callable
     zwin: Optional[int]    # default z half-width; None unless graded
     floors: dict           # axis name -> least accepted value
-    window: Optional[Callable]  # (nu, **point) -> (lo, order) built
+    window: Callable       # (nu, **point) -> (lo, order) built
 
 
 FAMILIES = {}
@@ -64,7 +65,7 @@ FAMILIES = {}
 
 def family(name: str, zwin: Optional[int] = None,
            floors: Optional[dict] = None,
-           window: Optional[Callable] = None, **axes):
+           window: Callable = lambda nu, **point: (0, nu), **axes):
     """Register the decorated sides function as family `name`.  Axes are
     given in grid-nesting order, outermost first; `floors` maps an axis to
     the least value the family accepts, on top of m >= 2; `window` gives
@@ -85,7 +86,7 @@ def _where(name: str, point: dict) -> str:
 
 def check_domain(name: str, point: dict, nu: int = 0) -> int:
     """The length of the widest window the point's sides build at u-order
-    nu: order - lo of its family's window(), else nu.
+    nu: order - lo of its family's window().
 
     Raise InvalidParameter, naming the point, if an axis of it lies below
     family `name`'s floor: the error check() would raise once it got there.
@@ -95,8 +96,6 @@ def check_domain(name: str, point: dict, nu: int = 0) -> int:
         if point[axis] < lo:
             raise InvalidParameter(
                 f"{_where(name, point)}: need {axis} >= {lo}, got {point[axis]}")
-    if fam.window is None:
-        return nu
     try:
         lo, order = fam.window(nu, **point)
         check_window(lo, order)
@@ -131,7 +130,8 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
 # -- the families, in `--family all` order -----------------------------------
 
 
-@family("lemma11a", m=(2, 6), s=(0, 6))
+@family("lemma11a", window=lambda nu, m, s: sector_window(m, nu + abs(s) * m),
+        m=(2, 6), s=(0, 6))
 def _mirror_pair(nu, half, m, s):
     # u^{sm} fs(m,s) + u^{-sm} fs(m,-s), both terms claiming order nu
     a = fock_sector_char(m, s, nu - s * m).shifted(s * m)
@@ -139,12 +139,14 @@ def _mirror_pair(nu, half, m, s):
     yield {}, a + b, sector_pair_product(m, nu)
 
 
-@family("lemma11b", m=(2, 6), s=(0, 6))
+@family("lemma11b", window=lambda nu, m, s: sector_window(m, nu),
+        m=(2, 6), s=(0, 6))
 def _reflection(nu, half, m, s):
     yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)
 
 
-@family("prop12", floors={"k": 0}, m=(2, 4), k=(0, 4))
+@family("prop12", floors={"k": 0},
+        window=lambda nu, m, k: sector_window(m, nu), m=(2, 4), k=(0, 4))
 def _closed_form(nu, half, m, k):
     closed = sector_closed_form(m, k, nu)
     for side, charge in (("plus", (k + 1) * (m - 1)), ("minus", -k * (m - 1))):
@@ -158,7 +160,7 @@ def _recurrence_budget(m, k):
 
 
 @family("recurrence", floors={"k": 0},
-        window=lambda nu, m, k: (0, nu + _recurrence_budget(m, k)),
+        window=lambda nu, m, k: sector_window(m, nu + _recurrence_budget(m, k)),
         m=(2, 4), k=(0, 4))
 def _iterated_recurrence(nu, half, m, k):
     # k steps from the charge-0 sector land on the charge -k(m-1) closed
@@ -172,7 +174,7 @@ def _iterated_recurrence(nu, half, m, k):
     yield {}, f, sector_closed_form(m, k, nu)
 
 
-@family("thm13a", m=(2, 6))
+@family("thm13a", window=lambda nu, m: sector_window(m, nu), m=(2, 6))
 def _basic_forms(nu, half, m):
     # the shared character is built, and timed, with the first form
     ch = basic_char(m, nu)
@@ -183,7 +185,9 @@ def _basic_forms(nu, half, m):
     yield {"form": "mirror-sector"}, ch, fock_sector_char(m, m - 1, nu) * phi_m
 
 
-@family("thm13b", m=(2, 4), k=(-3, 3))
+@family("thm13b",
+        window=lambda nu, m, k: sector_window(m, nu + abs(k) * m * (m - 1)),
+        m=(2, 4), k=(-3, 3))
 def _family_vs_sector(nu, half, m, k):
     # the family character depends on |k| only, and so does this side
     sh = abs(k) * m * (m - 1)
@@ -191,7 +195,8 @@ def _family_vs_sector(nu, half, m, k):
     yield {}, family_char(m, k, nu), side.shifted(-sh)
 
 
-@family("prop21", window=lambda nu, m, s: quasiparticle_window(m, s, nu),
+@family("prop21", window=lambda nu, m, s: min(quasiparticle_window(m, s, nu),
+                                              sector_window(m, nu)),
         m=(2, 4), s=(-3, 4))
 def _quasiparticle(nu, half, m, s):
     yield {}, quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)
@@ -201,8 +206,11 @@ def _quasiparticle(nu, half, m, s):
         m=(2, 3))
 def _graded_rows(nu, half, m):
     prod = fock_char_product(m, nu, (-half, half))
-    rows = [fock_sector_char(m, s, nu) for s in range(-half, half + 1)]
-    yield {}, prod, ChargeSeries(-half, rows)
+    # the rows nearest charge (m - 1) / 2 start lowest: built first, the
+    # first one's shared denominator serves the rest
+    near = sorted(range(-half, half + 1), key=lambda s: abs(2 * s - m + 1))
+    rows = {s: fock_sector_char(m, s, nu) for s in near}
+    yield {}, prod, ChargeSeries(-half, [rows[s] for s in sorted(rows)])
 
 
 @family("cor22", window=lambda nu, m: quasiparticle_window(m, 0, nu),

@@ -16,14 +16,13 @@ O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
 instead of the O(order^2) of multiplying by a dense inverse. Every
 Euler quotient in the package is built with `/`. The sector characters
 divide only once per m: characters.py builds 1/(phi(q) phi(q^m)^2) with
-`/` at a power-of-two order and caches it packed in one int, and each
-character repacks it to its own digit width and multiplies the sparse
-lattice sum by it, O(sqrt(order)) shifts of that int against the
-O(order^1.5) Python steps of dividing each character anew. The
-quasiparticle sums' packed series are built at exactly the longest order
-asked for so far and read back the same way.
-`inv_euler_phi` remains only as a public helper. Every cached builder
-keeps at most 64 entries.
+`/` and caches it packed in one int, and each character repacks it to its
+own digit width and multiplies the sparse lattice sum by it,
+O(sqrt(order)) shifts of that int against the O(order^1.5) Python steps
+of dividing each character anew. Every series the characters share is
+built at the longest order asked for so far, rounded up by round_up, and
+read back restricted or repacked. `inv_euler_phi` remains only as a
+public helper. Every cached builder keeps at most 64 entries.
 
 A series packed in w-bit digits below q^L (Kronecker substitution) is
 kept as its residue mod 2^(wL); unpack_signed reads back signed digits,
@@ -56,6 +55,13 @@ def check_window(lo: int, order: int) -> None:
     if order - lo > MAX_WINDOW:
         raise ResourceLimit(
             f"the window u^{lo}..u^{order} holds more than {MAX_WINDOW} coefficients")
+
+
+def round_up(n: int) -> int:
+    """n >= 0 rounded up to four significant bits: less than n + n/8 + 1,
+    never past the next power of two, eight values per doubling."""
+    g = max(0, n.bit_length() - 4)
+    return -(-n >> g) << g
 
 
 def half_exp_str(u_exp: int) -> str:

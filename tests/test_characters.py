@@ -19,10 +19,12 @@ from qchar.characters import (
     sector_closed_form,
     sector_pair_product,
     sector_sum,
+    sector_window,
     vacuum_identity_sides,
 )
-from qchar.errors import InsufficientOrder, InvalidParameter
+from qchar.errors import InsufficientOrder, InvalidParameter, ResourceLimit
 from qchar.qseries import (
+    MAX_WINDOW,
     QSeries,
     dist_product,
     euler_phi,
@@ -192,8 +194,13 @@ def test_sector_sum_matches_scan_reference(m, s, order):
 @given(st.integers(2, 12), st.integers(-600, 600), st.integers(-200, 200))
 def test_sector_sum_matches_scan_reference_near_gap(m, s, delta):
     # around m s^2 / 2 the gap jump and the stop rule decide together
-    # whether a far row still holds terms
+    # whether a far row still holds terms; past MAX_WINDOW the sum refuses
+    # its window before building anything
     order = m * s * s // 2 + delta
+    if order - sector_window(m, 0)[0] > MAX_WINDOW:
+        with pytest.raises(ResourceLimit):
+            sector_sum(m, s, order)
+        return
     assert _exact(sector_sum(m, s, order)) == _exact(scan_sector_sum(m, s, order))
 
 

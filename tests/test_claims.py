@@ -45,9 +45,10 @@ def test_builtin_claims_are_honest(name, data, order, delta):
     assert fn(*args, order + delta).restricted(order) == fn(*args, order)
 
 
-# the cached Euler quotients are built at the next power of two, and the
-# packed routes size their digits there, so a claim just past one is made
-# from a build twice as long as the claim just below it
+# the shared series are built at the request rounded up to four
+# significant bits, and the packed routes size their digits there, so a
+# claim just past a power of two is made from a build an eighth longer
+# than the claim, the claims just below it from one at the power of two
 @pytest.mark.parametrize("edge", [512, 2048])
 @pytest.mark.parametrize("name,args", [("qp", (2, 0)), ("qp", (3, 0)),
                                        ("fs", (2, 0)), ("fs", (3, 2))])

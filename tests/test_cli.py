@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -267,7 +268,7 @@ def fresh_caches():
     def clear():
         for builder in cached:
             builder.cache_clear()
-        characters._QP_BUILDS.clear()  # the shared quasiparticle builds
+        characters._BUILDS.clear()  # the u-orders of the shared builds
 
     clear()
     yield
@@ -327,7 +328,7 @@ def test_prop21_fails_with_a_skewed_shared_bucket(capsys, monkeypatch):
                            "--s", "1", "--order", order)
         assert code == 1
         assert [r["verdict"] for r in json.loads(out)] == ["fail"]
-    assert built == [82, 82]
+    assert built == [88, 88]  # u-order 82 rounded up to four bits
 
 
 def test_prop21_grid_runs_longest_first_and_reports_in_grid_order(
@@ -342,7 +343,8 @@ def test_prop21_grid_runs_longest_first_and_reports_in_grid_order(
     ran = []
 
     def sides(nu, half, m, s):
-        ran.append(nu + s * m)
+        # the window of the quasiparticle sum or, if wider, of the sector
+        ran.append(nu - min(-s * m, characters.sector_window(m, nu)[0]))
         return iter(())
 
     fam = identities.FAMILIES["prop21"]._replace(sides=sides)
@@ -353,19 +355,20 @@ def test_prop21_grid_runs_longest_first_and_reports_in_grid_order(
 
 @pytest.mark.parametrize("name,point,length", [
     ("prop21", {"m": 3, "s": 2}, 86),
-    ("prop21", {"m": 2, "s": -3}, 74),
+    ("prop21", {"m": 2, "s": -3}, 80),
+    ("prop21", {"m": 4, "s": -3}, 82),
     ("cor22", {"m": 5}, 80),
     ("recurrence", {"m": 2, "k": 1}, 84),
-    ("lemma11a", {"m": 2, "s": 3}, 80),
+    ("lemma11a", {"m": 2, "s": 3}, 86),
+    ("lemma11a", {"m": 5, "s": -1}, 89),
+    ("thm13b", {"m": 3, "k": -2}, 93),
     ("gauss", {}, 80),
 ])
 def test_check_domain_returns_the_length_built(name, point, length):
     # order - lo of the family's window(), else nu
     assert identities.check_domain(name, point, 80) == length
-    window = identities.FAMILIES[name].window
-    if window is not None:
-        lo, order = window(80, **point)
-        assert order - lo == length
+    lo, order = identities.FAMILIES[name].window(80, **point)
+    assert order - lo == length
 
 
 def test_domain_error_names_family_and_point(capsys):
@@ -401,7 +404,7 @@ def test_domain_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name,axes,where", [
-    ("recurrence", ("--m", "4", "--k", "1000"), "m=4 k=1000: the window u^0.."),
+    ("recurrence", ("--m", "4", "--k", "1000"), "m=4 k=1000: the window u^-2.."),
     ("prop21", ("--m", "2", "--s", "1000000"),
      "m=2 s=1000000: the window u^-2000000.."),
 ])
@@ -429,6 +432,68 @@ def test_fockprod_rows_past_their_bound_are_refused_first(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--family", "fockprod", "--m", "128",
                          "--order", "1")
     assert (code, out, err, calls) == (0, "[]\n", "", [2])
+
+
+@pytest.mark.parametrize("argv,where", [
+    (("thm13b", "--m", "100000", "--k", "1"), "m=100000 k=1: the window u^-2499950000.."),
+    (("lemma11b", "--m", "100000", "--s", "50000"),
+     "m=100000 s=50000: the window u^-2499950000.."),
+])
+def test_sector_window_past_the_bound_is_refused_first(capsys, monkeypatch,
+                                                      argv, where):
+    # every sector of m lies above u^-pad(m), pad(100000) = 49999 * 50000;
+    # refused before any point builds its Euler products
+    calls = _counting(monkeypatch, argv[0])
+    code, out, err = run(capsys, "verify", "--family", *argv, "--order", "1")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith(f"qchar: {argv[0]} {where}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_far_sector_character_is_zero_not_refused(capsys):
+    # fs(1000, 1499) lies above u^-pad(1000) = u^-249500, not u^(-s m), and
+    # holds nothing below u^2
+    code, out, err = run(capsys, "series", "--expr", "fs(1000,1499)",
+                         "--order", "1")
+    assert (code, out, err) == (0, "0\n", "")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The (name, args) of every build of the four shared series from here
+    on, from an empty store: each builder is swapped for a recording one
+    with an empty cache of its own."""
+    made = []
+    for name in ("_inverse_denominator", "_built_pair_quotient",
+                 "_charge_buckets", "_boson_pair_base"):
+        raw = getattr(characters, name).__wrapped__
+
+        def build(*args, name=name, raw=raw):
+            made.append((name, args))
+            return raw(*args)
+        monkeypatch.setattr(characters, name, lru_cache(maxsize=64)(build))
+    characters._BUILDS.clear()
+    yield made
+    characters._BUILDS.clear()
+
+
+def test_verify_all_makes_at_most_two_builds_per_key(capsys, builds):
+    # longest point first, each build rounded up: one build per key, or
+    # two where a family's window overstates a character's
+    assert run(capsys, "verify", "--family", "all", "--order", "100")[0] == 0
+    per_key = Counter((name, None if name == "_charge_buckets" else args[0])
+                      for name, args in builds)
+    assert max(per_key.values()) <= 2
+
+
+@pytest.mark.parametrize("m,order", [(2, 30), (2, 60), (2, 120), (3, 30),
+                                     (3, 60), (3, 120), (5, 40)])
+def test_a_fockprod_point_makes_one_denominator_build(capsys, builds, m, order):
+    # the rows' lengths peak at charge (m - 1) / 2, whose row goes first
+    code, _, _ = run(capsys, "verify", "--family", "fockprod", "--m", str(m),
+                     "--order", str(order))
+    assert code == 0
+    assert [name for name, _ in builds].count("_inverse_denominator") == 1
 
 
 def test_fockprod_at_the_row_bound_passes(capsys):
@@ -508,6 +573,13 @@ def test_family_window_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
     ("recurrence", {"m": 3, "k": 2}),
     ("prop21", {"m": 3, "s": 2}),
     ("prop21", {"m": 2, "s": -3}),
+    ("prop21", {"m": 5, "s": 0}),
+    ("lemma11a", {"m": 5, "s": -1}),
+    ("lemma11a", {"m": 3, "s": 2}),
+    ("lemma11b", {"m": 5, "s": 2}),
+    ("prop12", {"m": 5, "k": 1}),
+    ("thm13a", {"m": 5}),
+    ("thm13b", {"m": 3, "k": -2}),
 ])
 def test_family_window_covers_what_its_sides_build(monkeypatch, name, point):
     widths = []

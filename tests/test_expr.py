@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchar import expr
+from qchar import characters, expr
 from qchar.errors import (
     ArityError,
     DivisionByNonUnit,
@@ -245,47 +245,31 @@ def test_eval_builtin_domain_errors_propagate():
             evaluate(text, 10)
 
 
-@pytest.fixture
-def stubbed_builtin(monkeypatch):
-    """Replace a builtin's builder by a stub that records its calls and
-    returns zero, keeping its arity and window bound: the real builders at
-    the bound would run for hours."""
-    calls = []
-
-    def stub(name):
-        def fn(*args):
-            calls.append((name,) + args)
-            return QSeries.zero(args[-1])
-        monkeypatch.setitem(expr.BUILTINS, name, (expr.BUILTINS[name][0], fn))
-        return calls
-    return stub
+# fs(m, s) and hs(m, s) lie in u^-pad(m)..u^nu whatever s, and
+# pad(2048) = 1023 * 1024 = MAX_WINDOW - 1024
+@pytest.mark.parametrize("name", ["fs", "hs"])
+def test_eval_charged_builtin_window_at_the_bound(name):
+    assert evaluate(f"{name}(2048,0)", 1024).order == 1024
+    # a far charge opens no window below u^-pad(m): zero at this order
+    assert evaluate(f"{name}(2,{MAX_WINDOW})", 5).is_zero()
+    assert evaluate(f"{name}(1000,1499)", 2).is_zero()
 
 
 @pytest.mark.parametrize("name", ["qp", "fs", "hs"])
-def test_eval_charged_builtin_window_at_the_bound(name, stubbed_builtin):
-    # qp(m, s) builds at u-order nu + s m; fs and hs reach down to u^(-s m)
-    calls = stubbed_builtin(name)
-    s = (MAX_WINDOW - 4) // 2
-    assert evaluate(f"{name}(2,{s})", 4).is_zero()
-    assert calls == [(name, 2, s, 4)]
-
-
-@pytest.mark.parametrize("name", ["qp", "fs", "hs"])
-def test_eval_charged_builtin_window_past_the_bound(name, stubbed_builtin):
-    calls = stubbed_builtin(name)
-    # one more evaluation order than at the bound
-    s = (MAX_WINDOW - 4) // 2
+def test_eval_charged_builtin_window_past_the_bound(name, monkeypatch):
+    # refused before the denominator or a quasiparticle bucket is built
+    monkeypatch.setattr(characters, "_inverse_denominator", None)
+    monkeypatch.setattr(characters, "_charge_buckets", None)
+    # one coefficient past MAX_WINDOW: qp(m, s) reaches down to u^(-s m)
+    text = "qp(2,524286)" if name == "qp" else f"{name}(2048,0)"
     with pytest.raises(ResourceLimit):
-        evaluate(f"{name}(2,{s})", 5)
+        evaluate(text, 5 if name == "qp" else 1025)
     with pytest.raises(ResourceLimit):
         evaluate(f"1 + {name}(3000,1500)", 4)
-    assert calls == []
 
 
-def test_eval_negative_charge_opens_no_window(stubbed_builtin):
-    calls = stubbed_builtin("qp")
+def test_eval_negative_charge_opens_no_window():
     assert evaluate("qp(2,-4000000)", 4).is_zero()
-    assert calls == [("qp", 2, -4000000, 4)]
 
 
 def test_eval_matches_library_calls():

@@ -35,6 +35,7 @@ from qchar.qseries import (
     pack_digits,
     pochhammer,
     repack,
+    round_up,
     unpack_digits,
     unpack_signed,
 )
@@ -401,6 +402,29 @@ def test_repack_matches_unpack_then_pack(nbytes, width, step, data):
     out = repack(x, nbytes, count, width, step)
     assert out == pack_digits(spread, width)
     assert unpack_digits(out, width, len(spread)) == spread
+
+
+@given(st.integers(0, 1 << 24), st.integers(0, 1 << 24))
+@settings(max_examples=300, deadline=None)
+@example(0, 1)
+@example(15, 16)
+@example(16, 17)
+@example(1 << 20, (1 << 20) + 1)
+def test_round_up_keeps_four_significant_bits(n, k):
+    r = round_up(n)
+    assert n <= r < n + n / 8 + 1
+    assert r <= 1 << (n - 1).bit_length()  # the next power of two
+    g = max(0, r.bit_length() - 4)
+    assert r >> g << g == r  # four significant bits
+    assert round_up(r) == r
+    if n <= k:
+        assert r <= round_up(k)
+
+
+def test_round_up_makes_eight_lengths_per_doubling():
+    assert sorted({round_up(n) for n in range(1025, 2049)}) == \
+        list(range(1152, 2049, 128))
+    assert [round_up(n) for n in range(17)] == list(range(17))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qchar import characters
 from qchar.errors import InvalidParameter
-from qchar.qseries import QSeries, euler_phi, unpack_digits
+from qchar.qseries import QSeries, euler_phi, round_up, unpack_digits
 
 
 def _geometric_inplace(arr: list, stride: int) -> None:
@@ -182,7 +182,8 @@ def test_digit_bytes_matches_reference(m, nu):
 @pytest.mark.parametrize("nu", [511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049])
 @pytest.mark.parametrize("m", [2, 3, 7])
 def test_digit_bytes_matches_reference_at_build_order_edges(m, nu):
-    # past a power of two the width is read from a quotient built at the next
+    # just past a power of two the width is read from a quotient built an
+    # eighth longer
     assert characters._digit_bytes(m, nu) == ref_digit_bytes(m, nu)
 
 
@@ -263,22 +264,24 @@ def ref_boson_pair_base(m: int, nu: int, nb: int) -> int:
 
 
 def check_requests(requests):
-    """From empty stores, read the buckets and the base of each (m, s, order,
-    wider) request in its digit width plus wider bytes, and check them
-    against the per-call builds; each store keeps its longest request."""
-    characters._QP_BUILDS.clear()
+    """From an empty store, read the buckets and the base of each (m, s,
+    order, wider) request in its digit width plus wider bytes, and check
+    them against the per-call builds; each key keeps its longest request
+    rounded up to four significant bits, in the width of that length."""
+    characters._BUILDS.clear()
     longest: dict = {}
     for m, s, order, wider in requests:
         nu = order + s * m
         if nu <= 0:
             continue
         nb = characters._digit_bytes(m, nu) + wider
-        assert characters._shared_buckets(nu, nb) == dict(ref_charge_buckets(nu, nb))
+        assert characters._shared_buckets(m, nu, nb) == dict(ref_charge_buckets(nu, nb))
         assert characters._shared_base(m, nu, nb) == ref_boson_pair_base(m, nu, nb)
-        for key in (None, m):
-            longest[key] = max(longest.get(key, 0), nu)
-            assert characters._QP_BUILDS[key][0] == longest[key]
-    assert len(characters._QP_BUILDS) <= 64
+        for key in ("buckets", ("base", m)):
+            if longest.get(key, (0,))[0] < nu:
+                longest[key] = (round_up(nu), characters._digit_bytes(m, round_up(nu)))
+            assert characters._BUILDS[key] == longest[key]
+    assert len(characters._BUILDS) <= 64
 
 
 requests = st.lists(st.tuples(st.integers(2, 6), st.integers(-4, 5),
@@ -311,33 +314,48 @@ def test_shared_builds_in_any_request_order(reqs):
     [(2, 0, 300, 0), (6, 0, 299, 0)],
 ])
 def test_quasiparticle_from_shared_builds_matches_reference(reqs):
-    characters._QP_BUILDS.clear()
+    characters._BUILDS.clear()
     for m, s, order, _ in reqs:
         assert (_fields(characters.quasiparticle_char(m, s, order))
                 == _fields(quasiparticle_char(m, s, order)))
 
 
+@pytest.mark.parametrize("m,s,order", [(2, 1, 175), (3, -1, 148), (4, 0, 105)])
+def test_quasiparticle_read_from_a_longer_wider_build(m, s, order):
+    # the call's u-order nu rounds up to a build whose digits need one byte
+    # more than the call's own; the call and shorter ones read it exactly
+    characters._BUILDS.clear()
+    nu = order + s * m
+    assert characters._digit_bytes(m, round_up(nu)) > characters._digit_bytes(m, nu)
+    for k, o in ((s, order), (s, order - 40), (s + 1, order - 2 * m)):
+        assert (_fields(characters.quasiparticle_char(m, k, o))
+                == _fields(quasiparticle_char(m, k, o)))
+    built = (round_up(nu), characters._digit_bytes(m, round_up(nu)))
+    assert characters._BUILDS["buckets"] == characters._BUILDS[("base", m)] == built
+
+
 def test_shared_builds_keep_at_most_64_keys():
-    # one base per m; past 64 keys the oldest goes, and a later read of it
-    # builds it anew
-    characters._QP_BUILDS.clear()
+    # a pair quotient and a base per m; past 64 keys the least recently
+    # used goes, and a later read of it builds it anew
+    characters._BUILDS.clear()
     for m in [*range(2, 80), 2]:
         nb = characters._digit_bytes(m, 3)
         assert characters._shared_base(m, 3, nb) == ref_boson_pair_base(m, 3, nb)
-        assert len(characters._QP_BUILDS) <= 64
-    assert list(characters._QP_BUILDS)[-2:] == [79, 2]
+        assert len(characters._BUILDS) <= 64
+    assert list(characters._BUILDS)[-3:] == [("base", 79), ("pair", 2), ("base", 2)]
+    assert ("base", 3) not in characters._BUILDS
 
 
 def test_shared_builds_keep_the_buckets_while_they_are_used():
-    # the buckets key (None) is the oldest, but a read between new m's
-    # makes it the most recently used, so it outlives the 64-key bound
-    characters._QP_BUILDS.clear()
+    # the buckets key is the oldest, but a read between new m's makes it
+    # the most recently used, so it outlives the 64-key bound
+    characters._BUILDS.clear()
     nb = characters._digit_bytes(2, 3)
-    characters._shared_buckets(3, nb)
+    characters._shared_buckets(2, 3, nb)
     for m in range(2, 80):
         characters._shared_base(m, 3, characters._digit_bytes(m, 3))
-        assert None in characters._QP_BUILDS
-        assert len(characters._QP_BUILDS) <= 64
-        assert characters._shared_buckets(3, nb) == \
+        assert "buckets" in characters._BUILDS
+        assert len(characters._BUILDS) <= 64
+        assert characters._shared_buckets(2, 3, nb) == \
             dict(characters._charge_buckets(3, nb))
-    assert list(characters._QP_BUILDS)[-2:] == [79, None]
+    assert list(characters._BUILDS)[-2:] == [("base", 79), "buckets"]

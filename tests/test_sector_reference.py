@@ -3,10 +3,11 @@ the plain quotient chain.
 
 The reference divides the lattice sum by phi(q) and twice by phi(q^m) with
 `/` at exactly the order asked for. The package builds the sector characters
-row by row from one cached 1/(phi(q) phi(q^m)^2), and the pair quotient once
-per m at a power-of-two order, both restricted to the caller's window; both
-must agree with the reference on the window and every coefficient, at every
-order, whatever the caches already hold.
+row by row from one cached 1/(phi(q) phi(q^m)^2), and the pair quotient, each
+once per m at the longest order asked for so far rounded up to four
+significant bits, restricted to the caller's window; both must agree with
+the reference on the window and every coefficient, at every order, whatever
+the caches already hold.
 """
 
 import pytest
@@ -19,10 +20,12 @@ from qchar.characters import (
     fock_sector_char,
     sector_pair_product,
     sector_sum,
+    sector_window,
 )
 from qchar.qseries import QSeries, euler_phi
 
-# u-orders just below, at and just above powers of two
+# u-orders just below, at and just above powers of two, where a build
+# rounded up to four significant bits is longest relative to the request
 EDGES = (511, 512, 513, 1025, 2049)
 
 
@@ -48,6 +51,7 @@ def parts(qs):
 def clear_caches():
     characters._inverse_denominator.cache_clear()
     characters._built_pair_quotient.cache_clear()
+    characters._BUILDS.clear()
 
 
 @given(st.integers(2, 6), st.integers(-8, 9), st.integers(-3, 60))
@@ -60,7 +64,7 @@ def test_fock_sector_char_matches_quotient_chain(m, s, order):
 @pytest.mark.parametrize("m, s", [(2, 0), (2, 3), (3, -2), (4, 1), (5, 4), (6, -7)])
 def test_fock_sector_char_matches_quotient_chain_at_power_of_two_edges(m, s, order):
     # (2, 3), (4, 1) and (5, 4) start at a negative u-exponent, so their
-    # window is longer than order and may cross the next power of two
+    # window is longer than order and may cross a rounding step
     assert parts(fock_sector_char(m, s, order)) == parts(ref_fock_sector_char(m, s, order))
 
 
@@ -81,3 +85,16 @@ def test_pair_quotient_matches_direct_quotient(m):
         ref = ref_pair_quotient(m, order)
         assert parts(_pair_quotient(m, order)) == parts(ref), order
         assert parts(sector_pair_product(m, order)) == parts(2 * ref), order
+
+
+@given(st.integers(2, 30), st.data(), st.integers(1, 400))
+@settings(max_examples=200, deadline=None)
+def test_every_sector_lies_above_minus_pad(m, data, order):
+    # pad(m) = ((m - 1) // 2) (m // 2), reached at s = (m - 1) // 2
+    pad = ((m - 1) // 2) * (m // 2)
+    assert sector_window(m, order) == (-pad, order)
+    s = data.draw(st.integers(-3 * m - 5, 4 * m + 5))
+    h = sector_sum(m, s, order)
+    assert h.is_zero() or h.min_exp >= -pad
+    assert fock_sector_char(m, s, order).min_exp >= -pad
+    assert sector_sum(m, (m - 1) // 2, order).min_exp == -pad
