@@ -5,25 +5,28 @@ product).
 
 A ChargeSeries claims coefficients only inside its z-window; the window
 is a truncation contract, not a statement that anything vanishes
-outside. Two soundness fields let products reason about what was NOT
-stored: support_exact promises that every unstored row is zero below
-the shared order, and min_floor lower-bounds the minimum u-exponent of
-every row of the true object, stored or not.
+outside. The graded products return their rows and nothing more. Two
+soundness fields let cs_mul reason about what a hand-built input did NOT
+store: support_exact promises that every unstored row is zero below the
+shared order, and min_floor lower-bounds the minimum u-exponent of every
+row of the true object, stored or not. Only such inputs fill them; the
+builders leave the defaults, which claim nothing.
 
 The infinite products are assembled factor by factor, most expensive
 factor first, as shift-and-add sweeps over z-rows. Each row is an offset
 and one packed int, a residue read back once, as qseries packs series,
 holding only the u-window that can still reach the claim: from the
-cheapest way to build its charge up to order less the cheapest way the
-unapplied factors carry it back into the requested window. Both costs
-come from exact min-cost displacement tables over the factors' charge
-movers (a fermionic factor moves charge by +-1 once at a fixed cost, a
-bosonic one any number of times); soundness is the triangle inequality
-for those shortest-path costs. With pad the total negative cost of the
-factors, a table keeps only the band of charges whose cost is below
-order + 2 pad, exact below order + pad, which covers every digit any
-row holds; it sweeps that band alone, and skips any mover that a no
-dearer bosonic one with the same step already covers.
+cheapest way the applied factors build its charge up to order less the
+cheapest way the unapplied ones carry it back into the requested window.
+That second cost comes from an exact min-cost displacement table over
+the factors' charge movers (a fermionic factor moves charge by +-1 once
+at a fixed cost, a bosonic one any number of times), seeded on the
+window; soundness is the triangle inequality for those shortest-path
+costs. With pad the total negative cost of the factors, the table keeps
+only the band of charges whose cost is below order + 2 pad, exact below
+order + pad, which covers every digit any row holds; it sweeps that band
+alone, and skips any mover that a no dearer bosonic one with the same
+step already covers.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ _INF = float("inf")
 
 class ChargeSeries:
     """Immutable window of z-rows. rows[i] is the coefficient of
-    z^(zmin + i); the shared order is the minimum row order. The graded
-    products read each row back from its packed (offset, int) form, whose
-    offset is never below the cheapest cost of building that charge."""
+    z^(zmin + i); the shared order is the minimum row order.
+    support_exact and min_floor are read by cs_mul alone, and only
+    hand-built inputs fill them: the graded products leave the defaults,
+    False and None, the weakest claim, so cs_mul refuses their outputs
+    with WindowUnderflow."""
 
     __slots__ = ("zmin", "zmax", "rows", "order", "support_exact", "min_floor")
 
@@ -209,7 +214,7 @@ class _CostTable:
 
     __slots__ = ("limit", "cost", "lo", "hi", "closed")
 
-    def __init__(self, cap: int, limit: int, lo: int = 0, hi: int = 0):
+    def __init__(self, cap: int, limit: int, lo: int, hi: int):
         self.limit = limit
         self.cost = [_INF] * (2 * cap + 1)
         self.lo = max(lo, -cap) + cap
@@ -311,9 +316,9 @@ def _graded_product(pairs, req_lo: int, req_hi: int,
     cap = order + pad + 8
     pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
     factors = [f for pair in pairs for f in pair]
-    # Both tables drop costs at or above order + 2 pad. The movers spend
+    # The table drops costs at or above order + 2 pad. The movers spend
     # at most pad of negative cost, so every cost below order + pad is
-    # exact, and one missing from a table is order + pad or more.
+    # exact, and one missing from the table is order + pad or more.
     limit = order + 2 * pad
     # tops[i] = (first, top): top[k - first] is order less the cheapest
     # way the movers of pairs[:i + 1] carry charge k - cap into the window
@@ -430,15 +435,7 @@ def _graded_product(pairs, req_lo: int, req_hi: int,
                                unpack_signed(rows[k], nbytes, order - offs[k])))
         else:
             out.append(QSeries.zero(order))
-    # the exact support and the floor, cheapest movers first
-    built = _CostTable(cap, limit)
-    for step, cost, _, inverse in factors:
-        built.add_mover(step, cost, not inverse)
-    band = built.cost[built.lo:built.hi + 1]
-    reachable = [k for k, v in enumerate(band, built.lo - cap) if v < order]
-    flag = req_lo <= reachable[0] and reachable[-1] <= req_hi
-    floor = min(0, *band)
-    return ChargeSeries(req_lo, out, support_exact=flag, min_floor=int(floor))
+    return ChargeSeries(req_lo, out)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +456,7 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     # row j depends on |j| only
     theta = {j: QSeries.monomial(j * j, order) / phi
              for j in range(max(0, lo, -hi), max(-lo, hi) + 1)}
-    rows = [theta[abs(j)] for j in range(lo, hi + 1)]
-    below = 0 if lo - 1 >= 0 else (lo - 1) ** 2
-    above = 0 if hi + 1 <= 0 else (hi + 1) ** 2
-    rhs = ChargeSeries(lo, rows, min_floor=0,
-                       support_exact=below >= order and above >= order)
+    rhs = ChargeSeries(lo, [theta[abs(j)] for j in range(lo, hi + 1)])
     return lhs, rhs
 
 
@@ -488,8 +481,7 @@ def inverse_product_sides(order: int, window) -> tuple:
             terms[r * (r + 1) + (2 * r + 1) * ta] = (-1) ** (r + ta)
             r += 1
         theta[ta] = QSeries.from_terms(terms, order) / phi / phi
-    rows = [theta[abs(t)] for t in range(lo, hi + 1)]
-    rhs = ChargeSeries(lo, rows, support_exact=False, min_floor=0)
+    rhs = ChargeSeries(lo, [theta[abs(t)] for t in range(lo, hi + 1)])
     return lhs, rhs
 
 

@@ -414,7 +414,11 @@ def unpack_signed(x: int, nbytes: int, count: int) -> list:
     half = 1 << 8 * nbytes - 1
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
     mask = (1 << 8 * nbytes * count) - 1
-    return [d - half for d in unpack_digits(x + bias & mask, nbytes, count)]
+    # XOR takes the bias back off every digit's top bit, leaving each digit
+    # in two's complement
+    raw = ((x + bias & mask) ^ bias).to_bytes(count * nbytes, "little")
+    return [int.from_bytes(raw[t:t + nbytes], "little", signed=True)
+            for t in range(0, count * nbytes, nbytes)]
 
 
 # -- classical building blocks ----------------------------------------------

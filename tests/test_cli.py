@@ -691,14 +691,14 @@ def test_closed_stdout_exits_141_quietly():
     # ~120 kB of rows, far more than a pipe buffers, so writes outlive the
     # reader
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "qchar.cli", "asympt", "--m", "2",
-         "--nmax", "2000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"n,a_n,log_ratio\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (141, b"")
+    with subprocess.Popen(
+            [sys.executable, "-m", "qchar.cli", "asympt", "--m", "2",
+             "--nmax", "2000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"n,a_n,log_ratio\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def _verdicts(fmt, out):

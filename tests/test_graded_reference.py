@@ -3,12 +3,11 @@
 The reference below multiplies each factor pair in as an "atom": a small
 exact ChargeSeries of the pair's expansion, convolved row by row with the
 accumulator as QSeries products. It builds one pull-back table per atom
-over relative charge shifts plus a `full` table for the support and the
-floor, and scans the whole requested window for every (atom, charge)
-pair. The package applies each factor as an in-place sweep over packed
-rows, each kept only on its own u-window, and seeds a single table on the
-window instead; both must agree on every row, the soundness fields and
-the raised error.
+over relative charge shifts, and scans the whole requested window for
+every (atom, charge) pair. The package applies each factor as an in-place
+sweep over packed rows, each kept only on its own u-window, and seeds a
+single table on the window instead; both must agree on every row and the
+raised error.
 """
 
 from operator import add
@@ -22,7 +21,6 @@ from qchar.bivariate import (
     ChargeSeries,
     _coeff_bound,
     _CostTable,
-    cs_unit,
     fock_char_product,
     inverse_product_sides,
     jacobi_triple_sides,
@@ -32,40 +30,6 @@ from qchar.errors import QcharError, WindowUnderflow
 from qchar.qseries import QSeries
 
 _INF = float("inf")
-
-
-class _RefCostTable:
-    def __init__(self, cap):
-        self.cap = cap
-        self.cost = [_INF] * (2 * cap + 1)
-        self.cost[cap] = 0
-
-    def copy(self):
-        t = _RefCostTable(self.cap)
-        t.cost = self.cost[:]
-        return t
-
-    def get(self, r):
-        if -self.cap <= r <= self.cap:
-            return self.cost[r + self.cap]
-        return _INF
-
-    def add_mover(self, step, cost, once):
-        n = 2 * self.cap + 1
-        old = self.cost
-        if once:
-            new = old[:]
-            for i in range(n):
-                j = i - step
-                if 0 <= j < n and old[j] + cost < new[i]:
-                    new[i] = old[j] + cost
-            self.cost = new
-        else:
-            idx = range(step, n) if step > 0 else range(n + step - 1, -1, -1)
-            for i in idx:
-                j = i - step
-                if old[j] + cost < old[i]:
-                    old[i] = old[j] + cost
 
 
 class _Atom:
@@ -86,15 +50,14 @@ def reference_graded_product(atoms, req_lo, req_hi, order, pad):
     cap = order + pad + 8
     atoms = sorted(atoms, key=lambda at: at.cheapest)
     pullback = []
-    t = _RefCostTable(cap)
+    t = _FullCostTable(cap)
     for at in atoms:
         pullback.append(t.copy())
         for step, cost, once in at.movers:
             t.add_mover(step, cost, once)
-    full = t
 
-    acc = cs_unit(order + pad)
-    built = _RefCostTable(cap)
+    acc = ChargeSeries(0, [QSeries.one(order + pad)])
+    built = _FullCostTable(cap)
     for i in range(len(atoms) - 1, -1, -1):
         at = atoms[i]
         for step, cost, once in at.movers:
@@ -132,10 +95,7 @@ def reference_graded_product(atoms, req_lo, req_hi, order, pad):
             rows.append(acc.row(d).restricted(order))
         else:
             rows.append(QSeries.zero(order))
-    reachable = [r for r in range(-cap, cap + 1) if full.get(r) < order]
-    flag = req_lo <= min(reachable) and max(reachable) <= req_hi
-    floor = min(0, min(v for v in full.cost if v < _INF))
-    out = ChargeSeries(req_lo, rows, support_exact=flag, min_floor=int(floor))
+    out = ChargeSeries(req_lo, rows)
     if out.order < order:
         raise WindowUnderflow(
             f"assembled window only supports u^{out.order}, wanted u^{order}")
@@ -145,15 +105,14 @@ def reference_graded_product(atoms, req_lo, req_hi, order, pad):
 # -- the atoms of the three graded products ----------------------------------
 
 
-def _fermion_pair(wp, wm, order, floor=0):
+def _fermion_pair(wp, wm, order):
     # (1 + z u^wp)(1 + 1/z u^wm)
     rows = [
         QSeries.from_terms({wm: 1}, order),
         QSeries.from_terms({0: 1, wp + wm: 1}, order),
         QSeries.from_terms({wp: 1}, order),
     ]
-    cs = ChargeSeries(-1, rows, support_exact=True, min_floor=floor)
-    return _Atom(cs, [(1, wp, True), (-1, wm, True)])
+    return _Atom(ChargeSeries(-1, rows), [(1, wp, True), (-1, wm, True)])
 
 
 def _boson_pair(w, sign, order):
@@ -164,8 +123,7 @@ def _boson_pair(w, sign, order):
         c = sign ** abs(d)
         rows.append(QSeries.from_terms(
             {e: c for e in range(w * abs(d), order, 2 * w)}, order))
-    cs = ChargeSeries(-dmax, rows, support_exact=True, min_floor=0)
-    return _Atom(cs, [(1, w, False), (-1, w, False)])
+    return _Atom(ChargeSeries(-dmax, rows), [(1, w, False), (-1, w, False)])
 
 
 def reference_jtp(m, order, window):
@@ -195,7 +153,7 @@ def reference_fockprod(m, order, window):
     k = 1
     while 2 * k - m - budget < order:
         wp, wm = 2 * k - m, 2 * k - 2 + m
-        atoms.append(_fermion_pair(wp, wm, padded, floor=min(0, wp)))
+        atoms.append(_fermion_pair(wp, wm, padded))
         wb = m * (2 * k - 1)
         if wb - budget < order:
             atoms.append(_boson_pair(wb, 1, padded))
@@ -219,7 +177,7 @@ def _outcome(build, *args):
         cs = build(*args)
     except QcharError as err:
         return type(err)
-    return cs.zmin, cs.rows, cs.support_exact, cs.min_floor
+    return cs.zmin, cs.rows
 
 
 def _assert_matches(name, m, order, window):
@@ -276,7 +234,8 @@ def test_rows_do_not_depend_on_a_wider_digit(monkeypatch, name, m, order):
 #
 # _FullCostTable and ref_coeff_bound are bivariate._CostTable and
 # bivariate._coeff_bound as they were before the band tables and the
-# doubling geometric series, kept verbatim.
+# doubling geometric series, kept verbatim but for the table's copy and
+# get, which the reference product above reads.
 
 
 class _FullCostTable:
@@ -290,6 +249,16 @@ class _FullCostTable:
         self.cost = [_INF] * (2 * cap + 1)
         for r in range(max(lo, -cap), min(hi, cap) + 1):
             self.cost[r + cap] = 0
+
+    def copy(self):
+        t = _FullCostTable(self.cap)
+        t.cost = self.cost[:]
+        return t
+
+    def get(self, r: int):
+        if -self.cap <= r <= self.cap:
+            return self.cost[r + self.cap]
+        return _INF
 
     def add_mover(self, step: int, cost: int, once: bool) -> None:
         n = 2 * self.cap + 1
