@@ -26,20 +26,21 @@ costs. With pad the total negative cost of the factors, the table keeps
 only the band of charges whose cost is below order + 2 pad, exact below
 order + pad, which covers every digit any row holds; it sweeps that band
 alone, and skips any mover that a no dearer bosonic one with the same
-step already covers.
+step already covers. The digit width comes from the product at z = 1 with
+every sign +, which each builder reads as theta series over Euler products.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, repeat
+from math import isqrt
 from operator import add, sub
 from typing import Optional
 
 from .characters import QP_MAX_ORDER, IdentityReport, sector_window
 from .errors import (InvalidParameter, OutOfWindow, ResourceLimit,
                      WindowUnderflow)
-from .qseries import (QSeries, euler_phi, repack, round_up, unpack_digits,
-                      unpack_signed)
+from .qseries import QSeries, euler_phi, round_up, unpack_signed
 
 _INF = float("inf")
 
@@ -269,40 +270,29 @@ class _CostTable:
         return True
 
 
-def _coeff_bound(factors, pad: int, length: int) -> int:
-    """Largest coefficient of u^-pad .. u^(length - pad - 1) in the product
-    at z = 1 with every sign +, each factor applied below u^(length - pad).
-    Each coefficient read back from the packed rows is a signed sum over a
-    subset of the same terms, so this bounds them all, not intermediates.
-
-    The product is one nonnegative int of nb-byte digits, digit t the
-    coefficient of u^(t - pad). A pass adds a shifted copy of it, so it at
-    most doubles every digit, and no carry crosses a digit while all are
-    below 2^(8 nb - 1). Each digit is below 2^bits; when bits reaches
-    8 nb, one test of the top byte of every digit either lowers bits to
-    8 nb - 8 or widens the digits by a byte."""
-    nb = bits = 1
-    x, mask = 1 << 8 * pad, (1 << 8 * length) - 1
-    for _, cost, _, inverse in factors:
-        # 1/(1 - u^cost) below u^length is the product of the
-        # 1 + u^(cost 2^i) with cost 2^i < length
-        for c in ([cost << i for i in range(((length - 1) // cost).bit_length())]
-                  if inverse else [cost]):
-            if bits == 8 * nb:
-                if x & int.from_bytes((bytes(nb - 1) + b"\xff") * length,
-                                      "little"):
-                    x = repack(x, nb, length, nb + 1)
-                    nb += 1
-                    mask = (1 << 8 * nb * length) - 1
-                bits = 8 * nb - 8
-            x = (x + (x << 8 * nb * c)) & mask if c >= 0 else x + (x >> -8 * nb * c)
-            bits += 1
-    return max(unpack_digits(x, nb, length))
+# The graded builders pass as bound the untruncated product at z = 1 with
+# every sign +. Each of its factors has nonnegative coefficients, so it is
+# never below the finite, truncated product the rows are sums over.
+def _plus_bound(n: int, thetas, phis) -> int:
+    """Largest coefficient below u^n of the product of theta_a = sum_{j in Z}
+    u^(a j^2) over a in thetas and of phi(a)^e = (q^a;q^a)^e over (a, e)
+    in phis."""
+    x = QSeries.one(n)
+    for a in thetas:
+        x = x * QSeries.from_terms(
+            {0: 1, **{a * j * j: 2 for j in range(1, isqrt(n // a) + 1)}}, n)
+    for a, e in phis:
+        for _ in range(abs(e)):
+            x = x * euler_phi(a, n) if e > 0 else x / euler_phi(a, n)
+    return max(x.coeffs)
 
 
-def _graded_product(pairs, req_lo: int, req_hi: int,
-                    order: int) -> ChargeSeries:
+def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
+                    bound: int) -> ChargeSeries:
     """Multiply the factor pairs, claiming order on the requested window.
+    bound is at least every coefficient below u^(order + pad) of their
+    product at z = 1 with every sign +, pad their total negative cost:
+    every digit a row holds is a signed sum over a subset of those terms.
 
     Each pair is two factors of charge step +-1, applied together. Row
     z^d is an offset o and a Python int that packs the row's coefficients
@@ -315,7 +305,6 @@ def _graded_product(pairs, req_lo: int, req_hi: int,
     pad = -sum(min(0, f[1]) for pair in pairs for f in pair)
     cap = order + pad + 8
     pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
-    factors = [f for pair in pairs for f in pair]
     # The table drops costs at or above order + 2 pad. The movers spend
     # at most pad of negative cost, so every cost below order + pad is
     # exact, and one missing from the table is order + pad or more.
@@ -360,7 +349,7 @@ def _graded_product(pairs, req_lo: int, req_hi: int,
     # digit below H. Masked adds, subtractions and left shifts are ring
     # operations, and offsets take the place of right shifts, so at the
     # end the window rows are right below H = order.
-    nbytes = (_coeff_bound(factors, pad, order + 2 * pad).bit_length() + 9) // 8
+    nbytes = (bound.bit_length() + 9) // 8
     w = 8 * nbytes
     # the last table is the widest
     base, top = tops[-1] if tops else (cap, [order])
@@ -450,11 +439,13 @@ def jacobi_triple_sides(order: int, window) -> tuple:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
     pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
-    lhs = _graded_product(pairs, lo, hi, order)
+    # at z = 1: (-u;u^2)^2 = theta_1 / phi(1)
+    lhs = _graded_product(pairs, lo, hi, order,
+                          _plus_bound(order, [1], [(1, -1)]))
 
-    phi = euler_phi(1, order)
+    inv = QSeries.one(order) / euler_phi(1, order)
     # row j depends on |j| only
-    theta = {j: QSeries.monomial(j * j, order) / phi
+    theta = {j: inv.shifted(j * j).restricted(order)
              for j in range(max(0, lo, -hi), max(-lo, hi) + 1)}
     rhs = ChargeSeries(lo, [theta[abs(j)] for j in range(lo, hi + 1)])
     return lhs, rhs
@@ -469,9 +460,12 @@ def inverse_product_sides(order: int, window) -> tuple:
         raise InvalidParameter(f"need order >= 1, got {order}")
     lo, hi = window
     pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
-    lhs = _graded_product(pairs, lo, hi, order)
+    # at z = 1: 1/(u;u^2)^2 = theta_1 phi(2)^2 / phi(1)^3
+    lhs = _graded_product(pairs, lo, hi, order,
+                          _plus_bound(order, [1], [(2, 2), (1, -3)]))
 
     phi = euler_phi(1, order)
+    inv = QSeries.one(order) / phi / phi
     # row t depends on |t| only
     theta = {}
     for ta in range(max(0, lo, -hi), max(-lo, hi) + 1):
@@ -480,7 +474,7 @@ def inverse_product_sides(order: int, window) -> tuple:
         while r * (r + 1) + (2 * r + 1) * ta < order:
             terms[r * (r + 1) + (2 * r + 1) * ta] = (-1) ** (r + ta)
             r += 1
-        theta[ta] = QSeries.from_terms(terms, order) / phi / phi
+        theta[ta] = QSeries.from_terms(terms, order) * inv
     rhs = ChargeSeries(lo, [theta[abs(t)] for t in range(lo, hi + 1)])
     return lhs, rhs
 
@@ -488,8 +482,8 @@ def inverse_product_sides(order: int, window) -> tuple:
 def fock_char_window(m: int, order: int):
     """(-pad, order) = sector_window(m, order), pad ~ m^2 / 4: the u-window
     of the rows fock_char_product(m, order, ...) builds. Raises as that
-    does, or ResourceLimit, before anything is built, if its digit-width
-    bound's span, order + 2 pad digits, passes QP_MAX_ORDER."""
+    does, or ResourceLimit, before anything is built, if the span its
+    digit width is read over, order + 2 pad digits, passes QP_MAX_ORDER."""
     pad = -sector_window(m, order)[0]
     if order + 2 * pad > QP_MAX_ORDER:
         raise ResourceLimit(
@@ -504,9 +498,9 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
     (1 + z u^(2k-m)) (1 + 1/z u^(2k-2+m))
     / ((1 - z u^(m(2k-1))) (1 - 1/z u^(m(2k-1)))),
     on the requested z-window. Rows can start at negative u-exponents."""
-    budget = -fock_char_window(m, order)[0]
     if order < 1:
         raise InvalidParameter(f"need order >= 1, got {order}")
+    budget = -fock_char_window(m, order)[0]
     lo, hi = window
     pairs = []
     k = 1
@@ -516,7 +510,16 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
         if wb - budget < order:
             pairs.append(((1, wb, -1, True), (-1, wb, -1, True)))
         k += 1
-    return _graded_product(pairs, lo, hi, order)
+    # at z = 1, u^budget times the product is 2^[m even] times
+    # 1/(u^m;u^2m)^2 = theta_m phi(2m)^2 / phi(m)^3 times
+    # 1/(u^2;u^4)^2 = phi(2)^2 / phi(1)^2 for even m and
+    # (-u;u^2)^2 = theta_1 / phi(1) for odd m
+    phis = [(2 * m, 2), (m, -3)]
+    if m % 2:
+        bound = _plus_bound(order + 2 * budget, [m, 1], phis + [(1, -1)])
+    else:
+        bound = 2 * _plus_bound(order + 2 * budget, [m], phis + [(2, 2), (1, -2)])
+    return _graded_product(pairs, lo, hi, order, bound)
 
 
 # ---------------------------------------------------------------------------

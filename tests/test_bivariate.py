@@ -354,6 +354,9 @@ def test_fock_product_rejects_bad_params():
         fock_char_product(1, 20, (-1, 1))
     with pytest.raises(InvalidParameter):
         fock_char_product(3, 0, (-1, 1))
+    # order is checked before the span, which m = 1000 is past
+    with pytest.raises(InvalidParameter):
+        fock_char_product(1000, 0, (0, 0))
 
 
 def test_fock_product_rows_are_bounded_by_qp_max_order():

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from qchar import bivariate
 from qchar.bivariate import (
     ChargeSeries,
-    _coeff_bound,
     _CostTable,
     fock_char_product,
     inverse_product_sides,
@@ -225,17 +224,17 @@ def test_graded_product_matches_reference_large_pad(m, order, lo, width):
 def test_rows_do_not_depend_on_a_wider_digit(monkeypatch, name, m, order):
     build = GRADED[name][0]
     want = _outcome(build, m, order, (-6, 6))
-    bound = bivariate._coeff_bound
-    monkeypatch.setattr(bivariate, "_coeff_bound", lambda *a: bound(*a) << 8)
+    bound = bivariate._plus_bound
+    monkeypatch.setattr(bivariate, "_plus_bound", lambda *a: bound(*a) << 8)
     assert _outcome(build, m, order, (-6, 6)) == want
 
 
 # -- the band cost table against the full-width table it replaced -----------
 #
-# _FullCostTable and ref_coeff_bound are bivariate._CostTable and
-# bivariate._coeff_bound as they were before the band tables and the
-# doubling geometric series, kept verbatim but for the table's copy and
-# get, which the reference product above reads.
+# _FullCostTable is bivariate._CostTable as it was before the band
+# tables, kept verbatim but for its copy and get, which the reference
+# product above reads. ref_coeff_bound is the digit-width bound the graded
+# products used before they read it from the closed-form product at z = 1.
 
 
 class _FullCostTable:
@@ -347,49 +346,39 @@ def test_band_table_matches_full_table(cap, limit, lo, width, movers):
             assert band.cost[band.lo] < limit and band.cost[band.hi] < limit
 
 
-def _factors(name, m, order):
-    # the factor lists the three graded products multiply
-    if name == "jtp":
-        return [(s, w, 1, False) for w in range(1, order, 2) for s in (1, -1)]
-    if name == "kp":
-        return [(s, w, 1, True) for w in range(1, order, 2) for s in (1, -1)]
-    budget = ref_neg_budget(m)
-    out = []
-    k = 1
-    while 2 * k - m - budget < order:
-        out += [(1, 2 * k - m, 1, False), (-1, 2 * k - 2 + m, 1, False)]
-        wb = m * (2 * k - 1)
-        if wb - budget < order:
-            out += [(1, wb, -1, True), (-1, wb, -1, True)]
-        k += 1
-    return out
+class _Sized(Exception):
+    pass
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 40), st.booleans()), max_size=12),
-       st.integers(0, 6), st.integers(1, 80))
-def test_coeff_bound_matches_the_loop(drawn, pad, length):
-    # inverse factors cost > 0, and no factor costs below -pad in total
-    factors, spent = [], 0
-    for cost, inverse in drawn:
-        if inverse:
-            cost = max(cost, 1)
-        elif cost < 0:
-            cost = max(cost, spent - pad)
-            spent -= cost
-        factors.append((1, cost, 1, inverse))
-    assert _coeff_bound(factors, pad, length + pad) == \
-        ref_coeff_bound(factors, pad, length + pad)
+def _sized(name, m, order):
+    """The factors a graded product multiplies and the digit-width bound
+    it passes with them, caught before any row is built."""
+    def catch(pairs, req_lo, req_hi, order, bound):
+        raise _Sized([f for pair in pairs for f in pair], bound)
+
+    real = bivariate._graded_product
+    bivariate._graded_product = catch
+    try:
+        GRADED[name][0](m, order, (0, 0))
+    except _Sized as sized:
+        return sized.args
+    finally:
+        bivariate._graded_product = real
+    raise AssertionError("no graded product was built")
+
+
+def _assert_never_narrower(name, m, order):
+    # the reference bounds every coefficient the packed rows can hold
+    factors, bound = _sized(name, m, order)
+    pad = ref_neg_budget(m) if name == "fockprod" else 0
+    assert bound >= ref_coeff_bound(factors, pad, order + 2 * pad)
 
 
 @pytest.mark.parametrize("name,m,order", [("jtp", 2, 240), ("kp", 2, 1600),
                                           ("fockprod", 3, 400),
                                           ("fockprod", 5, 97)])
-def test_coeff_bound_matches_the_loop_on_the_graded_factors(name, m, order):
-    pad = ref_neg_budget(m) if name == "fockprod" else 0
-    factors = _factors(name, m, order)
-    assert _coeff_bound(factors, pad, order + 2 * pad) == \
-        ref_coeff_bound(factors, pad, order + 2 * pad)
+def test_width_is_never_narrower_than_the_loop(name, m, order):
+    _assert_never_narrower(name, m, order)
 
 
 # every factor list the graded products multiply at small orders, fockprod
@@ -397,8 +386,14 @@ def test_coeff_bound_matches_the_loop_on_the_graded_factors(name, m, order):
 @pytest.mark.parametrize("order", [1, 7, 60])
 @pytest.mark.parametrize("name,m", [("jtp", 2), ("kp", 2)]
                          + [("fockprod", m) for m in range(2, 22)])
-def test_coeff_bound_matches_the_loop_on_small_graded_factors(name, m, order):
-    pad = ref_neg_budget(m) if name == "fockprod" else 0
-    factors = _factors(name, m, order)
-    assert _coeff_bound(factors, pad, order + 2 * pad) == \
-        ref_coeff_bound(factors, pad, order + 2 * pad)
+def test_width_is_never_narrower_than_the_loop_at_small_orders(name, m, order):
+    _assert_never_narrower(name, m, order)
+
+
+# both parities of m, pads up to 380 digits
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 300))
+@example(40, 300)
+@example(39, 1)
+def test_fockprod_width_is_never_narrower_than_the_loop(m, order):
+    _assert_never_narrower("fockprod", m, order)
