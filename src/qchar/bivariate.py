@@ -37,7 +37,7 @@ from math import isqrt
 from operator import add, sub
 from typing import Optional
 
-from .characters import QP_MAX_ORDER, IdentityReport, sector_window
+from .characters import QP_MAX_ORDER, IdentityReport, compare_series, sector_window
 from .errors import (InvalidParameter, OutOfWindow, ResourceLimit,
                      WindowUnderflow)
 from .qseries import QSeries, euler_phi, round_up, unpack_signed
@@ -528,20 +528,18 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
 
 def compare_charge_series(identity: str, params: dict, lhs: ChargeSeries,
                           rhs: ChargeSeries) -> IdentityReport:
-    """Row-by-row comparison over the common window, reported like a plain
-    series check; a failing row records its z-degree in the parameters."""
+    """compare_series on each row of the common window, lowest z-degree
+    first. The first report that fails is returned, its parameters naming
+    the row's z_degree and its order_u that row's; else a pass claimed to
+    the shared order of both series."""
     lo = max(lhs.zmin, rhs.zmin)
     hi = min(lhs.zmax, rhs.zmax)
     if lo > hi:
         raise InvalidParameter("windows do not overlap")
-    order = min(lhs.order, rhs.order)
     for d in range(lo, hi + 1):
-        e = lhs.row(d).first_diff(rhs.row(d))
-        if e is not None:
-            p = dict(params)
-            p["z_degree"] = d
-            return IdentityReport(identity, p, order, "fail",
-                                  first_diff_u_exp=e,
-                                  lhs_coeff=lhs.row(d).coeff(e),
-                                  rhs_coeff=rhs.row(d).coeff(e))
-    return IdentityReport(identity, dict(params), order, "pass")
+        report = compare_series(identity, {**params, "z_degree": d},
+                                lhs.row(d), rhs.row(d))
+        if not report.passed():
+            return report
+    return IdentityReport(identity, dict(params), min(lhs.order, rhs.order),
+                          "pass")

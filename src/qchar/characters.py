@@ -33,6 +33,7 @@ from .qseries import (
     dist_product,
     euler_phi,
     pack_digits,
+    packed_geometric,
     repack,
     round_up,
     unpack_digits,
@@ -186,7 +187,8 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 # far, rounded up by round_up. So a cold call builds at most an eighth more
 # than it asks for, a grid run longest point first makes one build per key,
 # and every call restricts or repacks that build to its own window. As
-# MAX_WINDOW and QP_MAX_ORDER are powers of two, no build passes either.
+# MAX_WINDOW, QP_MAX_ORDER and SECTOR_MAX_SPAN are powers of two, no build
+# passes the bound it is kept under.
 # Past 64 keys the least recently used key goes.
 _BUILDS: dict = {}
 
@@ -248,6 +250,10 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     # each row's least exponent is that of its P = max(t, 0)
     lo = min(max(t, 0) * (max(t, 0) + 1) - shift for _, shift, _, _, t in rows)
     n = order - lo
+    if n > SECTOR_MAX_SPAN:
+        raise ResourceLimit(
+            f"the sector character of m={m}, charge {s} at u-order {order} "
+            f"spans {n} u-powers, past its bound {SECTOR_MAX_SPAN}")
     L = (n + 1) // 2  # q-digits in the window
     points = 0
     uses: dict = {}  # t -> [(q-digit of the first term of T_t, sign)]
@@ -372,16 +378,6 @@ def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
 # _digit_bytes) must hold true coefficients.
 
 
-def _geometric(x: int, j: int, n: int, w: int) -> int:
-    """x / (1 - q^j) below q^n, for x packed in w-bit digits."""
-    mask = (1 << w * n) - 1
-    x &= mask
-    while j < n:
-        x = (x + (x << w * j)) & mask
-        j <<= 1
-    return x
-
-
 def _digit_bytes(m: int, nu: int) -> int:
     """Bytes per digit for quasiparticle_char(m, s, nu - s m), any s.
 
@@ -429,13 +425,13 @@ def _charge_buckets(nu: int, nb: int):
     while a * (a + 1) < nu:
         ea = a * (a + 1) // 2
         if a > 0:
-            X = _geometric(X, a, L - ea, w)
+            X = packed_geometric(X, a, L - ea, w)
         R = X  # 1/((q)_a (q)_b) below q^(L - e)
         b = 0
         e = ea
         while e < L:
             if b > 0:
-                R = _geometric(R, b, L - e, w)
+                R = packed_geometric(R, b, L - e, w)
             buckets[a - b] = buckets.get(a - b, 0) + (R << w * e)
             b += 1
             e = ea + b * (b - 1) // 2
@@ -451,7 +447,7 @@ def _boson_pair_base(m: int, nu: int, nb: int) -> int:
     n = (nu + 2 * m - 1) // (2 * m)  # compact digit t holds u^(2mt)
     R = 1
     for j in range(1, n):
-        R = _geometric(_geometric(R, j, n, w), j, n, w)
+        R = packed_geometric(packed_geometric(R, j, n, w), j, n, w)
     return repack(R, nb, n, nb, m)
 
 
@@ -517,6 +513,13 @@ def _shared_base(m: int, nu: int, nb: int) -> int:
 # dominate its time, which grows about 6x per doubling of that order:
 # seconds at the bound, about an hour at 10^5.
 QP_MAX_ORDER = 1 << 13
+
+# The longest span order - lo, in u-powers, a sector character is built
+# over; a power of two, so the shared inverse denominator's rounded build
+# stays within it. Building that denominator dominates the time: on 2
+# vCPUs about 4 s at the bound for m = 2, while m = 1000's span of 249502
+# still ran after a minute.
+SECTOR_MAX_SPAN = 1 << 16
 
 
 def quasiparticle_window(m: int, s: int, order: int):

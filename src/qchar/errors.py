@@ -38,7 +38,8 @@ class WindowUnderflow(QcharError):
 class ResourceLimit(QcharError):
     """A request past a size or work bound: a window longer than
     MAX_WINDOW, a quasiparticle sum or packed two-variable Fock character
-    rows past QP_MAX_ORDER, or an enumeration past its node budget."""
+    rows past QP_MAX_ORDER, a sector character spanning more than
+    SECTOR_MAX_SPAN u-powers, or an enumeration past its node budget."""
 
 
 class ExprError(QcharError):

@@ -13,7 +13,8 @@ its sides function:
     u^0..u^nu unless given, as sector_window's for sector characters;
     check_domain() refuses a point whose window exceeds MAX_WINDOW, or
     for which window() raises ResourceLimit itself, as the quasiparticle
-    sum's bound does, and `verify` runs the longest point first;
+    sum's bound and lemma11a's longest claimed window do, and `verify`
+    runs the longest point first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -130,8 +131,16 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
 # -- the families, in `--family all` order -----------------------------------
 
 
-@family("lemma11a", window=lambda nu, m, s: sector_window(m, nu + abs(s) * m),
-        m=(2, 6), s=(0, 6))
+def _mirror_window(nu, m, s):
+    # the charge -|s| side, claimed at u-order nu + |s| m, starts at or
+    # above u^(|s| m), and the charge |s| side is claimed at nu - |s| m:
+    # neither asks the store for more than sector_window(m, nu); the
+    # point is refused on the longest window a side claims
+    check_window(*sector_window(m, nu + abs(s) * m))
+    return sector_window(m, nu)
+
+
+@family("lemma11a", window=_mirror_window, m=(2, 6), s=(0, 6))
 def _mirror_pair(nu, half, m, s):
     # u^{sm} fs(m,s) + u^{-sm} fs(m,-s), both terms claiming order nu
     a = fock_sector_char(m, s, nu - s * m).shifted(s * m)

@@ -21,6 +21,7 @@ from .errors import InvalidParameter, ResourceLimit
 from .qseries import QSeries
 from .characters import (
     IdentityReport,
+    compare_series,
     fock_sector_char,
     mark_short,
     quasiparticle_char,
@@ -107,22 +108,19 @@ def reachable_charges(m: int, max_u_exp: int,
 
 def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,
                             max_nodes: int = _DEFAULT_NODE_CAP) -> IdentityReport:
-    """Three-way check: the state count vs the quasiparticle sum vs the
-    lattice-sum character, on their common window; "short" if that window
-    ends below max_u_exp.  The quasiparticle sum's bound is checked before
-    any state is counted."""
+    """Three-way check: compare_series of the state count against the
+    quasiparticle sum, then against the lattice-sum character. The first
+    report that fails is returned, else the last, which is "short" if the
+    three sides' common window ends below max_u_exp; either way order_u
+    is the least of the three orders. The quasiparticle sum's bound is
+    checked before any state is counted."""
     quasiparticle_window(m, s, max_u_exp)
     counted = enumerate_charge_series(m, s, max_u_exp, max_nodes)
     qp = quasiparticle_char(m, s, max_u_exp)
     ch = fock_sector_char(m, s, max_u_exp)
-    params = {"m": m, "s": s}
-    order = min(counted.order, qp.order, ch.order)
     for other in (qp, ch):
-        e = counted.first_diff(other)
-        if e is not None:
-            return IdentityReport("oracle-threeway", params, order, "fail",
-                                  first_diff_u_exp=e,
-                                  lhs_coeff=counted.coeff(e),
-                                  rhs_coeff=other.coeff(e))
-    return mark_short(
-        IdentityReport("oracle-threeway", params, order, "pass"), max_u_exp)
+        report = compare_series("oracle-threeway", {"m": m, "s": s}, counted, other)
+        report.order_u = min(counted.order, qp.order, ch.order)
+        if not report.passed():
+            return report
+    return mark_short(report, max_u_exp)

@@ -26,8 +26,8 @@ public helper. Every cached builder keeps at most 64 entries.
 
 A series packed in w-bit digits below q^L (Kronecker substitution) is
 kept as its residue mod 2^(wL); unpack_signed reads back signed digits,
-and repack moves nonnegative ones to another width, exactly when each
-fits it.
+repack moves nonnegative ones to another width, exactly when each fits
+it, and packed_geometric divides by 1 - q^j.
 """
 
 from bisect import bisect_left
@@ -165,15 +165,9 @@ class QSeries:
                 return None
         lo = min(self.min_exp, other.min_exp, through)
         for e in range(lo, through):
-            if self._at(e) != other._at(e):
+            if self.coeff(e) != other.coeff(e):
                 return e
         return None
-
-    def _at(self, e: int) -> int:
-        t = e - self.min_exp
-        if t < 0 or t >= len(self.coeffs):
-            return 0
-        return self.coeffs[t]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -405,6 +399,17 @@ def repack(x: int, nbytes: int, count: int, width: int, step: int = 1) -> int:
     for i in range(min(nbytes, width)):
         out[i::step * width] = raw[i::nbytes]
     return int.from_bytes(out, "little")
+
+
+def packed_geometric(x: int, j: int, n: int, w: int) -> int:
+    """x / (1 - q^j) below q^n, for x packed in w-bit digits: the product
+    of the 1 + q^(j 2^i) with j 2^i < n, one shift-add per factor."""
+    mask = (1 << w * n) - 1
+    x &= mask
+    while j < n:
+        x = (x + (x << w * j)) & mask
+        j <<= 1
+    return x
 
 
 def unpack_signed(x: int, nbytes: int, count: int) -> list:

@@ -381,6 +381,7 @@ def test_compare_reports_failing_degree():
     assert rep.params["z_degree"] == 1
     assert rep.first_diff_u_exp == 7
     assert (rep.lhs_coeff, rep.rhs_coeff) == (0, 2)
+    assert rep.order_u == 20
 
 
 def test_compare_pass_keeps_params_clean():

@@ -5,7 +5,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import characters
 from qchar.characters import (
+    SECTOR_MAX_SPAN,
     IdentityReport,
     _theta_bracket,
     basic_char,
@@ -242,6 +244,24 @@ def test_fock_sector_char_top_is_product():
         invm = inv_euler_phi(m, 200)
         rhs = (d * d) * (invm * invm)
         assert fock_sector_char(m, m - 1, 200).first_diff(rhs) is None
+
+
+def test_fock_sector_char_span_past_the_bound(monkeypatch):
+    # refused once its rows are found, before the denominator is built;
+    # fs(1000, 499) reaches down to u^-pad(1000) = u^-249500
+    monkeypatch.setattr(characters, "_inverse_denominator", None)
+    monkeypatch.setattr(characters, "_BUILDS", {})
+    for m, s, order in ((1000, 499, 2), (1000, 500, 2),
+                        (2, 0, SECTOR_MAX_SPAN + 1)):
+        with pytest.raises(ResourceLimit, match="past its bound 65536"):
+            fock_sector_char(m, s, order)
+    # a far charge holds no row below the window, so nothing is built
+    assert fock_sector_char(1000, 1499, 2).is_zero()
+    assert fock_sector_char(2, MAX_WINDOW, 5).is_zero()
+    # fs(2, 0) starts at u^0: at the bound it goes on to the build
+    with pytest.raises(TypeError):
+        fock_sector_char(2, 0, SECTOR_MAX_SPAN)
+    assert characters._BUILDS == {("inverse", 2): (SECTOR_MAX_SPAN, 0)}
 
 
 def test_pair_product_constant_term():

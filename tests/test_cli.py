@@ -10,6 +10,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar import characters, cli, identities, oracle
 from qchar.characters import IdentityReport
@@ -359,8 +360,8 @@ def test_prop21_grid_runs_longest_first_and_reports_in_grid_order(
     ("prop21", {"m": 4, "s": -3}, 82),
     ("cor22", {"m": 5}, 80),
     ("recurrence", {"m": 2, "k": 1}, 84),
-    ("lemma11a", {"m": 2, "s": 3}, 86),
-    ("lemma11a", {"m": 5, "s": -1}, 89),
+    ("lemma11a", {"m": 2, "s": 3}, 80),
+    ("lemma11a", {"m": 5, "s": -1}, 84),
     ("thm13b", {"m": 3, "k": -2}, 93),
     ("gauss", {}, 80),
 ])
@@ -407,6 +408,9 @@ def test_domain_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
     ("recurrence", ("--m", "4", "--k", "1000"), "m=4 k=1000: the window u^-2.."),
     ("prop21", ("--m", "2", "--s", "1000000"),
      "m=2 s=1000000: the window u^-2000000.."),
+    # lemma11a builds within u^0..u^2, but claims a side at u^(2 + |s| m)
+    ("lemma11a", ("--m", "2", "--s", "1000000"),
+     "m=2 s=1000000: the window u^0..u^2000002 "),
 ])
 def test_family_window_past_the_bound_is_resource_limit(capsys, monkeypatch,
                                                         name, axes, where):
@@ -477,13 +481,36 @@ def builds(monkeypatch):
     characters._BUILDS.clear()
 
 
-def test_verify_all_makes_at_most_two_builds_per_key(capsys, builds):
-    # longest point first, each build rounded up: one build per key, or
-    # two where a family's window overstates a character's
-    assert run(capsys, "verify", "--family", "all", "--order", "100")[0] == 0
+@pytest.mark.parametrize("order", ["100", "400"])
+def test_verify_all_makes_one_build_per_key(capsys, builds, order):
+    # longest point first, each build rounded up: one build per key
+    assert run(capsys, "verify", "--family", "all", "--order", order)[0] == 0
     per_key = Counter((name, None if name == "_charge_buckets" else args[0])
                       for name, args in builds)
-    assert max(per_key.values()) <= 2
+    assert set(per_key.values()) == {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 12), s=st.integers(-12, 12),
+       nu=st.sampled_from([1, 7, 40, 200]))
+def test_lemma11a_sides_stay_within_the_window_they_declare(m, s, nu):
+    # the charge -|s| side, claimed at nu + |s| m, starts at or above
+    # u^(|s| m): no inverse denominator is asked past nu + pad(m)
+    asked = []
+    real = characters._shared_build
+
+    def record(key, n, *rest):
+        if key[0] == "inverse":
+            asked.append(n)
+        return real(key, n, *rest)
+
+    fam = identities.FAMILIES["lemma11a"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(characters, "_shared_build", record)
+        list(fam.sides(nu, None, m=m, s=s))
+    lo, order = fam.window(nu, m=m, s=s)
+    assert order - lo == nu - characters.sector_window(m, 0)[0]
+    assert asked and max(asked) <= order - lo
 
 
 @pytest.mark.parametrize("m,order", [(2, 30), (2, 60), (2, 120), (3, 30),
@@ -713,6 +740,28 @@ def _verdicts(fmt, out):
     return verdicts
 
 
+_DIFF_FIELDS = ("order_u", "first_diff_u_exp", "lhs_coeff", "rhs_coeff")
+
+
+def _diff_fields(fmt, out):
+    """(order_u, first_diff_u_exp, lhs_coeff, rhs_coeff) of every report
+    printed in format fmt, as strings, "" where a field is empty."""
+    if fmt == "json":
+        rows = json.loads(out)
+    elif fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+    else:
+        rows = []
+        for line in out.splitlines()[:-1]:
+            bits = dict(bit.split("=", 1) for bit in line.split() if "=" in bit)
+            rows.append({"order_u": bits["order_u"],
+                         "first_diff_u_exp": bits.get("first_diff", "u^")[2:],
+                         "lhs_coeff": bits.get("lhs"),
+                         "rhs_coeff": bits.get("rhs")})
+    return [tuple("" if row[key] is None else str(row[key])
+                  for key in _DIFF_FIELDS) for row in rows]
+
+
 def _skew_point(nu, half, m, s, sides):
     # the real reports, with the s = 1 point made to fail or to fall short
     for extra, lhs, rhs in identities._reflection(nu, half, m, s):
@@ -765,6 +814,25 @@ def test_oracle_exit_one_only_with_a_failing_report(capsys, monkeypatch,
     assert verdicts == ["pass" if side is None else "fail"]
     assert code in (0, 1)
     assert (code == 1) == any(v != "pass" for v in verdicts)
+    # the state count has 5 states at u^4, the skewed side one more
+    diff = ("", "", "") if side is None else ("4", "5", "6")
+    assert _diff_fields(fmt, out) == [("12", *diff)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_oracle_fail_claims_the_least_order_of_the_three(capsys, monkeypatch,
+                                                         fmt):
+    # the quasiparticle sum fails at u^4 against the state count, both
+    # claimed below u^12; the lattice-sum character only below u^10
+    real_qp, real_fs = oracle.quasiparticle_char, oracle.fock_sector_char
+    monkeypatch.setattr(oracle, "quasiparticle_char", lambda m, s, order:
+                        real_qp(m, s, order) + QSeries.monomial(4, order))
+    monkeypatch.setattr(oracle, "fock_sector_char", lambda m, s, order:
+                        real_fs(m, s, order).restricted(order - 2))
+    code, out, _ = run(capsys, "oracle", "--m", "2", "--s", "0",
+                       "--qbound", "6", "--format", fmt)
+    assert (code, _verdicts(fmt, out)) == (1, ["fail"])
+    assert _diff_fields(fmt, out) == [("10", "4", "5", "6")]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])

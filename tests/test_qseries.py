@@ -677,14 +677,19 @@ def test_immutable():
 # first_diff against the exponent walk it short-cuts
 #
 # ref_first_diff is QSeries.first_diff as it was before the equal-prefix
-# fast path, kept verbatim.
+# fast path, each coefficient read straight from the window: zero outside
+# it.
 
 
 def ref_first_diff(self, other):
+    def at(series, e):
+        t = e - series.min_exp
+        return series.coeffs[t] if 0 <= t < len(series.coeffs) else 0
+
     through = min(self.order, other.order)
     lo = min(self.min_exp, other.min_exp, through)
     for e in range(lo, through):
-        if self._at(e) != other._at(e):
+        if at(self, e) != at(other, e):
             return e
     return None
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from qchar import characters
 from qchar.errors import InvalidParameter
-from qchar.qseries import QSeries, euler_phi, round_up, unpack_digits
+from qchar.qseries import (QSeries, euler_phi, packed_geometric, round_up,
+                           unpack_digits)
 
 
 def _geometric_inplace(arr: list, stride: int) -> None:
@@ -234,13 +235,13 @@ def ref_charge_buckets(nu: int, nb: int):
     while a * (a + 1) < nu:
         ea = a * (a + 1) // 2
         if a > 0:
-            X = characters._geometric(X, a, L - ea, w)
+            X = packed_geometric(X, a, L - ea, w)
         R = X  # 1/((q)_a (q)_b) below q^(L - e)
         b = 0
         e = ea
         while e < L:
             if b > 0:
-                R = characters._geometric(R, b, L - e, w)
+                R = packed_geometric(R, b, L - e, w)
             buckets[a - b] = buckets.get(a - b, 0) + (R << w * e)
             b += 1
             e = ea + b * (b - 1) // 2
@@ -255,7 +256,7 @@ def ref_boson_pair_base(m: int, nu: int, nb: int) -> int:
     n = (nu + 2 * m - 1) // (2 * m)  # compact digit t holds u^(2mt)
     R = 1
     for j in range(1, n):
-        R = characters._geometric(characters._geometric(R, j, n, w), j, n, w)
+        R = packed_geometric(packed_geometric(R, j, n, w), j, n, w)
     raw = R.to_bytes(n * nb, "little")
     out = bytearray((nu + 1) // 2 * nb)
     for i in range(nb):
