@@ -38,8 +38,8 @@ from operator import add, sub
 from typing import Optional
 
 from .characters import QP_MAX_ORDER, IdentityReport, compare_series, sector_window
-from .errors import (InvalidParameter, OutOfWindow, ResourceLimit,
-                     WindowUnderflow)
+from .errors import (InvalidParameter, OutOfWindow, WindowUnderflow,
+                     check_work, need)
 from .qseries import QSeries, euler_phi, round_up, unpack_signed
 
 _INF = float("inf")
@@ -435,8 +435,7 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     """Fermion-pair product against the theta sum over phi(q):
     prod_n (1 + z u^(2n-1))(1 + 1/z u^(2n-1)) and
     (sum_j z^j u^(j*j)) / phi(q)."""
-    if order < 1:
-        raise InvalidParameter(f"need order >= 1, got {order}")
+    need("order", order, 1)
     lo, hi = window
     pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
     # at z = 1: (-u;u^2)^2 = theta_1 / phi(1)
@@ -456,8 +455,7 @@ def inverse_product_sides(order: int, window) -> tuple:
     over phi(q)^2: prod_k 1/((1 + z u^(2k-1))(1 + 1/z u^(2k-1))) and
     (sum_{r,t>=0} - sum_{r,t<0}) (-1)^(r+t) z^t u^(r(r+1)+(2r+1)t)
     / phi(q)^2."""
-    if order < 1:
-        raise InvalidParameter(f"need order >= 1, got {order}")
+    need("order", order, 1)
     lo, hi = window
     pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
     # at z = 1: 1/(u;u^2)^2 = theta_1 phi(2)^2 / phi(1)^3
@@ -485,10 +483,9 @@ def fock_char_window(m: int, order: int):
     does, or ResourceLimit, before anything is built, if the span its
     digit width is read over, order + 2 pad digits, passes QP_MAX_ORDER."""
     pad = -sector_window(m, order)[0]
-    if order + 2 * pad > QP_MAX_ORDER:
-        raise ResourceLimit(
-            f"the two-variable Fock character of m={m} at u-order {order} "
-            f"spans {order + 2 * pad} packed digits, past its bound {QP_MAX_ORDER}")
+    check_work(order + 2 * pad, QP_MAX_ORDER,
+               f"the two-variable Fock character of m={m} at u-order {order} "
+               "has a span in packed digits of")
     return -pad, order
 
 
@@ -498,8 +495,7 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
     (1 + z u^(2k-m)) (1 + 1/z u^(2k-2+m))
     / ((1 - z u^(m(2k-1))) (1 - 1/z u^(m(2k-1)))),
     on the requested z-window. Rows can start at negative u-exponents."""
-    if order < 1:
-        raise InvalidParameter(f"need order >= 1, got {order}")
+    need("order", order, 1)
     budget = -fock_char_window(m, order)[0]
     lo, hi = window
     pairs = []

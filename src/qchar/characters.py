@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InsufficientOrder, InvalidParameter, ResourceLimit
+from .errors import InsufficientOrder, check_work, need
 from .qseries import (
     QSeries,
     check_window,
@@ -160,8 +160,7 @@ def sector_window(m: int, order: int):
     """(-pad, order): sector s of m, the z^s row of fock_char_product,
     starts no lower than u^-pad, -pad the sum of the product's negative
     u-costs, reached at s = (m - 1) // 2. Raises InvalidParameter if m < 2."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     # sum over k >= 1 of max(0, m - 2k), the k <= (m - 1) / 2 terms
     pad = (m - 1) // 2 * (m // 2)
     return -pad, order
@@ -216,6 +215,32 @@ def _inverse_denominator(m: int, n: int):
     return pack_digits(inv, nb), nb
 
 
+# The longest span order - lo, in u-powers, a sector character is built
+# over; a power of two, so the shared inverse denominator's rounded build
+# stays within it. Building that denominator dominates the time: on 2
+# vCPUs about 4 s at the bound for m = 2, while m = 1000's span of 249502
+# still ran after a minute.
+SECTOR_MAX_SPAN = 1 << 16
+
+
+def _sector_rows(m: int, s: int, order: int):
+    """The rows of _lattice_rows(m, s, order) and lo, their least exponent
+    or order if none; ResourceLimit if order - lo passes SECTOR_MAX_SPAN."""
+    rows = list(_lattice_rows(m, s, order))
+    # each row's least exponent is that of its P = max(t, 0)
+    lo = min((max(t, 0) * (max(t, 0) + 1) - shift for _, shift, _, _, t in rows),
+             default=order)
+    check_work(order - lo, SECTOR_MAX_SPAN,
+               f"the sector character of m={m}, charge {s} at u-order {order} "
+               "has a span in u-powers of")
+    return rows, lo
+
+
+def sector_char_window(m: int, s: int, order: int):
+    """(lo, order) of the window fock_sector_char(m, s, order) builds."""
+    return _sector_rows(m, s, order)[1], order
+
+
 def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     """Specialized character of the charge-s Fock sector.
 
@@ -244,16 +269,10 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     whatever the intermediates hold, so its signed digits are the
     coefficients.
     """
-    rows = list(_lattice_rows(m, s, order))
+    rows, lo = _sector_rows(m, s, order)
     if not rows:
         return QSeries.zero(order)
-    # each row's least exponent is that of its P = max(t, 0)
-    lo = min(max(t, 0) * (max(t, 0) + 1) - shift for _, shift, _, _, t in rows)
     n = order - lo
-    if n > SECTOR_MAX_SPAN:
-        raise ResourceLimit(
-            f"the sector character of m={m}, charge {s} at u-order {order} "
-            f"spans {n} u-powers, past its bound {SECTOR_MAX_SPAN}")
     L = (n + 1) // 2  # q-digits in the window
     points = 0
     uses: dict = {}  # t -> [(q-digit of the first term of T_t, sign)]
@@ -307,8 +326,7 @@ def _pair_quotient(m: int, order: int) -> QSeries:
 def sector_pair_product(m: int, order: int) -> QSeries:
     """Product side shared by the mirror pair of sector characters:
     2 * (dist product)^2 / phi(q^m)^2."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     if order <= 0:
         return QSeries.zero(order)
     return 2 * _pair_quotient(m, order)
@@ -333,10 +351,8 @@ def sector_closed_form(m: int, k: int, order: int) -> QSeries:
     """Closed form of the sector characters at s = (k+1)(m-1) and s = -k(m-1):
     a finite alternating theta-like bracket times (dist product)^2 / phi(q^m)^2,
     shifted by u^(k m (m-1))."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
-    if k < 0:
-        raise InvalidParameter(f"need k >= 0, got {k}")
+    need("m", m, 2)
+    need("k", k, 0)
     if order <= 0:
         return QSeries.zero(order)
     br = _theta_bracket(m, k, order)
@@ -346,8 +362,7 @@ def sector_closed_form(m: int, k: int, order: int) -> QSeries:
 def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
     """Advance a sector character by m-1 charge units:
     u^(sm) * (sector_pair_product - u^(sm) * fs), claimed at order."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     if fs.order < order - 2 * s * m:
         raise InsufficientOrder(
             f"input order {fs.order} cannot support output order {order}")
@@ -514,13 +529,6 @@ def _shared_base(m: int, nu: int, nb: int) -> int:
 # seconds at the bound, about an hour at 10^5.
 QP_MAX_ORDER = 1 << 13
 
-# The longest span order - lo, in u-powers, a sector character is built
-# over; a power of two, so the shared inverse denominator's rounded build
-# stays within it. Building that denominator dominates the time: on 2
-# vCPUs about 4 s at the bound for m = 2, while m = 1000's span of 249502
-# still ran after a minute.
-SECTOR_MAX_SPAN = 1 << 16
-
 
 def quasiparticle_window(m: int, s: int, order: int):
     """(lo, order) of the window u^(-sm)..u^order that
@@ -528,13 +536,11 @@ def quasiparticle_window(m: int, s: int, order: int):
     m < 2, and ResourceLimit if that window is longer than MAX_WINDOW or
     the internal u-order order + s m exceeds QP_MAX_ORDER: the check every
     caller makes before anything is built."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     check_window(-s * m, order)
-    if order + s * m > QP_MAX_ORDER:
-        raise ResourceLimit(
-            f"the quasiparticle sum of charge {s} claimed at u-order {order} "
-            f"is built at u-order {order + s * m}, past its bound {QP_MAX_ORDER}")
+    check_work(order + s * m, QP_MAX_ORDER,
+               f"the quasiparticle sum of charge {s} claimed at u-order {order} "
+               "is built at u-order")
     return -s * m, order
 
 
@@ -563,8 +569,7 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
 def vacuum_identity_sides(m: int, order: int):
     """Both sides of the vacuum-sector product identity:
     (dist product)^2 / phi(q^m)^2 versus the charge-0 quasiparticle sum."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     if order <= 0:
         z = QSeries.zero(order)
         return z, z
@@ -579,8 +584,7 @@ def vacuum_identity_sides(m: int, order: int):
 def basic_char(m: int, order: int) -> QSeries:
     """Specialized character of the basic module (and of the module at the
     last fundamental weight): (dist product)^2 / phi(q^m)."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     if order <= 0:
         return QSeries.zero(order)
     # the dense dist product on purpose, as an independent route: thm13a
@@ -608,10 +612,8 @@ def log_coeff_estimate(m: int, n: int) -> float:
     Log-domain on purpose: the raw value overflows a double long before
     the interesting range of n.
     """
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
-    if n < 1:
-        raise InvalidParameter(f"need n >= 1, got {n}")
+    need("m", m, 2)
+    need("n", n, 1)
     return (math.pi * math.sqrt((2.0 / 3.0) * ((m + 1) / m) * n)
             + 0.5 * math.log(m + 1)
             - math.log(8.0 * math.sqrt(3.0) * n))
@@ -621,10 +623,8 @@ def growth_report(m: int, n_max: int):
     """Rows (n, a_n, ratio) for n = 0..n_max, where a_n is the n-th
     q-coefficient of basic_char(m) and ratio = log(a_n) / log_coeff_estimate.
     The n = 0 row carries ratio 0.0 since the estimate starts at n = 1."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
-    if n_max < 0:
-        raise InvalidParameter(f"need n_max >= 0, got {n_max}")
+    need("m", m, 2)
+    need("n_max", n_max, 0)
     ch = basic_char(m, 2 * n_max + 2)
     rows = []
     for n in range(n_max + 1):

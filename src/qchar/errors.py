@@ -13,6 +13,12 @@ class InvalidParameter(QcharError):
     """A domain argument is out of range (m < 2, negative index, ...)."""
 
 
+def need(name: str, value: int, lo: int) -> None:
+    """Raise InvalidParameter unless the argument `name` is at least lo."""
+    if value < lo:
+        raise InvalidParameter(f"need {name} >= {lo}, got {value}")
+
+
 class ZeroSeries(QcharError):
     """Inversion of the zero series was requested."""
 
@@ -36,10 +42,14 @@ class WindowUnderflow(QcharError):
 
 
 class ResourceLimit(QcharError):
-    """A request past a size or work bound: a window longer than
-    MAX_WINDOW, a quasiparticle sum or packed two-variable Fock character
-    rows past QP_MAX_ORDER, a sector character spanning more than
-    SECTOR_MAX_SPAN u-powers, or an enumeration past its node budget."""
+    """A request past a size or work bound: one that check_work refuses,
+    or an enumeration past its node budget."""
+
+
+def check_work(n: int, bound: int, what: str) -> None:
+    """Raise ResourceLimit if n, the size `what` names, passes bound."""
+    if n > bound:
+        raise ResourceLimit(f"{what} {n}, past its bound {bound}")
 
 
 class ExprError(QcharError):

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     UnknownBuiltin,
     ZeroSeries,
+    need,
 )
 from .qseries import (
     MAX_WINDOW,  # the bound evaluation keeps, exported here too
@@ -360,8 +361,7 @@ def parse(text: str) -> Node:
 
 def eval_expr(node: Node, order: int) -> QSeries:
     """Evaluate at guaranteed u-order `order` (>= 1)."""
-    if order < 1:
-        raise InvalidParameter(f"evaluation order must be >= 1, got {order}")
+    need("order", order, 1)
     check_window(0, order)
     try:
         return _eval(node, order)

@@ -12,9 +12,9 @@ its sides function:
   * window(nu, **point): (lo, order) of the widest window its sides build,
     u^0..u^nu unless given, as sector_window's for sector characters;
     check_domain() refuses a point whose window exceeds MAX_WINDOW, or
-    for which window() raises ResourceLimit itself, as the quasiparticle
-    sum's bound and lemma11a's longest claimed window do, and `verify`
-    runs the longest point first;
+    for which window() raises itself, as the quasiparticle sum's bound
+    and, for lemma11a and lemma11b, each side's sector_char_window do,
+    and `verify` runs the longest point first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -45,11 +45,12 @@ from .characters import (
     quasiparticle_window,
     recurrence_step,
     sector_closed_form,
+    sector_char_window,
     sector_pair_product,
     sector_window,
     vacuum_identity_sides,
 )
-from .errors import InvalidParameter, QcharError, ResourceLimit
+from .errors import QcharError, need
 from .qseries import check_window, dist_product, euler_phi, gauss_sum
 
 
@@ -89,19 +90,17 @@ def check_domain(name: str, point: dict, nu: int = 0) -> int:
     """The length of the widest window the point's sides build at u-order
     nu: order - lo of its family's window().
 
-    Raise InvalidParameter, naming the point, if an axis of it lies below
-    family `name`'s floor: the error check() would raise once it got there.
-    Raise ResourceLimit if that window is longer than MAX_WINDOW."""
+    Raise, naming the point as check() does, InvalidParameter if an axis
+    lies below family `name`'s floor, and ResourceLimit if window() does
+    or its window is longer than MAX_WINDOW."""
     fam = FAMILIES[name]
-    for axis, lo in fam.floors.items():
-        if point[axis] < lo:
-            raise InvalidParameter(
-                f"{_where(name, point)}: need {axis} >= {lo}, got {point[axis]}")
     try:
+        for axis, lo in fam.floors.items():
+            need(axis, point[axis], lo)
         lo, order = fam.window(nu, **point)
         check_window(lo, order)
-    except ResourceLimit as err:
-        raise ResourceLimit(f"{_where(name, point)}: {err}") from err
+    except QcharError as err:
+        raise type(err)(f"{_where(name, point)}: {err}") from err
     return order - lo
 
 
@@ -131,16 +130,19 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
 # -- the families, in `--family all` order -----------------------------------
 
 
-def _mirror_window(nu, m, s):
-    # the charge -|s| side, claimed at u-order nu + |s| m, starts at or
-    # above u^(|s| m), and the charge |s| side is claimed at nu - |s| m:
-    # neither asks the store for more than sector_window(m, nu); the
-    # point is refused on the longest window a side claims
-    check_window(*sector_window(m, nu + abs(s) * m))
+def _sector_sides(m, nu, *sides):
+    # each (charge, u-order) a side builds a sector character at is
+    # checked as that side makes it; none asks the store for more than
+    # sector_window(m, nu), which the point declares
+    for s, order in sides:
+        sector_char_window(m, s, order)
     return sector_window(m, nu)
 
 
-@family("lemma11a", window=_mirror_window, m=(2, 6), s=(0, 6))
+@family("lemma11a",
+        window=lambda nu, m, s: _sector_sides(m, nu, (s, nu - s * m),
+                                              (-s, nu + s * m)),
+        m=(2, 6), s=(0, 6))
 def _mirror_pair(nu, half, m, s):
     # u^{sm} fs(m,s) + u^{-sm} fs(m,-s), both terms claiming order nu
     a = fock_sector_char(m, s, nu - s * m).shifted(s * m)
@@ -148,7 +150,8 @@ def _mirror_pair(nu, half, m, s):
     yield {}, a + b, sector_pair_product(m, nu)
 
 
-@family("lemma11b", window=lambda nu, m, s: sector_window(m, nu),
+@family("lemma11b",
+        window=lambda nu, m, s: _sector_sides(m, nu, (s, nu), (m - 1 - s, nu)),
         m=(2, 6), s=(0, 6))
 def _reflection(nu, half, m, s):
     yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvalidParameter, ResourceLimit
+from .errors import ResourceLimit, need
 from .qseries import QSeries
 from .characters import (
     IdentityReport,
@@ -90,8 +90,7 @@ def _full_charge_dp(m: int, max_u: int, max_nodes: int):
 def enumerate_charge_series(m: int, s: int, max_u_exp: int,
                             max_nodes: int = _DEFAULT_NODE_CAP) -> QSeries:
     """State-counting series of the charge-s sector below max_u_exp."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     dp = _full_charge_dp(m, max_u_exp, max_nodes)
     terms = {d: v for (c, d), v in dp.items() if c == s and d < max_u_exp}
     return QSeries.from_terms(terms, max_u_exp)
@@ -100,8 +99,7 @@ def enumerate_charge_series(m: int, s: int, max_u_exp: int,
 def reachable_charges(m: int, max_u_exp: int,
                       max_nodes: int = _DEFAULT_NODE_CAP) -> tuple:
     """Sorted charges with at least one state below the bound."""
-    if m < 2:
-        raise InvalidParameter(f"need m >= 2, got {m}")
+    need("m", m, 2)
     dp = _full_charge_dp(m, max_u_exp, max_nodes)
     return tuple(sorted({c for (c, d), v in dp.items() if d < max_u_exp and v}))
 

@@ -13,16 +13,18 @@ y[t] = c0 (x[t] - sum_k d[k] y[t-k]), over the nonzero terms of d only,
 for a divisor whose lowest coefficient c0 is +-1. `invert` is 1 / d. The
 Euler products (q^j;q^j)_inf come from the pentagonal theorem with
 O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
-instead of the O(order^2) of multiplying by a dense inverse. Every
-Euler quotient in the package is built with `/`. The sector characters
-divide only once per m: characters.py builds 1/(phi(q) phi(q^m)^2) with
-`/` and caches it packed in one int, and each character repacks it to its
-own digit width and multiplies the sparse lattice sum by it,
-O(sqrt(order)) shifts of that int against the O(order^1.5) Python steps
-of dividing each character anew. Every series the characters share is
-built at the longest order asked for so far, rounded up by round_up, and
-read back restricted or repacked. `inv_euler_phi` remains only as a
-public helper. Every cached builder keeps at most 64 entries.
+instead of the O(order^2) of multiplying by a dense inverse. Every Euler
+quotient but characters._boson_pair_base is built with `/`; that one is
+packed on purpose, as for m >= 4 it is the only check of euler_phi(m) (a test
+skews euler_phi(4) to show it). The sector characters divide only once
+per m: characters.py builds 1/(phi(q) phi(q^m)^2) with `/` and caches it
+packed in one int, and each character repacks it to its own digit width
+and multiplies the sparse lattice sum by it, O(sqrt(order)) shifts of
+that int against the O(order^1.5) Python steps of dividing each
+character anew. Every series the characters share is built at the
+longest order asked for so far, rounded up by round_up, and read back
+restricted or repacked. `inv_euler_phi` remains only as a public helper.
+Every cached builder keeps at most 64 entries.
 
 A series packed in w-bit digits below q^L (Kronecker substitution) is
 kept as its residue mod 2^(wL); unpack_signed reads back signed digits,
@@ -40,8 +42,9 @@ from .errors import (
     InvalidParameter,
     NonUnitLeadingCoefficient,
     OutOfWindow,
-    ResourceLimit,
     ZeroSeries,
+    check_work,
+    need,
 )
 
 # The longest window [min_exp, order) a caller may ask a builder for, in
@@ -52,9 +55,8 @@ MAX_WINDOW = 1 << 20
 def check_window(lo: int, order: int) -> None:
     """Raise ResourceLimit if the window u^lo..u^order is longer than
     MAX_WINDOW coefficients."""
-    if order - lo > MAX_WINDOW:
-        raise ResourceLimit(
-            f"the window u^{lo}..u^{order} holds more than {MAX_WINDOW} coefficients")
+    check_work(order - lo, MAX_WINDOW,
+               f"the window u^{lo}..u^{order} has a length in coefficients of")
 
 
 def round_up(n: int) -> int:
@@ -449,8 +451,7 @@ def _factor_product(j: int, n_factors: int, order: int, op) -> QSeries:
 def euler_phi(j: int, order: int) -> QSeries:
     """prod_{i>=1} (1 - q^{ji}) truncated below u^order, by Euler's
     pentagonal theorem: the sum over k in Z of (-1)^k q^(j k(3k-1)/2)."""
-    if j < 1:
-        raise InvalidParameter("euler_phi needs j >= 1")
+    need("j", j, 1)
     if order <= 0:
         return QSeries.zero(order)
     c = [0] * order
@@ -468,15 +469,14 @@ def euler_phi(j: int, order: int) -> QSeries:
 @lru_cache(maxsize=64)
 def dist_product(j: int, order: int) -> QSeries:
     """prod_{i>=1} (1 + q^{ji}) truncated below u^order."""
-    if j < 1:
-        raise InvalidParameter("dist_product needs j >= 1")
+    need("j", j, 1)
     return _factor_product(j, order, order, add)
 
 
 def pochhammer(j: int, n_factors: int, order: int) -> QSeries:
     """Finite product prod_{i=1..n} (1 - q^{ji}) truncated below u^order."""
-    if j < 1 or n_factors < 0:
-        raise InvalidParameter("pochhammer needs j >= 1 and n >= 0")
+    need("j", j, 1)
+    need("n_factors", n_factors, 0)
     return _factor_product(j, n_factors, order, sub)
 
 

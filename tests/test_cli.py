@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import characters, cli, identities, oracle
+from qchar import bivariate, characters, cli, identities, oracle
 from qchar.characters import IdentityReport
 from qchar.errors import InvalidParameter
 from qchar.cli import main, parse_range
@@ -312,6 +312,30 @@ def test_prop21_fails_with_a_skewed_boson_pair_base(capsys, monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_caches")
+def test_a_skewed_euler_phi_4_fails_only_the_quasiparticle_families(
+        capsys, monkeypatch):
+    # the quasiparticle sum divides by 1/(q^m;q^m)^2 with packed_geometric,
+    # apart from euler_phi, and every other family's two sides read
+    # euler_phi(4) alike: for m >= 4 prop21 and cor22 are the only checks
+    # of euler_phi(m), so the boson-pair base must stay built that way
+    real = euler_phi
+
+    def skewed(j, order):
+        phi = real(j, order)
+        return phi + QSeries.monomial(16, order) if j == 4 else phi
+
+    for module in (characters, identities, bivariate):
+        monkeypatch.setattr(module, "euler_phi", skewed)
+    failed = []
+    for name in identities.FAMILIES:
+        code, out, _ = run(capsys, "verify", "--family", name, "--order", "30")
+        assert code in (0, 1) and out
+        if code:
+            failed.append(name)
+    assert failed == ["prop21", "cor22"]
+
+
+@pytest.mark.usefixtures("fresh_caches")
 def test_prop21_fails_with_a_skewed_shared_bucket(capsys, monkeypatch):
     # a bucket skewed by q^3 in the build a longer point made must fail a
     # later, shorter point that only restricts that build
@@ -436,6 +460,18 @@ def test_fockprod_rows_past_their_bound_are_refused_first(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--family", "fockprod", "--m", "128",
                          "--order", "1")
     assert (code, out, err, calls) == (0, "[]\n", "", [2])
+
+
+def test_lemma11b_spans_past_their_bound_are_refused_first(capsys, monkeypatch):
+    # at m = 1000 every sector lies within MAX_WINDOW, but the sides of
+    # s = 71 and up span more than SECTOR_MAX_SPAN u-powers; the whole grid
+    # is checked before any point runs
+    calls = _counting(monkeypatch, "lemma11b")
+    code, out, err = run(capsys, "verify", "--family", "lemma11b", "--m", "1000",
+                         "--s", "0..500", "--order", "1")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("qchar: lemma11b m=1000 s=71:")
+    assert len(err.splitlines()) == 1 and "past its bound 65536" in err
 
 
 @pytest.mark.parametrize("argv,where", [
