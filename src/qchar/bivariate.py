@@ -13,11 +13,14 @@ row of the true object, stored or not. Only such inputs fill them; the
 builders leave the defaults, which claim nothing.
 
 The infinite products are assembled factor by factor, most expensive
-factor first, as shift-and-add sweeps over z-rows. Each row is an offset
-and one packed int, a residue read back once, as qseries packs series,
-holding only the u-window that can still reach the claim: from the
-cheapest way the applied factors build its charge up to order less the
-cheapest way the unapplied ones carry it back into the requested window.
+factor first, as shift-and-add sweeps over z-rows. Every factor moves
+charge by +-1 at a u-cost of one parity P, so row z^d has only exponents
+of d P's parity. Each row is an offset of that parity and one packed int
+of q-digits, digit i holding u^(offset + 2i) as fock_sector_char packs
+its rows, a residue read back once, as qseries packs series. It holds
+only the u-window that can still reach the claim: from the cheapest way
+the applied factors build its charge up to order less the cheapest way
+the unapplied ones carry it back into the requested window.
 That second cost comes from an exact min-cost displacement table over
 the factors' charge movers (a fermionic factor moves charge by +-1 once
 at a fixed cost, a bosonic one any number of times), seeded on the
@@ -294,14 +297,20 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     product at z = 1 with every sign +, pad their total negative cost:
     every digit a row holds is a signed sum over a subset of those terms.
 
-    Each pair is two factors of charge step +-1, applied together. Row
-    z^d is an offset o and a Python int that packs the row's coefficients
-    of u^o and up as fixed-width digits (Kronecker substitution), and
-    every factor is one in-place shift-and-add sweep over the rows. A row
-    keeps only its digits from the cheapest way to have built charge d up
-    to order less the cheapest way the unapplied pairs can pull it back
-    into the requested window, and is dropped when none are left.
+    Each pair is two factors of charge step +-1, applied together; every
+    factor's cost has one parity P, else InvalidParameter is raised. Row
+    z^d then has only exponents of d P's parity. It is an offset o of that
+    parity and a Python int whose fixed-width digit i is the row's
+    coefficient of u^(o + 2i), so q-digits only (Kronecker substitution on
+    the exponent class used), and every factor is one in-place
+    shift-and-add sweep over the rows. A row keeps only its digits from
+    the cheapest way to have built charge d up to order less the cheapest
+    way the unapplied pairs can pull it back into the requested window,
+    and is dropped when none are left.
     """
+    if len({f[1] % 2 for pair in pairs for f in pair}) > 1:
+        raise InvalidParameter("the factor costs of a graded product must "
+                               "share one parity")
     pad = -sum(min(0, f[1]) for pair in pairs for f in pair)
     cap = order + pad + 8
     pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
@@ -323,11 +332,14 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
             table = (back.lo, [order - c for c in back.cost[back.lo:back.hi + 1]])
         tops.append(table)
 
-    # Row k, charge k + base - cap, is x(u) u^offs[k]: the int x packs its
-    # coefficients as w-bit digits, each mod 2^w. While pair i is applied,
-    # a write to row k keeps at least its digits below the top T(k) of
-    # tops[i]; before that, a row missing from tops[i] is dropped, and so
-    # is one whose offset reaches T(k).
+    # Row k, charge k + base - cap, is x(u^2) u^offs[k]: the int x packs
+    # its coefficients as w-bit q-digits, each mod 2^w. Every offset a
+    # mover writes to row k is offs[k - s] + c, of row k's parity, so an
+    # alignment moves by half an offset difference, and a row whose top
+    # is T keeps its ceil((T - offs[k]) / 2) digits below u^T. While pair
+    # i is applied, a write to row k keeps at least its digits below the
+    # top T(k) of tops[i]; before that, a row missing from tops[i] is
+    # dropped, and so is one whose offset reaches T(k).
     #
     # Why the digits read back are right. No row has a digit below
     # u^-pad, as offsets are costs of moves. Let H(k) be order less the
@@ -397,15 +409,16 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
                 if y:
                     # one alignment shift onto the lower offset
                     if o > offs[k]:
-                        x <<= w * (o - offs[k])
+                        x <<= w * (o - offs[k] >> 1)
                         o = offs[k]
                     else:
-                        y <<= w * (offs[k] - o)
-                m = masks.get(t - o)
+                        y <<= w * (offs[k] - o >> 1)
+                n = t - o + 1 >> 1  # the q-digits below u^t
+                m = masks.get(n)
                 if m is None:
-                    # t - o digits or more, eight masks per doubling
-                    r = round_up(t - o)
-                    m = masks[t - o] = masks.get(-r) or masks.setdefault(
+                    # n digits or more, eight masks per doubling
+                    r = round_up(n)
+                    m = masks[n] = masks.get(-r) or masks.setdefault(
                         -r, (1 << w * r) - 1)
                 rows[k] = (y - x if minus else y + x) & m
                 offs[k] = o
@@ -420,8 +433,10 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     for c in range(req_lo, req_hi + 1):
         k = c + cap - base
         if lo <= k <= hi and rows[k] and offs[k] < order:
-            out.append(QSeries(offs[k], order,
-                               unpack_signed(rows[k], nbytes, order - offs[k])))
+            coeffs = [0] * (order - offs[k])
+            coeffs[::2] = unpack_signed(rows[k], nbytes,
+                                        order - offs[k] + 1 >> 1)
+            out.append(QSeries(offs[k], order, coeffs))
         else:
             out.append(QSeries.zero(order))
     return ChargeSeries(req_lo, out)
@@ -430,6 +445,13 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
 # ---------------------------------------------------------------------------
 # the three graded products
 
+# The most z-rows hi - lo + 1 a graded builder makes, a power of two. A row
+# past the charges the order reaches costs about 10 us and 0.35 KB, so
+# nothing else bounds a wide window. On 2 vCPUs at the bound, each of jtp,
+# kp and fockprod verifies in 0.3-1.4 s and 28-35 MB at q-order 5, and in
+# 6-9 s and 0.36-0.58 GB at q-order 1600.
+ZWIN_MAX_ROWS = 1 << 16
+
 
 def jacobi_triple_sides(order: int, window) -> tuple:
     """Fermion-pair product against the theta sum over phi(q):
@@ -437,6 +459,8 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     (sum_j z^j u^(j*j)) / phi(q)."""
     need("order", order, 1)
     lo, hi = window
+    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
+               "the z-window of the triple product has a row count of")
     pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
     # at z = 1: (-u;u^2)^2 = theta_1 / phi(1)
     lhs = _graded_product(pairs, lo, hi, order,
@@ -457,6 +481,8 @@ def inverse_product_sides(order: int, window) -> tuple:
     / phi(q)^2."""
     need("order", order, 1)
     lo, hi = window
+    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
+               "the z-window of the inverse pair product has a row count of")
     pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
     # at z = 1: 1/(u;u^2)^2 = theta_1 phi(2)^2 / phi(1)^3
     lhs = _graded_product(pairs, lo, hi, order,
@@ -498,6 +524,9 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
     need("order", order, 1)
     budget = -fock_char_window(m, order)[0]
     lo, hi = window
+    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
+               f"the z-window of the two-variable Fock character of m={m} "
+               "has a row count of")
     pairs = []
     k = 1
     while 2 * k - m - budget < order:

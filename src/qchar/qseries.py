@@ -236,15 +236,21 @@ class QSeries:
         return QSeries.one(self.order - self.min_exp) / self
 
     def __pow__(self, n: int) -> "QSeries":
+        """By square-and-multiply: x^a * x^b claims (a + b - 1) min_exp +
+        order, as the n - 1 products of a loop do, so the two agree."""
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:
             # exact 1; claim at least something renderable
             return QSeries.one(max(self.order - 2 * self.min_exp, 1))
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
+        acc, sq = None, self
+        while True:
+            if n & 1:
+                acc = sq if acc is None else acc * sq
+            n >>= 1
+            if not n:
+                return acc
+            sq = sq * sq
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Exact quotient; needs the divisor's lowest coefficient +-1.

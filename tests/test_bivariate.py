@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import bivariate
 from qchar.bivariate import (
+    ZWIN_MAX_ROWS,
     ChargeSeries,
     coeff_z,
     compare_charge_series,
@@ -367,6 +369,56 @@ def test_fock_product_rows_are_bounded_by_qp_max_order():
     for m, order in [(129, 1), (1000, 2), (10 ** 9, 2)]:
         with pytest.raises(ResourceLimit, match="past its bound 8192"):
             fock_char_product(m, order, (-1, 1))
+
+
+# one window row per z-degree: 2^16 rows are built, one more is refused
+# before anything is
+GRADED_BUILDERS = [jacobi_triple_sides, inverse_product_sides,
+                   lambda order, window: fock_char_product(2, order, window)]
+
+
+@pytest.mark.parametrize("build", GRADED_BUILDERS)
+def test_graded_rows_at_the_row_bound(build):
+    assert ZWIN_MAX_ROWS == 1 << 16
+    out = build(1, (-7, ZWIN_MAX_ROWS - 8))
+    for cs in out if isinstance(out, tuple) else (out,):
+        assert len(cs.rows) == ZWIN_MAX_ROWS
+
+
+@pytest.mark.parametrize("build", GRADED_BUILDERS)
+def test_graded_rows_past_the_row_bound(monkeypatch, build):
+    def refuse(*args):
+        raise AssertionError("a graded product was built")
+
+    monkeypatch.setattr(bivariate, "_graded_product", refuse)
+    for window in [(-7, ZWIN_MAX_ROWS - 7), (-10 ** 8, 10 ** 8)]:
+        with pytest.raises(ResourceLimit, match="past its bound 65536"):
+            build(1, window)
+
+
+# ---------------------------------------------------------------------------
+# charge parity
+
+
+def test_mixed_parity_costs_are_refused():
+    pairs = [((1, 1, 1, False), (-1, 1, 1, False)),
+             ((1, 2, 1, False), (-1, 2, 1, False))]
+    with pytest.raises(InvalidParameter, match="parity"):
+        bivariate._graded_product(pairs, -2, 2, 10, 100)
+
+
+# every factor costs P = 1 (jtp, kp) or P = m (fockprod) mod 2, so row z^d
+# holds only exponents of d P's parity; windows reach past the support
+@pytest.mark.parametrize("name,build,parity", [
+    ("jtp", lambda order, w: jacobi_triple_sides(order, w)[0], 1),
+    ("kp", lambda order, w: inverse_product_sides(order, w)[0], 1)]
+    + [(f"fockprod m={m}", lambda order, w, m=m: fock_char_product(m, order, w),
+        m) for m in range(2, 6)])
+@pytest.mark.parametrize("order", [1, 2, 7, 30, 61])
+def test_rows_hold_one_parity_of_exponents(name, build, parity, order):
+    cs = build(order, (-12, 12))
+    for d in range(-12, 13):
+        assert all((e - d * parity) % 2 == 0 for e, _ in cs.row(d).items())
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_series_far_charge_is_bounded(capsys, name):
     assert out.strip() == "0"
 
 
+def test_series_huge_power_is_quick(capsys):
+    # about 27 squarings, where n - 1 products in a row would run for minutes
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "series", "--expr", "phi(1)^99999999",
+                       "--order", "2")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 0
+    assert out.splitlines() == ["1 · q^{0}", "-99999999 · q^{1}"]
+
+
 def test_series_needs_exactly_one_source(capsys):
     code, _, err = run(capsys, "series", "--order", "5")
     assert code == 2
@@ -942,6 +952,19 @@ def test_oracle_pass(capsys):
                        "--qbound", "12")
     assert code == 0
     assert json.loads(out)[0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("name", ["fockprod", "jtp", "kp"])
+def test_zwin_past_the_row_bound_is_resource_limit(capsys, name):
+    # 2 * 32768 + 1 z-rows, one more than the bound 2^16 allows
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--family", name, "--order", "5",
+                         "--zwin", "32768")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "row count of 65537, past its bound 65536" in err
 
 
 def test_oracle_negative_charge(capsys):

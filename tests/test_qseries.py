@@ -542,6 +542,19 @@ def test_pow():
     assert s**-2 == s.invert() * s.invert()
 
 
+def ref_pow(self, n):
+    """QSeries.__pow__ as it was before square-and-multiply: n - 1
+    products in a row."""
+    if n < 0:
+        return ref_pow(self.invert(), -n)
+    if n == 0:
+        return QSeries.one(max(self.order - 2 * self.min_exp, 1))
+    acc = self
+    for _ in range(n - 1):
+        acc = acc * self
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
@@ -593,6 +606,19 @@ def test_ring_laws(triple):
 @given(qseries_strategy(), qseries_strategy())
 def test_mul_matches_naive(a, b):
     assert a * b == naive_mul(a, b)
+
+
+# zero series, negative min_exp and non-unit leads included; only a unit
+# lead is raised to a negative power
+@settings(max_examples=300)
+@given(qseries_strategy(max_window=8), st.integers(-12, 40))
+@example(QSeries.zero(3), 7)
+@example(QSeries(-5, -2, [1, 0, 3]), 13)
+@example(QSeries(-4, 1, [-1, 2]), -9)
+def test_pow_matches_sequential_products(s, n):
+    if n < 0 and (s.is_zero() or s.coeffs[0] not in (1, -1)):
+        n = -n
+    assert s ** n == ref_pow(s, n)
 
 
 @given(qseries_strategy(), qseries_strategy(), st.integers(0, 10))
