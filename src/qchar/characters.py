@@ -188,8 +188,26 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 # and every call restricts or repacks that build to its own window. As
 # MAX_WINDOW, QP_MAX_ORDER and SECTOR_MAX_SPAN are powers of two, no build
 # passes the bound it is kept under.
-# Past 64 keys the least recently used key goes.
+#
+# The sector characters are not rounded: _SECTORS keeps one build per
+# (m, s), made at exactly the longest u-order asked so far, since a rounded
+# one would ask the inverse denominator past the window its family declares
+# and could pass SECTOR_MAX_SPAN. Each is kept packed, as the denominator
+# is, as (order, lo, nb, int of signed nb-byte q-digits from u^lo), since
+# a QSeries of the same coefficients takes a few times that int's memory,
+# and read back restricted; no lru_cache holds an outgrown one.
+# Past 64 keys either store drops its least recently used key.
 _BUILDS: dict = {}
+_SECTORS: dict = {}
+
+
+def _keep(store: dict, key, built):
+    """Record built under key in store as its newest key, and return it."""
+    store.pop(key, None)
+    store[key] = built
+    if len(store) > 64:
+        del store[next(iter(store))]
+    return built
 
 
 def _shared_build(key, n: int, m: int = 0):
@@ -198,10 +216,7 @@ def _shared_build(key, n: int, m: int = 0):
     built = _BUILDS.pop(key, (0, 0))
     if built[0] < n:
         built = round_up(n), (_digit_bytes(m, round_up(n)) if m else 0)
-    _BUILDS[key] = built
-    if len(_BUILDS) > 64:
-        del _BUILDS[next(iter(_BUILDS))]
-    return built
+    return _keep(_BUILDS, key, built)
 
 
 @lru_cache(maxsize=64)
@@ -250,8 +265,35 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     s > 0. Every lattice exponent is congruent to sm mod 2, so the
     quotient lives on q-digits from h.min_exp.
 
-    It is built as h times the cached I = 1/(phi(q) phi(q^m)^2), packed
-    and repacked to one q-digit per w-bit digit, row by row. By _lattice_rows
+    Read restricted from the build of (m, s) in _SECTORS, made by
+    _sector_build at this order if none is this long. A build at order N
+    from u^lo holds every lattice point below N, so below order <= N its
+    least exponent is lo, or it has none if lo >= order, and its span is
+    at most N - lo: a read needs no rows and passes every bound the
+    build passed. A request refused or with no rows records nothing.
+    """
+    built = _SECTORS.get((m, s))
+    if built is None or built[0] < order:
+        rows, lo = _sector_rows(m, s, order)
+        if not rows:
+            return QSeries.zero(order)
+        built = (order, lo, *_sector_build(m, rows, lo, order))
+    _, lo, nb, packed = _keep(_SECTORS, (m, s), built)
+    if order <= lo:
+        return QSeries.zero(order)
+    L = (order - lo + 1) // 2  # q-digits in the window
+    coeffs = [0] * (order - lo)
+    coeffs[::2] = unpack_signed(packed & (1 << 8 * nb * L) - 1, nb, L)
+    return QSeries(lo, order, coeffs)
+
+
+def _sector_build(m: int, rows, lo: int, order: int):
+    """(nb, x): the sector character whose lattice rows below u^order are
+    rows, least exponent lo, as x >= 0 holding its L = (order - lo + 1) // 2
+    q-digits from u^lo as signed nb-byte digits.
+
+    It is h times the cached I = 1/(phi(q) phi(q^m)^2), packed and
+    repacked to one q-digit per w-bit digit, row by row. By _lattice_rows
     each row is sign u^(-shift) T_t, T_t = sum over P >= t of u^(P(P+1)),
     and for t < 0 T_t = 2 T_0 - T_(-t). With K_t = u^(-t(t+1)) T_t I,
 
@@ -269,9 +311,6 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     whatever the intermediates hold, so its signed digits are the
     coefficients.
     """
-    rows, lo = _sector_rows(m, s, order)
-    if not rows:
-        return QSeries.zero(order)
     n = order - lo
     L = (n + 1) // 2  # q-digits in the window
     points = 0
@@ -301,9 +340,7 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
         for d, c in uses.get(t, ()):
             total += c * (K << w * d)
         K = I + (K << w * t) & mask  # K_(t-1)
-    coeffs = [0] * n
-    coeffs[::2] = unpack_signed(total, nb, L)
-    return QSeries(lo, order, coeffs)
+    return nb, total & mask
 
 
 @lru_cache(maxsize=64)
@@ -580,11 +617,20 @@ def vacuum_identity_sides(m: int, order: int):
 # irreducible characters
 
 
+# The longest u-order the basic character is built at; a power of two. Its
+# dense square grows about 4x per doubling: on 2 vCPUs about 7 s at the
+# bound for m = 2, which asympt reaches at --nmax 8192.
+BASIC_MAX_ORDER = 1 << 14
+
+
 @lru_cache(maxsize=64)
 def basic_char(m: int, order: int) -> QSeries:
     """Specialized character of the basic module (and of the module at the
-    last fundamental weight): (dist product)^2 / phi(q^m)."""
+    last fundamental weight): (dist product)^2 / phi(q^m). Raises
+    ResourceLimit past BASIC_MAX_ORDER before anything is built."""
     need("m", m, 2)
+    check_work(order, BASIC_MAX_ORDER,
+               f"the basic character of m={m} is built at u-order")
     if order <= 0:
         return QSeries.zero(order)
     # the dense dist product on purpose, as an independent route: thm13a

@@ -21,9 +21,15 @@ per m: characters.py builds 1/(phi(q) phi(q^m)^2) with `/` and caches it
 packed in one int, and each character repacks it to its own digit width
 and multiplies the sparse lattice sum by it, O(sqrt(order)) shifts of
 that int against the O(order^1.5) Python steps of dividing each
-character anew. Every series the characters share is built at the
-longest order asked for so far, rounded up by round_up, and read back
-restricted or repacked. `inv_euler_phi` remains only as a public helper.
+character anew. The four series the characters share (per m that
+inverse and the pair quotient, the charge buckets, and per m the
+boson-pair base) are built at the longest order asked for so far,
+rounded up by round_up, and read back restricted or repacked. Each
+sector character is built once per (m, s) at exactly the longest order
+asked for, not rounded, as a rounded build would ask the inverse past
+the window its family declares; it is kept packed, as the inverse is,
+since a store of QSeries takes a few times the memory, and read back
+restricted. `inv_euler_phi` remains only as a public helper.
 Every cached builder keeps at most 64 entries.
 
 A series packed in w-bit digits below q^L (Kronecker substitution) is

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qchar import characters
 from qchar.characters import (
+    BASIC_MAX_ORDER,
     SECTOR_MAX_SPAN,
     IdentityReport,
     _theta_bracket,
@@ -251,6 +252,7 @@ def test_fock_sector_char_span_past_the_bound(monkeypatch):
     # fs(1000, 499) reaches down to u^-pad(1000) = u^-249500
     monkeypatch.setattr(characters, "_inverse_denominator", None)
     monkeypatch.setattr(characters, "_BUILDS", {})
+    monkeypatch.setattr(characters, "_SECTORS", {})
     for m, s, order in ((1000, 499, 2), (1000, 500, 2),
                         (2, 0, SECTOR_MAX_SPAN + 1)):
         with pytest.raises(ResourceLimit, match="past its bound 65536"):
@@ -262,6 +264,7 @@ def test_fock_sector_char_span_past_the_bound(monkeypatch):
     with pytest.raises(TypeError):
         fock_sector_char(2, 0, SECTOR_MAX_SPAN)
     assert characters._BUILDS == {("inverse", 2): (SECTOR_MAX_SPAN, 0)}
+    assert characters._SECTORS == {}  # nothing refused or empty is kept
 
 
 def test_pair_product_constant_term():
@@ -389,6 +392,13 @@ def test_vacuum_identity():
 
 def test_basic_char_anchor():
     assert q_coeffs(basic_char(2, 12), 5) == [1, 2, 4, 8, 14]
+
+
+def test_basic_char_past_its_bound(monkeypatch):
+    # refused before its dist product is built
+    monkeypatch.setattr(characters, "dist_product", None)
+    with pytest.raises(ResourceLimit, match="at u-order 16385, past its bound 16384"):
+        basic_char(2, BASIC_MAX_ORDER + 1)
 
 
 def test_basic_char_low_coeffs_all_m():

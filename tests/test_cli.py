@@ -280,6 +280,7 @@ def fresh_caches():
         for builder in cached:
             builder.cache_clear()
         characters._BUILDS.clear()  # the u-orders of the shared builds
+        characters._SECTORS.clear()  # the sector characters' own builds
 
     clear()
     yield
@@ -523,8 +524,10 @@ def builds(monkeypatch):
             return raw(*args)
         monkeypatch.setattr(characters, name, lru_cache(maxsize=64)(build))
     characters._BUILDS.clear()
+    characters._SECTORS.clear()
     yield made
     characters._BUILDS.clear()
+    characters._SECTORS.clear()
 
 
 @pytest.mark.parametrize("order", ["100", "400"])
@@ -551,6 +554,7 @@ def test_lemma11a_sides_stay_within_the_window_they_declare(m, s, nu):
         return real(key, n, *rest)
 
     fam = identities.FAMILIES["lemma11a"]
+    characters._SECTORS.clear()  # so each example builds both sides cold
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(characters, "_shared_build", record)
         list(fam.sides(nu, None, m=m, s=s))
@@ -704,6 +708,20 @@ def test_order_past_the_window_bound_is_resource_limit(capsys, monkeypatch,
     assert out == ""
     assert len(err.splitlines()) == 1 and "coefficients" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("asympt", "--m", "2", "--nmax", str(characters.BASIC_MAX_ORDER // 2 + 1)),
+    ("asympt", "--m", "2", "--nmax", "500000"),
+    ("series", "--expr", "L0(2)", "--order", "500000"),
+])
+def test_basic_character_past_its_bound_is_resource_limit(capsys, monkeypatch,
+                                                          argv):
+    # inside MAX_WINDOW, refused by basic_char before anything is built
+    monkeypatch.setattr(characters, "dist_product", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "past its bound 16384" in err
 
 
 def test_order_at_the_window_bound_runs(capsys, monkeypatch):
@@ -920,6 +938,18 @@ def test_verify_double_run_byte_identical(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_verify_all_prints_the_same_bytes_whatever_ran_before(capsys):
+    # from cold stores, then reading the longer builds of an --order 200
+    # run, then in two workers
+    args = ("verify", "--family", "all", "--order", "100")
+    cold = run(capsys, *args)
+    assert cold[0] == 0
+    assert run(capsys, "verify", "--family", "all", "--order", "200")[0] == 0
+    assert run(capsys, *args) == cold
+    assert run(capsys, *args, "--jobs", "2") == cold
 
 
 def test_verify_timings_flag(capsys):

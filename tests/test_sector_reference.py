@@ -52,6 +52,7 @@ def clear_caches():
     characters._inverse_denominator.cache_clear()
     characters._built_pair_quotient.cache_clear()
     characters._BUILDS.clear()
+    characters._SECTORS.clear()
 
 
 @given(st.integers(2, 6), st.integers(-8, 9), st.integers(-3, 60))
