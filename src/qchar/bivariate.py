@@ -16,8 +16,8 @@ The infinite products are assembled factor by factor, most expensive
 factor first, as shift-and-add sweeps over z-rows. Every factor moves
 charge by +-1 at a u-cost of one parity P, so row z^d has only exponents
 of d P's parity. Each row is an offset of that parity and one packed int
-of q-digits, digit i holding u^(offset + 2i) as fock_sector_char packs
-its rows, a residue read back once, as qseries packs series. It holds
+of q-digits, digit i holding u^(offset + 2i), sized by qseries.digit_bytes
+and read back once by QSeries.from_qdigits as a residue. It holds
 only the u-window that can still reach the claim: from the cheapest way
 the applied factors build its charge up to order less the cheapest way
 the unapplied ones carry it back into the requested window.
@@ -43,7 +43,7 @@ from typing import Optional
 from .characters import QP_MAX_ORDER, IdentityReport, compare_series, sector_window
 from .errors import (InvalidParameter, OutOfWindow, WindowUnderflow,
                      check_work, need)
-from .qseries import QSeries, euler_phi, round_up, unpack_signed
+from .qseries import QSeries, digit_bytes, euler_phi, round_up
 
 _INF = float("inf")
 
@@ -295,7 +295,8 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     """Multiply the factor pairs, claiming order on the requested window.
     bound is at least every coefficient below u^(order + pad) of their
     product at z = 1 with every sign +, pad their total negative cost:
-    every digit a row holds is a signed sum over a subset of those terms.
+    every digit a row holds is a signed sum over a subset of those terms,
+    so at most bound in absolute value, the range digit_bytes sizes for.
 
     Each pair is two factors of charge step +-1, applied together; every
     factor's cost has one parity P, else InvalidParameter is raised. Row
@@ -361,7 +362,7 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     # digit below H. Masked adds, subtractions and left shifts are ring
     # operations, and offsets take the place of right shifts, so at the
     # end the window rows are right below H = order.
-    nbytes = (bound.bit_length() + 9) // 8
+    nbytes = digit_bytes(bound, True)
     w = 8 * nbytes
     # the last table is the widest
     base, top = tops[-1] if tops else (cap, [order])
@@ -429,17 +430,10 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
                 lo -= 1
 
     # unpack the requested window; the other charges are zero below order
-    out = []
-    for c in range(req_lo, req_hi + 1):
-        k = c + cap - base
-        if lo <= k <= hi and rows[k] and offs[k] < order:
-            coeffs = [0] * (order - offs[k])
-            coeffs[::2] = unpack_signed(rows[k], nbytes,
-                                        order - offs[k] + 1 >> 1)
-            out.append(QSeries(offs[k], order, coeffs))
-        else:
-            out.append(QSeries.zero(order))
-    return ChargeSeries(req_lo, out)
+    return ChargeSeries(req_lo, [
+        QSeries.from_qdigits(offs[k], order, rows[k], nbytes, True)
+        if lo <= k <= hi and rows[k] else QSeries.zero(order)
+        for k in range(req_lo + cap - base, req_hi + cap - base + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,13 @@ from .errors import InsufficientOrder, check_work, need
 from .qseries import (
     QSeries,
     check_window,
+    digit_bytes,
     dist_product,
     euler_phi,
     pack_digits,
     packed_geometric,
     repack,
     round_up,
-    unpack_digits,
-    unpack_signed,
 )
 
 
@@ -223,10 +222,11 @@ def _shared_build(key, n: int, m: int = 0):
 def _inverse_denominator(m: int, n: int):
     """1/(phi(q) phi(q^m)^2) below u^n, the free-field denominator every
     sector character of that m shares, as (packed, nb): its q-digits
-    packed in nb bytes each, enough for the last and largest."""
+    packed in nb bytes each, enough for the last and largest, as it is
+    1/(1 - q) times a nonnegative series."""
     phi_m = euler_phi(m, n)
     inv = (QSeries.one(n) / euler_phi(1, n) / phi_m / phi_m).coeffs[::2]
-    nb = (inv[-1].bit_length() + 7) // 8
+    nb = digit_bytes(inv[-1], False)
     return pack_digits(inv, nb), nb
 
 
@@ -279,12 +279,7 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
             return QSeries.zero(order)
         built = (order, lo, *_sector_build(m, rows, lo, order))
     _, lo, nb, packed = _keep(_SECTORS, (m, s), built)
-    if order <= lo:
-        return QSeries.zero(order)
-    L = (order - lo + 1) // 2  # q-digits in the window
-    coeffs = [0] * (order - lo)
-    coeffs[::2] = unpack_signed(packed & (1 << 8 * nb * L) - 1, nb, L)
-    return QSeries(lo, order, coeffs)
+    return QSeries.from_qdigits(lo, order, packed, nb, True)
 
 
 def _sector_build(m: int, rows, lo: int, order: int):
@@ -306,8 +301,8 @@ def _sector_build(m: int, rows, lo: int, order: int):
 
     I is 1/(1 - q) times a nonnegative series, so its largest coefficient
     in the window is its last, and no coefficient of the quotient exceeds
-    the count of lattice points times that in absolute value; w keeps
-    them inside (-2^(w-1), 2^(w-1)). The packed sum is exact mod 2^(wL)
+    the count of lattice points times that in absolute value, the bound
+    its signed digits are sized for. The packed sum is exact mod 2^(wL)
     whatever the intermediates hold, so its signed digits are the
     coefficients.
     """
@@ -325,7 +320,7 @@ def _sector_build(m: int, rows, lo: int, order: int):
             uses.setdefault(t, []).append((d, sign))
     I, ib = _inverse_denominator(m, _shared_build(("inverse", m), n)[0])
     top = I >> 8 * ib * (L - 1) & (1 << 8 * ib) - 1  # I's digit at q^(L-1)
-    nb = (points * top).bit_length() // 8 + 1  # so it is < 2^(8 nb - 1)
+    nb = digit_bytes(points * top, True)
     w = 8 * nb
     mask = (1 << w * L) - 1
     I = repack(I, ib, L, nb)
@@ -457,7 +452,7 @@ def _digit_bytes(m: int, nu: int) -> int:
     the sum's values come from the buckets and the boson-pair base alone.
     """
     top = 2 * _pair_quotient(m, nu).q_coeff((nu - 1) // 2)  # at q^(L-1)
-    return (top.bit_length() + 7) // 8
+    return digit_bytes(top, False)
 
 
 @lru_cache(maxsize=64)
@@ -592,15 +587,11 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     nu = order + s * m
     if nu <= 0:
         return QSeries.zero(order)
-    L = (nu + 1) // 2
     nb = _digit_bytes(m, nu)
-    w = 8 * nb
-    mask = (1 << w * L) - 1
-    numerator = _pair_numerator(_shared_buckets(m, nu, nb), m, s, L, w)
-    total = numerator * _shared_base(m, nu, nb) & mask
-    coeffs = [0] * nu
-    coeffs[::2] = unpack_digits(total, nb, L)
-    return QSeries(-s * m, order, coeffs)
+    numerator = _pair_numerator(_shared_buckets(m, nu, nb), m, s,
+                                (nu + 1) // 2, 8 * nb)
+    return QSeries.from_qdigits(-s * m, order,
+                                numerator * _shared_base(m, nu, nb), nb, False)
 
 
 def vacuum_identity_sides(m: int, order: int):

@@ -14,28 +14,15 @@ for a divisor whose lowest coefficient c0 is +-1. `invert` is 1 / d. The
 Euler products (q^j;q^j)_inf come from the pentagonal theorem with
 O(sqrt(order)) nonzero terms, so dividing by them costs O(order^1.5)
 instead of the O(order^2) of multiplying by a dense inverse. Every Euler
-quotient but characters._boson_pair_base is built with `/`; that one is
-packed on purpose, as for m >= 4 it is the only check of euler_phi(m) (a test
-skews euler_phi(4) to show it). The sector characters divide only once
-per m: characters.py builds 1/(phi(q) phi(q^m)^2) with `/` and caches it
-packed in one int, and each character repacks it to its own digit width
-and multiplies the sparse lattice sum by it, O(sqrt(order)) shifts of
-that int against the O(order^1.5) Python steps of dividing each
-character anew. The four series the characters share (per m that
-inverse and the pair quotient, the charge buckets, and per m the
-boson-pair base) are built at the longest order asked for so far,
-rounded up by round_up, and read back restricted or repacked. Each
-sector character is built once per (m, s) at exactly the longest order
-asked for, not rounded, as a rounded build would ask the inverse past
-the window its family declares; it is kept packed, as the inverse is,
-since a store of QSeries takes a few times the memory, and read back
-restricted. `inv_euler_phi` remains only as a public helper.
-Every cached builder keeps at most 64 entries.
+quotient but characters._boson_pair_base, for m >= 4 the only check of
+euler_phi(m), is built with `/`.
 
-A series packed in w-bit digits below q^L (Kronecker substitution) is
-kept as its residue mod 2^(wL); unpack_signed reads back signed digits,
-repack moves nonnegative ones to another width, exactly when each fits
-it, and packed_geometric divides by 1 - q^j.
+A series whose exponents all lie in one class mod 2 is packed as one int
+of fixed-width q-digits (Kronecker substitution): digit i holds the
+coefficient of u^(lo + 2i), and a series below q^L is kept as its residue
+mod 2^(wL). digit_bytes is the one width rule, QSeries.from_qdigits the
+one read-back, repack moves nonnegative digits to another width, exactly
+when each fits it, and packed_geometric divides by 1 - q^j.
 """
 
 from bisect import bisect_left
@@ -140,6 +127,18 @@ class QSeries:
         for e, c in terms:
             buf[e - lo] += c
         return cls(lo, order, buf)
+
+    @classmethod
+    def from_qdigits(cls, lo: int, order: int, x: int, nb: int,
+                     signed: bool) -> "QSeries":
+        """The series below u^order whose coefficient of u^(lo + 2i) is
+        digit i of x in base 256^nb, signed or not (see unpack_digits), for
+        the ceil((order - lo) / 2) digits of the window; zero if order <= lo."""
+        if order <= lo:
+            return cls.zero(order)
+        coeffs = [0] * (order - lo)
+        coeffs[::2] = unpack_digits(x, nb, order - lo + 1 >> 1, signed)
+        return cls(lo, order, coeffs)
 
     # -- inspection --------------------------------------------------------
 
@@ -385,20 +384,39 @@ def _divide_monic(x, terms) -> list:
     return y
 
 
+def digit_bytes(bound: int, signed: bool) -> int:
+    """The fewest bytes per digit that hold every value in [0, bound], or
+    in [-bound, bound] when signed, for bound >= 1: a signed digit spends
+    one bit on its sign."""
+    return (bound.bit_length() + 7 + signed) // 8
+
+
 def pack_digits(digits, nbytes: int) -> int:
     """The int whose base-256^nbytes digits are the given ones, lowest
-    first, each in [0, 256^nbytes): the inverse of unpack_digits."""
+    first; ValueError names the first one outside [0, 256^nbytes)."""
+    if digits and (min(digits) < 0 or max(digits) >> 8 * nbytes):
+        t, d = next((t, d) for t, d in enumerate(digits)
+                    if d < 0 or d >> 8 * nbytes)
+        raise ValueError(f"digit {t} is {d}, outside [0, 256^{nbytes})")
     return int.from_bytes(b"".join(d.to_bytes(nbytes, "little") for d in digits),
                           "little")
 
 
-def unpack_digits(x: int, nbytes: int, count: int) -> list:
-    """The lowest count digits of x >= 0 in base 256^nbytes: the
-    coefficients of a series packed as one int (Kronecker substitution),
-    digit t in bytes t*nbytes .. (t+1)*nbytes - 1."""
-    raw = x.to_bytes(max(count * nbytes, (x.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(raw[t:t + nbytes], "little")
-            for t in range(0, count * nbytes, nbytes)]
+def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list:
+    """The lowest count digits of x in base 256^nbytes, for any x congruent
+    to the packed series mod 2^(w count), w = 8 nbytes: each in [0, 2^w),
+    or in [-2^(w-1), 2^(w-1)) when signed. A signed read adds a bias of
+    2^(w-1) per digit, which makes every digit nonnegative with no carries,
+    and takes it back off each digit's top bit with XOR, leaving the digit
+    in two's complement."""
+    n = count * nbytes
+    mask = (1 << 8 * n) - 1
+    if signed:
+        bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+        x = (x + bias & mask) ^ bias
+    raw = (x & mask).to_bytes(n, "little")
+    return [int.from_bytes(raw[t:t + nbytes], "little", signed=signed)
+            for t in range(0, n, nbytes)]
 
 
 def repack(x: int, nbytes: int, count: int, width: int, step: int = 1) -> int:
@@ -424,20 +442,6 @@ def packed_geometric(x: int, j: int, n: int, w: int) -> int:
         x = (x + (x << w * j)) & mask
         j <<= 1
     return x
-
-
-def unpack_signed(x: int, nbytes: int, count: int) -> list:
-    """unpack_digits for signed digits in [-2^(w-1), 2^(w-1)), w = 8 nbytes,
-    of any x congruent to the packed series mod 2^(w count): a bias of
-    2^(w-1) per digit makes every digit nonnegative with no carries."""
-    half = 1 << 8 * nbytes - 1
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
-    mask = (1 << 8 * nbytes * count) - 1
-    # XOR takes the bias back off every digit's top bit, leaving each digit
-    # in two's complement
-    raw = ((x + bias & mask) ^ bias).to_bytes(count * nbytes, "little")
-    return [int.from_bytes(raw[t:t + nbytes], "little", signed=True)
-            for t in range(0, count * nbytes, nbytes)]
 
 
 # -- classical building blocks ----------------------------------------------

@@ -365,14 +365,11 @@ def test_charge_bucket_collapse():
     # each fermionic charge bucket collapses to u^{g(g+1)} / phi(q); the
     # implementation never uses this, which makes it a sharp cross-check
     from qchar.characters import _charge_buckets, _digit_bytes
-    from qchar.qseries import unpack_digits
 
     nu = 80
     nb = _digit_bytes(2, nu)
     for g, packed in _charge_buckets(nu, nb):
-        coeffs = [0] * nu
-        coeffs[::2] = unpack_digits(packed, nb, (nu + 1) // 2)
-        bucket = QSeries(0, nu, coeffs)
+        bucket = QSeries.from_qdigits(0, nu, packed, nb, False)
         expect = QSeries.monomial(g * (g + 1), nu) * inv_euler_phi(1, nu)
         assert bucket.first_diff(expect) is None, g
         if g * (g + 1) < nu:

@@ -347,6 +347,31 @@ def test_a_skewed_euler_phi_4_fails_only_the_quasiparticle_families(
 
 
 @pytest.mark.usefixtures("fresh_caches")
+def test_a_builder_that_breaks_a_digit_rule_is_an_internal_error(
+        capsys, monkeypatch):
+    # euler_phi(1) skewed by 3 q^3 turns a q-digit of the shared inverse
+    # denominator negative, which its unsigned packing cannot hold. That is
+    # a bug in a builder, so exit 4 with one line: not a failing identity
+    # (exit 1), which the families that never pack it report, and not bad
+    # input (exit 2)
+    real = euler_phi
+
+    def skewed(j, order):
+        phi = real(j, order)
+        return phi + QSeries.monomial(6, order, 3) if j == 1 else phi
+
+    for module in (characters, identities, bivariate):
+        monkeypatch.setattr(module, "euler_phi", skewed)
+    code, out, err = run(capsys, "verify", "--family", "lemma11a", "--order", "30")
+    assert (code, out) == (4, "")
+    assert err.startswith("qchar: internal error: ValueError: digit ")
+    assert len(err.splitlines()) == 1 and "outside [0, 256^" in err
+    for name in ("cor22", "jtp", "kp", "gauss"):
+        code, out, _ = run(capsys, "verify", "--family", name, "--order", "30")
+        assert code == 1 and "fail" in {r["verdict"] for r in json.loads(out)}, name
+
+
+@pytest.mark.usefixtures("fresh_caches")
 def test_prop21_fails_with_a_skewed_shared_bucket(capsys, monkeypatch):
     # a bucket skewed by q^3 in the build a longer point made must fail a
     # later, shorter point that only restricts that build

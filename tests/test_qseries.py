@@ -1,4 +1,5 @@
 import json
+import re
 from bisect import bisect_left
 from operator import add, sub
 
@@ -26,6 +27,7 @@ from qchar.errors import (
 from qchar.qseries import (
     QSeries,
     _factor_product,
+    digit_bytes,
     dist_product,
     euler_phi,
     format_series,
@@ -37,7 +39,6 @@ from qchar.qseries import (
     repack,
     round_up,
     unpack_digits,
-    unpack_signed,
 )
 
 
@@ -358,31 +359,87 @@ def test_pair_quotient_builders_match_product_form(m):
             assert parts(sector_closed_form(m, k, order)) == parts(closed)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+def test_digit_bytes_at_each_byte_edge(k):
+    assert digit_bytes((1 << 8 * k - 1) - 1, True) == k
+    assert digit_bytes(1 << 8 * k - 1, True) == k + 1
+    assert digit_bytes((1 << 8 * k) - 1, False) == k
+    assert digit_bytes(1 << 8 * k, False) == k + 1
+
+
+def at_bound(signed, bound, lo, order, junk=0):
+    """A packing case at the width digit_bytes gives for bound, its
+    digits alternating between the extremes of [-bound, bound], or of
+    [0, bound]."""
+    count = max(0, order - lo + 1 >> 1)
+    ends = (-bound, bound) if signed else (bound, 0)
+    digits = [ends[t % 2] for t in range(count)]
+    return signed, digit_bytes(bound, signed), lo, order, digits, junk
+
+
 @st.composite
-def signed_packings(draw):
-    """(nbytes, digits, x): x is the packed signed sum of the digits plus
-    any multiple of 256^(nbytes count)."""
-    nbytes = draw(st.integers(1, 3))
-    half = 1 << 8 * nbytes - 1
-    digits = draw(st.lists(st.one_of(st.sampled_from([-half, half - 1]),
-                                     st.integers(-half, half - 1)),
-                           min_size=1, max_size=40))
+def packings(draw):
+    """(signed, nbytes, lo, order, digits, junk): the ceil((order - lo)/2)
+    q-digits of a window, none if order <= lo, each within a bound whose
+    width digit_bytes gives, and any multiple of 256^(nbytes count) as
+    junk above them; signed sums and negative junk give negative residues."""
+    signed = draw(st.booleans())
+    bound = draw(st.one_of(
+        st.integers(1, 1 << 40),
+        st.sampled_from([(1 << 8 * k - signed) - e for k in (1, 2, 3)
+                         for e in (1, 0)])))
+    lo = draw(st.integers(-9, 9))
+    order = draw(st.integers(lo - 3, lo + 60))
+    count = max(0, order - lo + 1 >> 1)
+    least = -bound if signed else 0
+    digits = draw(st.lists(st.one_of(st.sampled_from([least, bound]),
+                                     st.integers(least, bound)),
+                           min_size=count, max_size=count))
+    return (signed, digit_bytes(bound, signed), lo, order, digits,
+            draw(st.integers()))
+
+
+@given(packings())
+@settings(max_examples=400, deadline=None)
+@example(at_bound(True, 127, 0, 7))
+@example(at_bound(True, 128, 0, 8))
+@example(at_bound(True, (1 << 15) - 1, -3, 4, junk=-1))
+@example(at_bound(True, 1 << 15, 5, 2))
+@example(at_bound(True, (1 << 23) - 1, 1, 40, junk=7))
+@example(at_bound(True, 1 << 23, -2, 37))
+@example(at_bound(False, 255, 0, 9))
+@example(at_bound(False, 256, 3, 10, junk=-2))
+@example(at_bound(False, (1 << 16) - 1, -1, -1))
+@example(at_bound(False, 1 << 16, 2, 33))
+@example(at_bound(False, (1 << 24) - 1, 0, 1, junk=1))
+@example(at_bound(False, 1 << 24, -7, 70))
+# the reader's own range, past what digit_bytes would give: the most
+# negative signed digit, and junk above the window
+@example((True, 1, 0, 1, [-128], 0))
+@example((True, 1, -4, 2, [127, -128, 0], 0))
+@example((True, 3, 0, 80, [-(1 << 23)] * 40, -5))
+@example((True, 2, 1, 6, [(1 << 15) - 1] * 3, 1))
+def test_packed_digits_read_back_through_from_qdigits(case):
+    signed, nbytes, lo, order, digits, junk = case
+    assert len(digits) == max(0, order - lo + 1 >> 1)
     w = 8 * nbytes
-    packed = sum(d << w * t for t, d in enumerate(digits))
-    return nbytes, digits, packed + (draw(st.integers()) << w * len(digits))
+    x = sum(d << w * t for t, d in enumerate(digits)) + (junk << w * len(digits))
+    if not signed:
+        assert pack_digits(digits, nbytes) == x - (junk << w * len(digits))
+    expect = QSeries.from_terms({lo + 2 * t: d for t, d in enumerate(digits)},
+                                order)
+    assert QSeries.from_qdigits(lo, order, x, nbytes, signed) == expect
+    assert unpack_digits(x, nbytes, len(digits), signed) == digits
 
 
-@given(signed_packings())
-@settings(max_examples=300, deadline=None)
-@example((1, [-128], -128))
-@example((1, [127, -128, 0], 127 - (128 << 8)))
-@example((3, [-(1 << 23)] * 40, sum(-(1 << 23) << 24 * t for t in range(40))
-          - (5 << 24 * 40)))
-@example((2, [(1 << 15) - 1] * 3, sum(((1 << 15) - 1) << 16 * t
-                                      for t in range(3)) + (1 << 48)))
-def test_unpack_signed_reads_any_residue(case):
-    nbytes, digits, x = case
-    assert unpack_signed(x, nbytes, len(digits)) == digits
+@pytest.mark.parametrize("digits,nbytes,message", [
+    ([256], 1, "digit 0 is 256, outside [0, 256^1)"),
+    ([0, 7, -1, 300], 1, "digit 2 is -1, outside [0, 256^1)"),
+    ((255, 1 << 16, -(1 << 20)), 2, "digit 1 is 65536, outside [0, 256^2)"),
+])
+def test_pack_digits_names_the_first_digit_out_of_range(digits, nbytes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pack_digits(digits, nbytes)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())

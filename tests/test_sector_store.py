@@ -3,10 +3,12 @@
 `characters._SECTORS` keeps one packed build per (m, s), made at exactly
 the longest u-order asked so far, and every call reads it restricted to
 its own order. The reference below is the per-call route the store
-replaced: each call finds its own lattice rows and walks them over the
-shared inverse denominator at exactly its own order. Both must give the
-same window and coefficients whatever was asked before, and the store
-must record nothing for a refused request or one with no rows.
+replaced: each call finds its own lattice rows and builds from them at
+exactly its own order. Both must give the same window and coefficients
+whatever was asked before, and the store must record nothing for a
+refused request or one with no rows. The packed route's values are
+pinned apart from this, by the division reference of
+test_sector_reference.py and the schoolbook one of test_qseries.py.
 """
 
 import json
@@ -20,7 +22,7 @@ from qchar import characters
 from qchar.characters import SECTOR_MAX_SPAN, fock_sector_char
 from qchar.cli import main
 from qchar.errors import ResourceLimit
-from qchar.qseries import QSeries, repack, unpack_signed
+from qchar.qseries import QSeries
 
 
 def ref_fock_sector_char(m, s, order):
@@ -28,38 +30,8 @@ def ref_fock_sector_char(m, s, order):
     rows, lo = characters._sector_rows(m, s, order)
     if not rows:
         return QSeries.zero(order)
-    n = order - lo
-    L = (n + 1) // 2
-    points = 0
-    uses = {}
-    for sign, shift, first, last, t in rows:
-        points += last - first + 1
-        if t < 0:
-            uses.setdefault(0, []).append(((-shift - lo) // 2, 2 * sign))
-            t, sign = -t, -sign
-        d = (t * (t + 1) - shift - lo) // 2
-        if d < L:
-            uses.setdefault(t, []).append((d, sign))
-    I, ib = characters._inverse_denominator(
-        m, characters._shared_build(("inverse", m), n)[0])
-    top = I >> 8 * ib * (L - 1) & (1 << 8 * ib) - 1
-    nb = (points * top).bit_length() // 8 + 1
-    w = 8 * nb
-    mask = (1 << w * L) - 1
-    I = repack(I, ib, L, nb)
-    top = max(uses)
-    K, P = 0, top
-    while (e := (P - top) * (P + top + 1) // 2) < L:
-        K += I << w * e
-        P += 1
-    total = 0
-    for t in range(top, -1, -1):
-        for d, c in uses.get(t, ()):
-            total += c * (K << w * d)
-        K = I + (K << w * t) & mask
-    coeffs = [0] * n
-    coeffs[::2] = unpack_signed(total, nb, L)
-    return QSeries(lo, order, coeffs)
+    nb, x = characters._sector_build(m, rows, lo, order)
+    return QSeries.from_qdigits(lo, order, x, nb, True)
 
 
 def parts(qs):
