@@ -609,9 +609,19 @@ def vacuum_identity_sides(m: int, order: int):
 
 
 # The longest u-order the basic character is built at; a power of two. Its
-# dense square grows about 4x per doubling: on 2 vCPUs about 7 s at the
-# bound for m = 2, which asympt reaches at --nmax 8192.
+# dense square grows about 4x per doubling: on 2 vCPUs about 11 s at the
+# bound for m = 2 (4 s of it the dist product), which asympt reaches at
+# --nmax 8192.
 BASIC_MAX_ORDER = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def _dist_square(order: int) -> QSeries:
+    """(-q;q)_inf^2 below u^order, shared by every basic character and gauss."""
+    # the dense dist product on purpose, as an independent route: thm13a
+    # checks it against the pentagonal quotient (-q;q)_inf =
+    # (q^2;q^2)_inf / (q;q)_inf, and gauss against the triangular sum
+    return dist_product(1, order) ** 2
 
 
 @lru_cache(maxsize=64)
@@ -624,11 +634,7 @@ def basic_char(m: int, order: int) -> QSeries:
                f"the basic character of m={m} is built at u-order")
     if order <= 0:
         return QSeries.zero(order)
-    # the dense dist product on purpose, as an independent route: thm13a
-    # checks it against the pentagonal quotient (-q;q)_inf =
-    # (q^2;q^2)_inf / (q;q)_inf, and gauss against the triangular sum
-    d = dist_product(1, order)
-    return d * d / euler_phi(m, order)
+    return _dist_square(order) / euler_phi(m, order)
 
 
 def family_char(m: int, k: int, order: int) -> QSeries:

@@ -35,6 +35,7 @@ from .bivariate import (
     jacobi_triple_sides,
 )
 from .characters import (
+    _dist_square,
     _pair_quotient,
     basic_char,
     compare_series,
@@ -51,7 +52,7 @@ from .characters import (
     vacuum_identity_sides,
 )
 from .errors import QcharError, need
-from .qseries import check_window, dist_product, euler_phi, gauss_sum
+from .qseries import check_window, euler_phi, gauss_sum
 
 
 class Family(NamedTuple):
@@ -243,5 +244,4 @@ def _inverse_product(nu, half):
 
 @family("gauss")
 def _triangular(nu, half):
-    d = dist_product(1, nu)
-    yield {}, gauss_sum(nu), euler_phi(1, nu) * (d * d)
+    yield {}, gauss_sum(nu), euler_phi(1, nu) * _dist_square(nu)

@@ -8,6 +8,12 @@ A QSeries claims its coefficients exactly on the window [min_exp, order):
 `order` is an honest truncation contract, never a guess. Operations compute
 the largest order they can guarantee from their inputs' contracts.
 
+`*` is the one product kernel: each nonzero term c u^t of the sparser
+operand adds c times the denser one, shifted by t, in one C-level slice
+map, over every second slot when the denser one has no odd-offset term
+(as no sector, Euler or dist series has), so an Euler or theta factor
+costs O(sqrt(order)) slice maps. `+` is one slice map per operand.
+
 `/` is the one exact-division kernel: x / d solves y * d = x term by term,
 y[t] = c0 (x[t] - sum_k d[k] y[t-k]), over the nonzero terms of d only,
 for a divisor whose lowest coefficient c0 is +-1. `invert` is 1 / d. The
@@ -25,10 +31,10 @@ one read-back, repack moves nonnegative digits to another width, exactly
 when each fits it, and packed_geometric divides by 1 - q^j.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     InsufficientOrder,
@@ -184,20 +190,16 @@ class QSeries:
         order = min(self.order, other.order)
         lo = min(self.min_exp, other.min_exp, order)
         buf = [0] * (order - lo)
-        for t, c in enumerate(self.coeffs):
-            e = self.min_exp + t
-            if e < order:
-                buf[e - lo] += c
-        for t, c in enumerate(other.coeffs):
-            e = other.min_exp + t
-            if e < order:
-                buf[e - lo] += c
+        for x in (self, other):
+            if x.min_exp < order:
+                t = x.min_exp - lo
+                buf[t:] = map(add, buf[t:], x.coeffs[:order - x.min_exp])
         return QSeries(lo, order, buf)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.min_exp, self.order, [-c for c in self.coeffs])
+        return QSeries(self.min_exp, self.order, map(neg, self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -209,25 +211,21 @@ class QSeries:
         if isinstance(other, int):
             if other == 0:
                 return QSeries.zero(self.order)
-            return QSeries(self.min_exp, self.order, [other * c for c in self.coeffs])
+            return QSeries(self.min_exp, self.order, map(mul, repeat(other), self.coeffs))
         lo = self.min_exp + other.min_exp
         order = min(self.min_exp + other.order, other.min_exp + self.order)
         n = order - lo
         if n <= 0:
             return QSeries.zero(order)
-        a_items = [(t, c) for t, c in enumerate(self.coeffs) if c]
-        b_items = [(t, c) for t, c in enumerate(other.coeffs) if c]
-        if len(b_items) > len(a_items):
-            a_items, b_items = b_items, a_items
-        b_exps = [t for t, _ in b_items]
-        b_cs = [c for _, c in b_items]
+        # n = min(len(a), len(b)), so both sides of each slice map below
+        # hold ceil((n - t) / step) terms
+        a, b = self.coeffs, other.coeffs
+        if len(a) - a.count(0) < len(b) - b.count(0):
+            a, b = b, a
+        step = 1 if any(a[1::2]) else 2
         buf = [0] * n
-        for ta, ca in a_items:
-            lim = n - ta
-            if lim <= 0:
-                break
-            for i in range(bisect_left(b_exps, lim)):
-                buf[ta + b_exps[i]] += ca * b_cs[i]
+        for t in compress(range(n), b):
+            buf[t:n:step] = map(add, buf[t:n:step], map(mul, repeat(b[t]), a[:n - t:step]))
         return QSeries(lo, order, buf)
 
     __rmul__ = __mul__

@@ -272,7 +272,8 @@ def fresh_caches():
     """Clear the cached characters before and after a test that patches what
     they are built from, so a cached value neither hides the patch nor
     outlives it."""
-    cached = (characters.basic_char, characters._inverse_denominator,
+    cached = (characters.basic_char, characters._dist_square,
+              characters._inverse_denominator,
               characters._built_pair_quotient, characters._charge_buckets,
               characters._boson_pair_base)
 
@@ -291,18 +292,28 @@ def fresh_caches():
 def test_thm13a_product_form_can_fail(capsys, monkeypatch):
     # a dist product off by q^3 reaches basic_char but not the pentagonal
     # quotient, so the product form must catch it
-    real = identities.dist_product
+    real = characters.dist_product
 
     def skewed(j, order):
         return real(j, order) + QSeries.monomial(6, order)
 
     monkeypatch.setattr(characters, "dist_product", skewed)
-    monkeypatch.setattr(identities, "dist_product", skewed)
     code, out, _ = run(capsys, "verify", "--family", "thm13a", "--m", "2",
                        "--order", "20")
     assert code == 1
     verdicts = {r["params"]["form"]: r["verdict"] for r in json.loads(out)}
     assert verdicts["product"] == "fail"
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_thm13a_and_gauss_share_one_dist_square(capsys):
+    # the square (-q;q)^2 does not depend on m: one build serves the five
+    # basic characters and gauss's right side at the same order
+    for family, *axes in (("thm13a", "--m", "2..6"), ("gauss",)):
+        code, _, _ = run(capsys, "verify", "--family", family, *axes,
+                         "--order", "60")
+        assert code == 0
+    assert characters._dist_square.cache_info().misses == 1
 
 
 @pytest.mark.usefixtures("fresh_caches")

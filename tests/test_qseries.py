@@ -204,11 +204,11 @@ def test_invert_negative_unit_lead():
 
 
 # ---------------------------------------------------------------------------
-# the exact-division kernel against the code it replaced
+# the exact-division and product kernels against the code they replaced
 #
 # ref_mul and ref_invert are QSeries.__mul__ (for two series) and
 # QSeries.invert as they were before `/` became the division kernel,
-# kept verbatim.
+# kept verbatim; ref_mul is the schoolbook product over nonzero terms.
 
 
 def ref_mul(self, other):
@@ -291,6 +291,78 @@ def dividends(draw):
 def test_division_matches_reference(x, d):
     assert parts(x / d) == parts(ref_mul(x, ref_invert(d)))
     assert parts(d.invert()) == parts(ref_invert(d))
+
+
+# coefficients small or past 2^64, so a product of two passes 2^128
+COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+
+
+@st.composite
+def factors(draw):
+    """Zero, sparse or dense, on every offset or on even offsets only (as
+    every sector, Euler and dist series is), from a min_exp of either
+    parity, with small or huge coefficients."""
+    lo = draw(st.integers(-9, 9))
+    width = draw(st.integers(0, 40))
+    gap = draw(st.sampled_from((1, 2, 2, 5)))
+    keep = draw(st.sampled_from((1, 1, 4)))
+    coeffs = [draw(COEFFS) if t % gap == 0 and draw(st.integers(1, keep)) == 1
+              else 0 for t in range(width)]
+    return QSeries(lo, lo + width, coeffs)
+
+
+# the denser side on even offsets but for one term, so the product walks
+# every offset; sparse times dense in both orders and a tie in density
+ALMOST_EVEN = QSeries(-3, 9, [5, 0, 1, 0, -2, 0, 1, 0, 3, 0, 1, 7])
+
+
+@given(factors(), factors())
+@settings(max_examples=400, deadline=None)
+@example(ALMOST_EVEN, QSeries(1, 20, [1, 0, 0, 0, 2]))
+@example(QSeries(1, 20, [1, 0, 0, 0, 2]), ALMOST_EVEN)
+@example(QSeries(0, 12, [1, 4, 0, 0, 6, 0, 2]), QSeries(-1, 7, [3, 0, 1]))
+@example(QSeries(2, 9, [1, 0, 1]), QSeries(-4, 6, [1, 1]))
+@example(QSeries.zero(4), ALMOST_EVEN)
+@example(QSeries(0, 6, [(1 << 64) + 1] * 6), QSeries(-1, 30, [-(1 << 65), 0, 3]))
+def test_product_matches_reference(a, b):
+    assert parts(a * b) == parts(ref_mul(a, b))
+    assert parts(b * a) == parts(ref_mul(a, b))
+
+
+def ref_add(a, b):
+    order = min(a.order, b.order)
+    acc = {}
+    for e, c in a.items() + b.items():
+        if e < order:
+            acc[e] = acc.get(e, 0) + c
+    return QSeries.from_terms(acc, order)
+
+
+def ref_scale(a, k):
+    return QSeries.from_terms({e: k * c for e, c in a.items()}, a.order)
+
+
+@st.composite
+def summands(draw):
+    """Windows anywhere in u^-20..u^20, so one often starts at or past the
+    other's order; zero series included."""
+    lo = draw(st.integers(-20, 20))
+    width = draw(st.integers(0, 16))
+    return QSeries(lo, lo + width, draw(st.lists(COEFFS, min_size=width,
+                                                 max_size=width)))
+
+
+@given(summands(), summands(), st.integers(-3, 3))
+@settings(max_examples=400, deadline=None)
+@example(QSeries(5, 9, [1, 2, 3, 4]), QSeries(-3, 5, [1] * 8), 2)
+@example(QSeries(-6, -2, [1, 0, 0, 1]), QSeries(-2, 10, [4, 5]), -1)
+@example(QSeries.zero(3), QSeries(-4, 8, [2, 0, 1]), 0)
+@example(QSeries(-4, 8, [2, 0, 1]), QSeries.zero(-1), 1)
+@example(QSeries(-2, 3, [1, 2, 3, 4, 5]), QSeries(-2, 3, [-1, -2, -3, -4, 5]), 1)
+def test_sum_matches_reference(a, b, k):
+    assert parts(a + b) == parts(ref_add(a, b))
+    assert parts(a - b) == parts(ref_add(a, ref_scale(b, -1)))
+    assert parts(b * k) == parts(k * b) == parts(ref_scale(b, k))
 
 
 @pytest.mark.parametrize("d, error", [
