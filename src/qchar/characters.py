@@ -184,9 +184,11 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 # u-order per key of _BUILDS: the longest order asked for under that key so
 # far, rounded up by round_up. So a cold call builds at most an eighth more
 # than it asks for, a grid run longest point first makes one build per key,
-# and every call restricts or repacks that build to its own window. As
-# MAX_WINDOW, QP_MAX_ORDER and SECTOR_MAX_SPAN are powers of two, no build
-# passes the bound it is kept under.
+# and every call restricts or masks that build to its own window. One key,
+# "quasiparticle", serves the buckets and every m's base, all built in the
+# one digit width _digit_bytes gives its u-order. As MAX_WINDOW,
+# QP_MAX_ORDER and SECTOR_MAX_SPAN are powers of two, no build passes the
+# bound it is kept under.
 #
 # The sector characters are not rounded: _SECTORS keeps one build per
 # (m, s), made at exactly the longest u-order asked so far, since a rounded
@@ -209,13 +211,11 @@ def _keep(store: dict, key, built):
     return built
 
 
-def _shared_build(key, n: int, m: int = 0):
-    """(N, nb) of the build under key, remade at N = round_up(n) if shorter
-    than n, nb = _digit_bytes(m, N) if m else 0; key is now the newest."""
-    built = _BUILDS.pop(key, (0, 0))
-    if built[0] < n:
-        built = round_up(n), (_digit_bytes(m, round_up(n)) if m else 0)
-    return _keep(_BUILDS, key, built)
+def _shared_build(key, n: int) -> int:
+    """The u-order N of the build under key, remade at N = round_up(n) if
+    shorter than n; key is now the newest."""
+    built = _BUILDS.pop(key, 0)
+    return _keep(_BUILDS, key, built if built >= n else round_up(n))
 
 
 @lru_cache(maxsize=64)
@@ -318,7 +318,7 @@ def _sector_build(m: int, rows, lo: int, order: int):
         d = (t * (t + 1) - shift - lo) // 2
         if d < L:
             uses.setdefault(t, []).append((d, sign))
-    I, ib = _inverse_denominator(m, _shared_build(("inverse", m), n)[0])
+    I, ib = _inverse_denominator(m, _shared_build(("inverse", m), n))
     top = I >> 8 * ib * (L - 1) & (1 << 8 * ib) - 1  # I's digit at q^(L-1)
     nb = digit_bytes(points * top, True)
     w = 8 * nb
@@ -351,7 +351,7 @@ def _pair_quotient(m: int, order: int) -> QSeries:
     phi(q^2)^2 / phi(q)^2 / phi(q^m)^2 of sparse Euler products, since
     (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, restricted from the shared
     build."""
-    n, _ = _shared_build(("pair", m), order)
+    n = _shared_build(("pair", m), order)
     return _built_pair_quotient(m, n).restricted(order)
 
 
@@ -425,47 +425,48 @@ def recurrence_step(m: int, s: int, fs: QSeries, order: int) -> QSeries:
 # _digit_bytes) must hold true coefficients.
 
 
-def _digit_bytes(m: int, nu: int) -> int:
-    """Bytes per digit for quasiparticle_char(m, s, nu - s m), any s.
+def _digit_bytes(nu: int) -> int:
+    """Bytes per digit of every quasiparticle series built at u-order nu:
+    quasiparticle_char(m, s, nu - s m) for any m and s, and its inputs.
 
-    Below q^L, L = (nu + 1) // 2, the sum is built by ring operations on
-    packed series, so its packed form is right mod 2^(wL) whatever the
-    intermediates hold, and its w-bit digits are its coefficients once
-    each of these lies in [0, 2^w). The compact P = 1/(q^m;q^m)_inf^2 is
-    spread to every m-th digit one digit at a time, so its digits must be
-    its coefficients too, and the buckets' digits are theirs if they fit;
-    all of these are nonnegative. So it suffices that every coefficient
-    of the sum, of P and of each bucket below q^L is at most some
-    coefficient of G = B P below q^L, where B = 2 (-q;q)_inf^2:
+    Below q^L, L = (nu + 1) // 2, the sum comes from ring operations on
+    packed series, so it is right mod 2^(wL) whatever the intermediates
+    hold, and its w-bit digits are its coefficients once each lies in
+    [0, 2^w). P = 1/(q^m;q^m)_inf^2 is spread digit by digit, so its
+    digits must hold its coefficients too, as must the buckets'; all are
+    nonnegative. Each of these is at most G_m = B P, B = 2 (-q;q)_inf^2:
       * the buckets sum to B, by Euler's sum_a z^a q^(a(a-1)/2) / (q)_a =
-        (-z;q)_inf at z = q and z = 1, and P <= G as B starts with 2;
+        (-z;q)_inf at z = q and z = 1, and P <= G_m as B starts with 2;
       * the t-terms q^(mt) / ((q^m)_t (q^m)_(t+k)) of a boson-pair base
         are at most q^(mt) / ((q^m)_t (q^m)_inf), which sum to P; P is
-        1/(1 - q^m) times a nonnegative series, so its coefficients on
-        the q^m lattice never decrease and the pair sum of charge k > 0,
-        q^(mk) times a base, is at most P too;
-      * so the quasiparticle sum, each bucket times a pair sum, is at
-        most B P = G.
-    G is sector_pair_product's series, twice the cached pair quotient. It
-    is 2/(1 - q) times a nonnegative series, so its largest coefficient
-    below q^L is the one at q^(L-1). The quotient only sizes the digits:
-    the sum's values come from the buckets and the boson-pair base alone.
+        1/(1 - q^m) times a nonnegative series, so the pair sum of charge
+        k > 0, q^(mk) times a base, is at most P too;
+      * so the sum, each bucket times a pair sum, is at most B P = G_m.
+    And G_m <= G_2 term by term for m >= 2: with p_2(t) the coefficients
+    of 1/(q;q)_inf^2, G_m[n] = sum_t p_2(t) B[n - mt] <= sum_t p_2(t)
+    B[n - 2t] = G_2[n], as B never decreases: the counts a of partitions
+    into distinct parts do not, so neither does c = a * a, as c[n+1] -
+    c[n] = a[n+1] a[0] + sum_(j <= n) a[j] (a[n+1-j] - a[n-j]) >= 0.
+    G_2, twice the cached pair quotient of m = 2, is 2/(1 - q) times a
+    nonnegative series, so its largest coefficient below q^L is at
+    q^(L-1), and nu's width holds every shorter read. The quotient only
+    sizes the digits.
     """
-    top = 2 * _pair_quotient(m, nu).q_coeff((nu - 1) // 2)  # at q^(L-1)
+    top = 2 * _pair_quotient(2, nu).q_coeff((nu - 1) // 2)  # at q^(L-1)
     return digit_bytes(top, False)
 
 
 @lru_cache(maxsize=64)
-def _charge_buckets(nu: int, nb: int):
+def _charge_buckets(nu: int):
     """Fermionic-pair generating series split by net charge, below u-order nu.
 
-    Returns a tuple of (charge, packed series) pairs, in nb-byte q-digits.
-    Pairs (a, b) enter while a(a+1) + b(b-1) < nu; anything omitted starts
-    at or above nu, so charge g starts at u^(g(g+1)), and a longer build
-    masked below u^nu is this one: see _shared_buckets.
+    Returns a tuple of (charge, packed series) pairs, in _digit_bytes(nu)
+    q-digits. Pairs (a, b) enter while a(a+1) + b(b-1) < nu; anything
+    omitted starts at or above nu, so charge g starts at u^(g(g+1)), and
+    a longer build masked below u^nu is this one.
     """
     L = (nu + 1) // 2
-    w = 8 * nb
+    w = 8 * _digit_bytes(nu)
     buckets: dict = {}
     X = 1  # 1/(q)_a below q^(L - a(a+1)/2)
     a = 0
@@ -487,9 +488,10 @@ def _charge_buckets(nu: int, nb: int):
 
 
 @lru_cache(maxsize=64)
-def _boson_pair_base(m: int, nu: int, nb: int) -> int:
-    """1/(q^m;q^m)_inf^2 below u^nu, packed in nb-byte q-digits: the factor
-    every boson-pair sum shares."""
+def _boson_pair_base(m: int, nu: int) -> int:
+    """1/(q^m;q^m)_inf^2 below u^nu, packed in _digit_bytes(nu) q-digits:
+    the factor every boson-pair sum shares."""
+    nb = _digit_bytes(nu)
     w = 8 * nb
     n = (nu + 2 * m - 1) // (2 * m)  # compact digit t holds u^(2mt)
     R = 1
@@ -534,27 +536,6 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     return total
 
 
-# The buckets and the base are read from builds shared by every call (see
-# _BUILDS), each made in _digit_bytes(m, N) for its own u-order N, masked
-# to the call's L q-digits and repacked to its width. Every bucket
-# coefficient is at most B = 2 (-q;q)_inf^2's and every base one at most
-# P's, both at most G = B P's for every m (see _digit_bytes), so a build
-# holds its digits and every caller's width those it reads.
-
-
-def _shared_buckets(m: int, nu: int, nb: int) -> dict:
-    """dict(_charge_buckets(nu, nb)), read from the shared build."""
-    bnu, bnb = _shared_build("buckets", nu, m)
-    return {g: repack(x, bnb, (nu + 1) // 2, nb)
-            for g, x in _charge_buckets(bnu, bnb) if g * (g + 1) < nu}
-
-
-def _shared_base(m: int, nu: int, nb: int) -> int:
-    """_boson_pair_base(m, nu, nb), read from the shared build."""
-    bnu, bnb = _shared_build(("base", m), nu, m)
-    return repack(_boson_pair_base(m, bnu, bnb), bnb, (nu + 1) // 2, nb)
-
-
 # The largest internal u-order order + s m a quasiparticle sum is asked
 # at; a power of two, so its rounded build stays within it. The buckets
 # dominate its time, which grows about 6x per doubling of that order:
@@ -587,11 +568,14 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
     nu = order + s * m
     if nu <= 0:
         return QSeries.zero(order)
-    nb = _digit_bytes(m, nu)
-    numerator = _pair_numerator(_shared_buckets(m, nu, nb), m, s,
-                                (nu + 1) // 2, 8 * nb)
-    return QSeries.from_qdigits(-s * m, order,
-                                numerator * _shared_base(m, nu, nb), nb, False)
+    # the shared builds, read in their own width: the buckets that start
+    # below u^nu, and the base masked to the call's L q-digits
+    N = _shared_build("quasiparticle", nu)
+    nb, L = _digit_bytes(N), (nu + 1) // 2
+    buckets = {g: x for g, x in _charge_buckets(N) if g * (g + 1) < nu}
+    numerator = _pair_numerator(buckets, m, s, L, 8 * nb)
+    base = _boson_pair_base(m, N) & (1 << 8 * nb * L) - 1
+    return QSeries.from_qdigits(-s * m, order, numerator * base, nb, False)
 
 
 def vacuum_identity_sides(m: int, order: int):
@@ -609,8 +593,8 @@ def vacuum_identity_sides(m: int, order: int):
 
 
 # The longest u-order the basic character is built at; a power of two. Its
-# dense square grows about 4x per doubling: on 2 vCPUs about 11 s at the
-# bound for m = 2 (4 s of it the dist product), which asympt reaches at
+# dense square grows about 4x per doubling: on 2 vCPUs about 8 s at the
+# bound for m = 2 (2.5 s of it the dist product), which asympt reaches at
 # --nmax 8192.
 BASIC_MAX_ORDER = 1 << 14
 

@@ -29,7 +29,7 @@ import os
 import sys
 
 from .characters import growth_report
-from .errors import ExprError, QcharError, ResourceLimit
+from .errors import ORACLE_MAX_NODES, ExprError, QcharError, ResourceLimit
 from .identities import FAMILIES, check, check_domain
 from .qseries import check_window, format_series
 
@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--s", type=int, required=True)
     oracle.add_argument("--qbound", type=_int_at_least(1), required=True,
                         help="count states below this q-degree")
-    oracle.add_argument("--max-nodes", type=_int_at_least(1), default=10**8)
+    oracle.add_argument("--max-nodes", type=_int_at_least(1),
+                        default=ORACLE_MAX_NODES)
     oracle.add_argument("--format", choices=("json", "text", "csv"),
                         default="json")
     oracle.set_defaults(func=cmd_oracle)

@@ -46,6 +46,12 @@ class ResourceLimit(QcharError):
     or an enumeration past its node budget."""
 
 
+# The states the oracle counts before it gives up, the default of `qchar
+# oracle --max-nodes`; a power of two, about 15 s on 2 vCPUs. It lives here,
+# not in oracle, so the CLI's parser reads it without loading the oracle.
+ORACLE_MAX_NODES = 1 << 24
+
+
 def check_work(n: int, bound: int, what: str) -> None:
     """Raise ResourceLimit if n, the size `what` names, passes bound."""
     if n > bound:

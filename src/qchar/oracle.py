@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ResourceLimit, need
+from .errors import ORACLE_MAX_NODES, ResourceLimit, need
 from .qseries import QSeries
 from .characters import (
     IdentityReport,
@@ -28,7 +28,7 @@ from .characters import (
     quasiparticle_window,
 )
 
-_DEFAULT_NODE_CAP = 10**8
+_DEFAULT_NODE_CAP = ORACLE_MAX_NODES
 
 
 def _negative_budget(m: int) -> int:

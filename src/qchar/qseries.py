@@ -456,8 +456,9 @@ def _factor_product(j: int, n_factors: int, order: int, op) -> QSeries:
         g = 2 * j * i
         if g >= order:
             break
-        # the slice assignment reads every old cell before writing any
-        c[g:] = map(op, c[g:], c)
+        # every shift is even, so the odd cells stay zero; the slice
+        # assignment reads every old cell before writing any
+        c[g::2] = map(op, c[g::2], c[::2])
     return QSeries(0, order, c)
 
 

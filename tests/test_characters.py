@@ -263,7 +263,7 @@ def test_fock_sector_char_span_past_the_bound(monkeypatch):
     # fs(2, 0) starts at u^0: at the bound it goes on to the build
     with pytest.raises(TypeError):
         fock_sector_char(2, 0, SECTOR_MAX_SPAN)
-    assert characters._BUILDS == {("inverse", 2): (SECTOR_MAX_SPAN, 0)}
+    assert characters._BUILDS == {("inverse", 2): SECTOR_MAX_SPAN}
     assert characters._SECTORS == {}  # nothing refused or empty is kept
 
 
@@ -367,8 +367,8 @@ def test_charge_bucket_collapse():
     from qchar.characters import _charge_buckets, _digit_bytes
 
     nu = 80
-    nb = _digit_bytes(2, nu)
-    for g, packed in _charge_buckets(nu, nb):
+    nb = _digit_bytes(nu)
+    for g, packed in _charge_buckets(nu):
         bucket = QSeries.from_qdigits(0, nu, packed, nb, False)
         expect = QSeries.monomial(g * (g + 1), nu) * inv_euler_phi(1, nu)
         assert bucket.first_diff(expect) is None, g

@@ -323,8 +323,8 @@ def test_prop21_fails_with_a_skewed_boson_pair_base(capsys, monkeypatch):
     # must show
     real = characters._boson_pair_base
 
-    def skewed(m, nu, nb):
-        return real(m, nu, nb) + (1 << 8 * nb * 3)
+    def skewed(m, nu):
+        return real(m, nu) + (1 << 8 * characters._digit_bytes(nu) * 3)
 
     monkeypatch.setattr(characters, "_boson_pair_base", skewed)
     code, out, _ = run(capsys, "verify", "--family", "prop21", "--m", "2",
@@ -389,10 +389,11 @@ def test_prop21_fails_with_a_skewed_shared_bucket(capsys, monkeypatch):
     real = characters._charge_buckets
     built = []
 
-    def skewed(nu, nb):
+    def skewed(nu):
         built.append(nu)
+        nb = characters._digit_bytes(nu)
         return tuple((g, x + (1 << 8 * nb * 3) if g == 1 else x)
-                     for g, x in real(nu, nb))
+                     for g, x in real(nu))
 
     monkeypatch.setattr(characters, "_charge_buckets", skewed)
     for order in ("40", "20"):

@@ -6,8 +6,9 @@ the list, and convolves each bucket with its boson-pair sum as a QSeries
 product. The package packs each series into one int of fixed-width digits,
 writes every boson-pair base as a partial theta over one shared
 1/(q^m;q^m)_inf^2 and multiplies packed ints; both must agree on every
-coefficient and on the claimed window. ref_digit_bytes sizes the package's
-digits the slow way, from F = (-q;q)_inf / (q^m;q^m)_inf on plain lists.
+coefficient and on the claimed window. ref_digit_bytes sizes each m's
+digits the slow way, from F = (-q;q)_inf / (q^m;q^m)_inf on plain lists;
+the package sizes every m's from m = 2's.
 """
 
 from functools import lru_cache
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 from qchar import characters
 from qchar.errors import InvalidParameter
-from qchar.qseries import (QSeries, euler_phi, packed_geometric, round_up,
-                           unpack_digits)
+from qchar.qseries import (QSeries, dist_product, euler_phi, packed_geometric,
+                           round_up, unpack_digits)
 
 
 def _geometric_inplace(arr: list, stride: int) -> None:
@@ -153,31 +154,53 @@ def test_quasiparticle_matches_reference(m, s, order):
             == _fields(quasiparticle_char(m, s, order)))
 
 
-@pytest.mark.parametrize("m,s,order", [(2, 0, 1200), (2, -5, 1200), (2, 1, 2000)])
+@pytest.fixture
+def fresh_builds():
+    """Empty the quasiparticle builds before and after a test that patches
+    their digit width, so no build in another width is read."""
+    def clear():
+        characters._charge_buckets.cache_clear()
+        characters._boson_pair_base.cache_clear()
+        characters._BUILDS.clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.usefixtures("fresh_builds")
+@pytest.mark.parametrize("m,s,order", [(2, 0, 1200), (2, -5, 1200), (2, 1, 1918)])
 def test_quasiparticle_matches_reference_wide_digits(m, s, order, monkeypatch):
     # coefficients of 114 to 150 bits: the digit width is tight to the byte
+    # at the u-order each sum is built at
     expect = _fields(quasiparticle_char(m, s, order))
     assert _fields(characters.quasiparticle_char(m, s, order)) == expect
     real = characters._digit_bytes
-    monkeypatch.setattr(characters, "_digit_bytes",
-                        lambda m, nu: real(m, nu) - 1)
+    characters._charge_buckets.cache_clear()
+    characters._boson_pair_base.cache_clear()
+    monkeypatch.setattr(characters, "_digit_bytes", lambda nu: real(nu) - 1)
     assert _fields(characters.quasiparticle_char(m, s, order)) != expect
 
 
-@pytest.mark.parametrize("m,s,order", [(2, 0, 1200), (2, -5, 1200), (2, 1, 2000)])
+@pytest.mark.usefixtures("fresh_builds")
+@pytest.mark.parametrize("m,s,order", [(2, 0, 1200), (2, -5, 1200), (2, 1, 1918)])
 def test_quasiparticle_is_the_same_one_byte_wider(m, s, order, monkeypatch):
     # the width only has to hold the digits: a wider one changes no value
     expect = _fields(characters.quasiparticle_char(m, s, order))
     real = characters._digit_bytes
-    monkeypatch.setattr(characters, "_digit_bytes",
-                        lambda m, nu: real(m, nu) + 1)
+    characters._charge_buckets.cache_clear()
+    characters._boson_pair_base.cache_clear()
+    monkeypatch.setattr(characters, "_digit_bytes", lambda nu: real(nu) + 1)
     assert _fields(characters.quasiparticle_char(m, s, order)) == expect
 
 
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(2, 8), nu=st.integers(1, 600))
 def test_digit_bytes_matches_reference(m, nu):
-    assert characters._digit_bytes(m, nu) == ref_digit_bytes(m, nu)
+    # m = 2's width is every m's: each m's own is at most it
+    assert ref_digit_bytes(m, nu) <= characters._digit_bytes(nu)
+    if m == 2:
+        assert characters._digit_bytes(nu) == ref_digit_bytes(m, nu)
 
 
 @pytest.mark.parametrize("nu", [511, 512, 513, 1023, 1024, 1025, 2047, 2048, 2049])
@@ -185,7 +208,24 @@ def test_digit_bytes_matches_reference(m, nu):
 def test_digit_bytes_matches_reference_at_build_order_edges(m, nu):
     # just past a power of two the width is read from a quotient built an
     # eighth longer
-    assert characters._digit_bytes(m, nu) == ref_digit_bytes(m, nu)
+    assert ref_digit_bytes(m, nu) <= characters._digit_bytes(nu)
+    if m == 2:
+        assert characters._digit_bytes(nu) == ref_digit_bytes(m, nu)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_pair_series_of_m_is_at_most_that_of_2(m):
+    # the lemma the shared width rests on: G_m = B / (q^m;q^m)_inf^2, B =
+    # 2 (-q;q)_inf^2, is at most G_2 coefficient by coefficient, since B
+    # never decreases; here below q^600
+    order = 1200
+    B = (2 * dist_product(1, order) ** 2).coeffs[::2]
+    assert all(x <= y for x, y in zip(B, B[1:]))
+    G_2 = characters.sector_pair_product(2, order).coeffs[::2]
+    G_m = characters.sector_pair_product(m, order).coeffs[::2]
+    assert len(G_m) == len(G_2) == 600
+    assert all(x <= y for x, y in zip(G_m, G_2))
+    assert G_m != G_2
 
 
 @pytest.mark.parametrize("s", range(-5, 7))
@@ -217,8 +257,8 @@ def test_packed_boson_pair_base_is_inverse_phi_squared(m, nu):
     for j in range(m, L, m):
         _geometric_inplace(expect, j)
         _geometric_inplace(expect, j)
-    nb = characters._digit_bytes(m, nu)
-    assert unpack_digits(characters._boson_pair_base(m, nu, nb), nb, L) == expect
+    nb = characters._digit_bytes(nu)
+    assert unpack_digits(characters._boson_pair_base(m, nu), nb, L) == expect
 
 
 # -- the shared builds -----------------------------------------------------------
@@ -265,28 +305,33 @@ def ref_boson_pair_base(m: int, nu: int, nb: int) -> int:
 
 
 def check_requests(requests):
-    """From an empty store, read the buckets and the base of each (m, s,
-    order, wider) request in its digit width plus wider bytes, and check
-    them against the per-call builds; each key keeps its longest request
-    rounded up to four significant bits, in the width of that length."""
+    """From an empty store, run quasiparticle_char for each (m, s, order)
+    request and check it against the reference, and the buckets and the
+    base it reads, the shared builds masked to its q-digits, against the
+    per-call builds in the shared width; the one key keeps the longest
+    internal u-order rounded up to four significant bits."""
     characters._BUILDS.clear()
-    longest: dict = {}
-    for m, s, order, wider in requests:
+    longest = 0
+    for m, s, order in requests:
+        assert (_fields(characters.quasiparticle_char(m, s, order))
+                == _fields(quasiparticle_char(m, s, order)))
         nu = order + s * m
         if nu <= 0:
             continue
-        nb = characters._digit_bytes(m, nu) + wider
-        assert characters._shared_buckets(m, nu, nb) == dict(ref_charge_buckets(nu, nb))
-        assert characters._shared_base(m, nu, nb) == ref_boson_pair_base(m, nu, nb)
-        for key in ("buckets", ("base", m)):
-            if longest.get(key, (0,))[0] < nu:
-                longest[key] = (round_up(nu), characters._digit_bytes(m, round_up(nu)))
-            assert characters._BUILDS[key] == longest[key]
+        if longest < nu:
+            longest = round_up(nu)
+        assert characters._BUILDS["quasiparticle"] == longest
+        nb = characters._digit_bytes(longest)
+        mask = (1 << 8 * nb * ((nu + 1) // 2)) - 1
+        assert {g: x & mask for g, x in characters._charge_buckets(longest)
+                if g * (g + 1) < nu} == dict(ref_charge_buckets(nu, nb))
+        assert (characters._boson_pair_base(m, longest) & mask
+                == ref_boson_pair_base(m, nu, nb))
     assert len(characters._BUILDS) <= 64
 
 
 requests = st.lists(st.tuples(st.integers(2, 6), st.integers(-4, 5),
-                              st.integers(-3, 150), st.integers(0, 2)),
+                              st.integers(-3, 150)),
                     min_size=1, max_size=6)
 
 
@@ -297,66 +342,67 @@ def test_shared_builds_match_per_call_builds(reqs):
 
 
 @pytest.mark.parametrize("reqs", [
-    [(2, 0, 300, 0), (2, 1, 40, 0)],  # long then short
-    [(2, 1, 40, 0), (2, 0, 300, 0)],  # short then long
-    [(2, 0, 100, 0), (5, 3, 80, 0), (3, -2, 150, 0), (2, 4, 20, 0),
-     (5, -1, 120, 0)],  # interleaved m
-    [(6, 0, 300, 0), (2, 0, 299, 0)],  # built narrow, read wider
-    [(2, 0, 300, 0), (6, 0, 299, 0)],  # built wide, read narrower
-    [(3, 1, 200, 2), (3, 0, 100, 0), (3, 2, 60, 1)],  # a width change
+    [(2, 0, 300), (2, 1, 40)],  # long then short
+    [(2, 1, 40), (2, 0, 300)],  # short then long
+    [(2, 0, 100), (5, 3, 80), (3, -2, 150), (2, 4, 20),
+     (5, -1, 120)],  # interleaved m
+    [(6, 0, 300), (2, 0, 299)],  # a new m on a build made for another
+    [(2, 0, 300), (6, 0, 299)],
+    [(3, 1, 200), (3, 0, 100), (4, 2, 300), (3, 2, 60)],  # rebuilt for m = 4
 ])
 def test_shared_builds_in_any_request_order(reqs):
     check_requests(reqs)
 
 
 @pytest.mark.parametrize("reqs", [
-    [(2, 0, 300, 0), (2, 1, 40, 0)],
-    [(6, 0, 300, 0), (2, 0, 299, 0)],
-    [(2, 0, 300, 0), (6, 0, 299, 0)],
+    [(2, 0, 300), (2, 1, 40)],
+    [(6, 0, 300), (2, 0, 299)],
+    [(2, 0, 300), (6, 0, 299)],
 ])
 def test_quasiparticle_from_shared_builds_matches_reference(reqs):
     characters._BUILDS.clear()
-    for m, s, order, _ in reqs:
+    for m, s, order in reqs:
         assert (_fields(characters.quasiparticle_char(m, s, order))
                 == _fields(quasiparticle_char(m, s, order)))
 
 
-@pytest.mark.parametrize("m,s,order", [(2, 1, 175), (3, -1, 148), (4, 0, 105)])
+@pytest.mark.parametrize("m,s,order", [(2, 1, 175), (3, -1, 180), (4, 0, 177)])
 def test_quasiparticle_read_from_a_longer_wider_build(m, s, order):
     # the call's u-order nu rounds up to a build whose digits need one byte
-    # more than the call's own; the call and shorter ones read it exactly
+    # more than nu's own; the call and shorter ones read it exactly
     characters._BUILDS.clear()
     nu = order + s * m
-    assert characters._digit_bytes(m, round_up(nu)) > characters._digit_bytes(m, nu)
+    assert characters._digit_bytes(round_up(nu)) > characters._digit_bytes(nu)
     for k, o in ((s, order), (s, order - 40), (s + 1, order - 2 * m)):
         assert (_fields(characters.quasiparticle_char(m, k, o))
                 == _fields(quasiparticle_char(m, k, o)))
-    built = (round_up(nu), characters._digit_bytes(m, round_up(nu)))
-    assert characters._BUILDS["buckets"] == characters._BUILDS[("base", m)] == built
+    assert characters._BUILDS["quasiparticle"] == round_up(nu)
 
 
 def test_shared_builds_keep_at_most_64_keys():
-    # a pair quotient and a base per m; past 64 keys the least recently
-    # used goes, and a later read of it builds it anew
+    # a pair quotient per m, and the one quasiparticle key; past 64 keys
+    # the least recently used goes, and a later read of it builds it anew
     characters._BUILDS.clear()
     for m in [*range(2, 80), 2]:
-        nb = characters._digit_bytes(m, 3)
-        assert characters._shared_base(m, 3, nb) == ref_boson_pair_base(m, 3, nb)
+        lhs, rhs = characters.vacuum_identity_sides(m, 3)
+        assert lhs == rhs
         assert len(characters._BUILDS) <= 64
-    assert list(characters._BUILDS)[-3:] == [("base", 79), ("pair", 2), ("base", 2)]
-    assert ("base", 3) not in characters._BUILDS
+    assert list(characters._BUILDS)[-3:] == [("pair", 79), "quasiparticle",
+                                             ("pair", 2)]
+    assert ("pair", 3) not in characters._BUILDS
 
 
-def test_shared_builds_keep_the_buckets_while_they_are_used():
-    # the buckets key is the oldest, but a read between new m's makes it
-    # the most recently used, so it outlives the 64-key bound
+def test_shared_builds_keep_the_quasiparticle_key_while_it_is_used():
+    # the quasiparticle key is the oldest, but a read between new m's
+    # makes it the most recently used, so it outlives the 64-key bound
     characters._BUILDS.clear()
-    nb = characters._digit_bytes(2, 3)
-    characters._shared_buckets(2, 3, nb)
+    characters.quasiparticle_char(3, 0, 3)
     for m in range(2, 80):
-        characters._shared_base(m, 3, characters._digit_bytes(m, 3))
-        assert "buckets" in characters._BUILDS
+        characters.sector_pair_product(m + 1, 3)
+        assert characters.quasiparticle_char(3, 0, 3) == \
+            quasiparticle_char(3, 0, 3)
+        assert "quasiparticle" in characters._BUILDS
         assert len(characters._BUILDS) <= 64
-        assert characters._shared_buckets(2, 3, nb) == \
-            dict(characters._charge_buckets(3, nb))
-    assert list(characters._BUILDS)[-2:] == [("base", 79), "buckets"]
+    assert list(characters._BUILDS)[-3:] == [("pair", 80), "quasiparticle",
+                                             ("pair", 2)]
+    assert ("pair", 3) not in characters._BUILDS
