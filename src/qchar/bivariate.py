@@ -24,12 +24,13 @@ the unapplied ones carry it back into the requested window.
 That second cost comes from an exact min-cost displacement table over
 the factors' charge movers (a fermionic factor moves charge by +-1 once
 at a fixed cost, a bosonic one any number of times), seeded on the
-window; soundness is the triangle inequality for those shortest-path
-costs. With pad the total negative cost of the factors, the table keeps
-only the band of charges whose cost is below order + 2 pad, exact below
-order + pad, which covers every digit any row holds; it sweeps that band
-alone, and skips any mover that a no dearer bosonic one with the same
-step already covers. The digit width comes from the product at z = 1 with
+window, read before each factor as it stands with that factor and the
+cheaper ones added; soundness is the triangle inequality for those
+shortest-path costs. With pad the total negative cost of the factors,
+the table keeps only the band of charges whose cost is below
+order + 2 pad, exact below order + pad, which covers every digit any row
+holds; it sweeps that band alone, and skips any mover that a no dearer
+bosonic one with the same step already covers. The digit width comes from the product at z = 1 with
 every sign +, which each builder reads as theta series over Euler products.
 """
 
@@ -290,57 +291,56 @@ def _plus_bound(n: int, thetas, phis) -> int:
     return max(x.coeffs)
 
 
-def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
+def _graded_product(factors, req_lo: int, req_hi: int, order: int,
                     bound: int) -> ChargeSeries:
-    """Multiply the factor pairs, claiming order on the requested window.
+    """Multiply the factors, claiming order on the requested window.
     bound is at least every coefficient below u^(order + pad) of their
     product at z = 1 with every sign +, pad their total negative cost:
     every digit a row holds is a signed sum over a subset of those terms,
     so at most bound in absolute value, the range digit_bytes sizes for.
 
-    Each pair is two factors of charge step +-1, applied together; every
-    factor's cost has one parity P, else InvalidParameter is raised. Row
-    z^d then has only exponents of d P's parity. It is an offset o of that
-    parity and a Python int whose fixed-width digit i is the row's
-    coefficient of u^(o + 2i), so q-digits only (Kronecker substitution on
-    the exponent class used), and every factor is one in-place
-    shift-and-add sweep over the rows. A row keeps only its digits from
-    the cheapest way to have built charge d up to order less the cheapest
-    way the unapplied pairs can pull it back into the requested window,
-    and is dropped when none are left.
+    Each factor moves charge by +-1, and every factor's cost has one
+    parity P, else InvalidParameter is raised. Row z^d then has only
+    exponents of d P's parity. It is an offset o of that parity and a
+    Python int whose fixed-width digit i is the row's coefficient of
+    u^(o + 2i), so q-digits only (Kronecker substitution on the exponent
+    class used), and every factor is one in-place shift-and-add sweep over
+    the rows. A row keeps only its digits from the cheapest way to have
+    built charge d up to order less the cheapest way the unapplied factors
+    can pull it back into the requested window, and is dropped when none
+    are left.
     """
-    if len({f[1] % 2 for pair in pairs for f in pair}) > 1:
+    if len({f[1] % 2 for f in factors}) > 1:
         raise InvalidParameter("the factor costs of a graded product must "
                                "share one parity")
-    pad = -sum(min(0, f[1]) for pair in pairs for f in pair)
+    pad = -sum(min(0, f[1]) for f in factors)
     cap = order + pad + 8
-    pairs = sorted(pairs, key=lambda pair: min(f[1] for f in pair))
+    factors = sorted(factors, key=lambda f: f[1])
     # The table drops costs at or above order + 2 pad. The movers spend
     # at most pad of negative cost, so every cost below order + pad is
     # exact, and one missing from the table is order + pad or more.
     limit = order + 2 * pad
-    # tops[i] = (first, top): top[k - first] is order less the cheapest
-    # way the movers of pairs[:i + 1] carry charge k - cap into the window
-    # (reach it from the window with every step reversed), over the
-    # charges they reach below limit; a pair that changes nothing shares
-    # the list before it
+    # tops[i] = (first, band): band[k - first] is the cheapest way the
+    # movers of factors[:i + 1] carry charge k - cap into the window (reach
+    # it from the window with every step reversed), over the charges they
+    # reach below limit, a slice of the table's band; a factor that changes
+    # nothing shares the entry before it
     tops = []
     back = _CostTable(cap, limit, req_lo, req_hi)
-    for pair in pairs:
-        changed = [back.add_mover(-step, cost, not inverse)
-                   for step, cost, _, inverse in pair]
-        if any(changed) or not tops:
-            table = (back.lo, [order - c for c in back.cost[back.lo:back.hi + 1]])
+    for step, cost, _, inverse in factors:
+        if back.add_mover(-step, cost, not inverse) or not tops:
+            table = (back.lo, back.cost[back.lo:back.hi + 1])
         tops.append(table)
 
     # Row k, charge k + base - cap, is x(u^2) u^offs[k]: the int x packs
     # its coefficients as w-bit q-digits, each mod 2^w. Every offset a
     # mover writes to row k is offs[k - s] + c, of row k's parity, so an
     # alignment moves by half an offset difference, and a row whose top
-    # is T keeps its ceil((T - offs[k]) / 2) digits below u^T. While pair
-    # i is applied, a write to row k keeps at least its digits below the
-    # top T(k) of tops[i]; before that, a row missing from tops[i] is
-    # dropped, and so is one whose offset reaches T(k).
+    # is T keeps its ceil((T - offs[k]) / 2) digits below u^T. While
+    # factor i is applied, a write to row k keeps at least its digits
+    # below the top T(k) = order - band[k - a] of tops[i]; before that, a
+    # row missing from tops[i] is dropped, and so is one whose offset
+    # reaches T(k).
     #
     # Why the digits read back are right. No row has a digit below
     # u^-pad, as offsets are costs of moves. Let H(k) be order less the
@@ -354,80 +354,80 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
     # k - js below H' - jc <= H(k - js), as the mover can first carry
     # k - js to k. So the claim holds unless a mask cuts such a digit on
     # its way, at u^(e - hc) in row k - hs for 0 <= h < j. The movers
-    # still unapplied during pair i are among those of pairs[:i + 1], and
-    # a geometric one stays among them, as it repeats, so T(k - hs) >=
-    # H'(k) - hc wherever that table entry is exact. Every entry below
-    # order + pad is; where one is not, the edge it bounds is at most
-    # -pad, below every digit. The same bounds drop only rows with no
-    # digit below H. Masked adds, subtractions and left shifts are ring
-    # operations, and offsets take the place of right shifts, so at the
-    # end the window rows are right below H = order.
+    # still unapplied during factor i are those of factors[:i + 1], a
+    # geometric one among them as it repeats, so T(k - hs) >= H'(k) - hc
+    # wherever that table entry is exact. Nothing here depends on the
+    # order the factors are applied in. Every entry below order + pad is
+    # exact; where one is not, the edge it bounds is at most -pad, below
+    # every digit. The same bounds drop only rows with no digit below H.
+    # Masked adds, subtractions and left shifts are ring operations, and
+    # offsets take the place of right shifts, so at the end the window
+    # rows are right below H = order.
     nbytes = digit_bytes(bound, True)
     w = 8 * nbytes
     # the last table is the widest
-    base, top = tops[-1] if tops else (cap, [order])
-    rows, offs = [0] * len(top), [0] * len(top)
+    base, band = tops[-1] if tops else (cap, [0])
+    rows, offs = [0] * len(band), [0] * len(band)
     lo = hi = cap - base
-    if 0 <= lo < len(top):
+    if 0 <= lo < len(band):
         rows[lo] = 1
     else:
         lo, hi = 0, -1
     masks = {}
-    for i in range(len(pairs) - 1, -1, -1):
-        first, top = tops[i]
-        a, b = first - base, first - base + len(top) - 1  # top[k - a]
+    for (step, cost, sign, inverse), (first, band) in zip(reversed(factors),
+                                                         reversed(tops)):
+        a, b = first - base, first - base + len(band) - 1  # band[k - a]
         for k in range(lo, hi + 1):
-            if rows[k] and not (a <= k <= b and offs[k] < top[k - a]):
+            if rows[k] and not (a <= k <= b and offs[k] + band[k - a] < order):
                 rows[k] = 0
         while lo <= hi and not rows[lo]:
             lo += 1
         while hi >= lo and not rows[hi]:
             hi -= 1
-        for step, cost, sign, inverse in pairs[i]:
-            # a product reads each neighbour before updating it; a
-            # geometric series reads it after and runs on until a row
-            # past the old ones gets nothing
-            if step > 0:
-                ks = range(lo + 1, (b if inverse else min(hi + 1, b)) + 1)
-                end = hi
-            else:
-                ks = range(a if inverse else max(lo - 1, a), hi)
-                end = lo
-            if inverse == (step < 0):
-                ks = reversed(ks)
-            minus = (sign < 0) != inverse
-            for k in ks:
-                x = rows[k - step]
-                if not x:
-                    if inverse and (k - step - end) * step > 0:
-                        break
-                    continue
-                o = offs[k - step] + cost
-                t = top[k - a]
-                if o >= t:
-                    continue
-                y = rows[k]
-                if y:
-                    # one alignment shift onto the lower offset
-                    if o > offs[k]:
-                        x <<= w * (o - offs[k] >> 1)
-                        o = offs[k]
-                    else:
-                        y <<= w * (offs[k] - o >> 1)
-                n = t - o + 1 >> 1  # the q-digits below u^t
-                m = masks.get(n)
-                if m is None:
-                    # n digits or more, eight masks per doubling
-                    r = round_up(n)
-                    m = masks[n] = masks.get(-r) or masks.setdefault(
-                        -r, (1 << w * r) - 1)
-                rows[k] = (y - x if minus else y + x) & m
-                offs[k] = o
-            # the rows written past the old ones have no gap
-            while hi < b and rows[hi + 1]:
-                hi += 1
-            while lo > a and rows[lo - 1]:
-                lo -= 1
+        # a product reads each neighbour before updating it; a geometric
+        # series reads it after and runs on until a row past the old ones
+        # gets nothing
+        if step > 0:
+            ks = range(lo + 1, (b if inverse else min(hi + 1, b)) + 1)
+            end = hi
+        else:
+            ks = range(a if inverse else max(lo - 1, a), hi)
+            end = lo
+        if inverse == (step < 0):
+            ks = reversed(ks)
+        minus = (sign < 0) != inverse
+        for k in ks:
+            x = rows[k - step]
+            if not x:
+                if inverse and (k - step - end) * step > 0:
+                    break
+                continue
+            o = offs[k - step] + cost
+            t = order - band[k - a]
+            if o >= t:
+                continue
+            y = rows[k]
+            if y:
+                # one alignment shift onto the lower offset
+                if o > offs[k]:
+                    x <<= w * (o - offs[k] >> 1)
+                    o = offs[k]
+                else:
+                    y <<= w * (offs[k] - o >> 1)
+            n = t - o + 1 >> 1  # the q-digits below u^t
+            m = masks.get(n)
+            if m is None:
+                # n digits or more, eight masks per doubling
+                r = round_up(n)
+                m = masks[n] = masks.get(-r) or masks.setdefault(
+                    -r, (1 << w * r) - 1)
+            rows[k] = (y - x if minus else y + x) & m
+            offs[k] = o
+        # the rows written past the old ones have no gap
+        while hi < b and rows[hi + 1]:
+            hi += 1
+        while lo > a and rows[lo - 1]:
+            lo -= 1
 
     # unpack the requested window; the other charges are zero below order
     return ChargeSeries(req_lo, [
@@ -441,9 +441,9 @@ def _graded_product(pairs, req_lo: int, req_hi: int, order: int,
 
 # The most z-rows hi - lo + 1 a graded builder makes, a power of two. A row
 # past the charges the order reaches costs about 10 us and 0.35 KB, so
-# nothing else bounds a wide window. On 2 vCPUs at the bound, each of jtp,
-# kp and fockprod verifies in 0.3-1.4 s and 28-35 MB at q-order 5, and in
-# 6-9 s and 0.36-0.58 GB at q-order 1600.
+# nothing else bounds a wide window. On 2 vCPUs with --zwin 32767, each of
+# jtp, kp and fockprod verifies in 0.4-2.0 s and 25-31 MB at q-order 5, and
+# in 8-16 s and 0.19-0.58 GB at q-order 1600.
 ZWIN_MAX_ROWS = 1 << 16
 
 
@@ -455,9 +455,9 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     lo, hi = window
     check_work(hi - lo + 1, ZWIN_MAX_ROWS,
                "the z-window of the triple product has a row count of")
-    pairs = [((1, w, 1, False), (-1, w, 1, False)) for w in range(1, order, 2)]
+    factors = [(s, w, 1, False) for w in range(1, order, 2) for s in (1, -1)]
     # at z = 1: (-u;u^2)^2 = theta_1 / phi(1)
-    lhs = _graded_product(pairs, lo, hi, order,
+    lhs = _graded_product(factors, lo, hi, order,
                           _plus_bound(order, [1], [(1, -1)]))
 
     inv = QSeries.one(order) / euler_phi(1, order)
@@ -477,9 +477,9 @@ def inverse_product_sides(order: int, window) -> tuple:
     lo, hi = window
     check_work(hi - lo + 1, ZWIN_MAX_ROWS,
                "the z-window of the inverse pair product has a row count of")
-    pairs = [((1, w, 1, True), (-1, w, 1, True)) for w in range(1, order, 2)]
+    factors = [(s, w, 1, True) for w in range(1, order, 2) for s in (1, -1)]
     # at z = 1: 1/(u;u^2)^2 = theta_1 phi(2)^2 / phi(1)^3
-    lhs = _graded_product(pairs, lo, hi, order,
+    lhs = _graded_product(factors, lo, hi, order,
                           _plus_bound(order, [1], [(2, 2), (1, -3)]))
 
     phi = euler_phi(1, order)
@@ -521,13 +521,13 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
     check_work(hi - lo + 1, ZWIN_MAX_ROWS,
                f"the z-window of the two-variable Fock character of m={m} "
                "has a row count of")
-    pairs = []
+    factors = []
     k = 1
     while 2 * k - m - budget < order:
-        pairs.append(((1, 2 * k - m, 1, False), (-1, 2 * k - 2 + m, 1, False)))
+        factors += [(1, 2 * k - m, 1, False), (-1, 2 * k - 2 + m, 1, False)]
         wb = m * (2 * k - 1)
         if wb - budget < order:
-            pairs.append(((1, wb, -1, True), (-1, wb, -1, True)))
+            factors += [(1, wb, -1, True), (-1, wb, -1, True)]
         k += 1
     # at z = 1, u^budget times the product is 2^[m even] times
     # 1/(u^m;u^2m)^2 = theta_m phi(2m)^2 / phi(m)^3 times
@@ -538,7 +538,7 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
         bound = _plus_bound(order + 2 * budget, [m, 1], phis + [(1, -1)])
     else:
         bound = 2 * _plus_bound(order + 2 * budget, [m], phis + [(2, 2), (1, -2)])
-    return _graded_product(pairs, lo, hi, order, bound)
+    return _graded_product(factors, lo, hi, order, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -379,12 +379,19 @@ def _theta_bracket(m: int, k: int, order: int) -> QSeries:
     return QSeries.from_terms(bracket, order)
 
 
+def closed_form_window(m: int, k: int, order: int):
+    """sector_window(m, order), the window sector_closed_form(m, k, order)
+    builds in. Raises InvalidParameter if m < 2, then if k < 0."""
+    window = sector_window(m, order)
+    need("k", k, 0)
+    return window
+
+
 def sector_closed_form(m: int, k: int, order: int) -> QSeries:
     """Closed form of the sector characters at s = (k+1)(m-1) and s = -k(m-1):
     a finite alternating theta-like bracket times (dist product)^2 / phi(q^m)^2,
     shifted by u^(k m (m-1))."""
-    need("m", m, 2)
-    need("k", k, 0)
+    closed_form_window(m, k, order)
     if order <= 0:
         return QSeries.zero(order)
     br = _theta_bracket(m, k, order)

@@ -46,9 +46,10 @@ class ResourceLimit(QcharError):
     or an enumeration past its node budget."""
 
 
-# The states the oracle counts before it gives up, the default of `qchar
-# oracle --max-nodes`; a power of two, about 15 s on 2 vCPUs. It lives here,
-# not in oracle, so the CLI's parser reads it without loading the oracle.
+# The nodes the oracle's state enumeration visits before it gives up, the
+# default of `qchar oracle --max-nodes`; a power of two, about 11-13 s on 2
+# vCPUs. It lives here, not in oracle, so the CLI's parser reads it without
+# loading the oracle.
 ORACLE_MAX_NODES = 1 << 24
 
 

@@ -6,15 +6,15 @@ its sides function:
   * axes: the grid axes it takes, each with a default inclusive range;
   * zwin: its default z-window half-width, None unless the family compares
     charge-graded series;
-  * floors: the least value of each axis its builders accept, m >= 2
-    wherever m is an axis and any others given by `floors=`; check_domain()
-    tests a grid point against them before any series is built;
   * window(nu, **point): (lo, order) of the widest window its sides build,
     u^0..u^nu unless given, as sector_window's for sector characters;
     check_domain() refuses a point whose window exceeds MAX_WINDOW, or
-    for which window() raises itself, as the quasiparticle sum's bound
-    and, for lemma11a and lemma11b, each side's sector_char_window do,
-    and `verify` runs the longest point first;
+    for which window() raises itself, before any series is built: every
+    family with an m axis declares a window that raises m < 2 as its
+    builders do, prop12 and recurrence one that raises k < 0, and the
+    quasiparticle sum's bound and, for lemma11a and lemma11b, each side's
+    sector_char_window raise there too; `verify` runs the longest point
+    first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -38,6 +38,7 @@ from .characters import (
     _dist_square,
     _pair_quotient,
     basic_char,
+    closed_form_window,
     compare_series,
     family_char,
     fock_sector_char,
@@ -51,7 +52,7 @@ from .characters import (
     sector_window,
     vacuum_identity_sides,
 )
-from .errors import QcharError, need
+from .errors import QcharError
 from .qseries import check_window, euler_phi, gauss_sum
 
 
@@ -59,7 +60,6 @@ class Family(NamedTuple):
     axes: dict             # axis name -> default inclusive (lo, hi)
     sides: Callable
     zwin: Optional[int]    # default z half-width; None unless graded
-    floors: dict           # axis name -> least accepted value
     window: Callable       # (nu, **point) -> (lo, order) built
 
 
@@ -67,18 +67,15 @@ FAMILIES = {}
 
 
 def family(name: str, zwin: Optional[int] = None,
-           floors: Optional[dict] = None,
            window: Callable = lambda nu, **point: (0, nu), **axes):
     """Register the decorated sides function as family `name`.  Axes are
-    given in grid-nesting order, outermost first; `floors` maps an axis to
-    the least value the family accepts, on top of m >= 2; `window` gives
-    the (lo, order) its sides build at (nu, **point) if that can be wider
-    than u^0..u^nu."""
-    lows = {"m": 2} if "m" in axes else {}
-    lows.update(floors or {})
+    given in grid-nesting order, outermost first; `window` gives the
+    (lo, order) its sides build at (nu, **point) if that can be wider
+    than u^0..u^nu, and raises what the builders raise for a point below
+    their floors."""
 
     def register(sides):
-        FAMILIES[name] = Family(axes, sides, zwin, lows, window)
+        FAMILIES[name] = Family(axes, sides, zwin, window)
         return sides
     return register
 
@@ -91,13 +88,11 @@ def check_domain(name: str, point: dict, nu: int = 0) -> int:
     """The length of the widest window the point's sides build at u-order
     nu: order - lo of its family's window().
 
-    Raise, naming the point as check() does, InvalidParameter if an axis
-    lies below family `name`'s floor, and ResourceLimit if window() does
-    or its window is longer than MAX_WINDOW."""
+    Raise, naming the point as check() does, what window() raises, as
+    InvalidParameter for an axis below family `name`'s floor, and
+    ResourceLimit if its window is longer than MAX_WINDOW."""
     fam = FAMILIES[name]
     try:
-        for axis, lo in fam.floors.items():
-            need(axis, point[axis], lo)
         lo, order = fam.window(nu, **point)
         check_window(lo, order)
     except QcharError as err:
@@ -158,8 +153,8 @@ def _reflection(nu, half, m, s):
     yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)
 
 
-@family("prop12", floors={"k": 0},
-        window=lambda nu, m, k: sector_window(m, nu), m=(2, 4), k=(0, 4))
+@family("prop12", window=lambda nu, m, k: closed_form_window(m, k, nu),
+        m=(2, 4), k=(0, 4))
 def _closed_form(nu, half, m, k):
     closed = sector_closed_form(m, k, nu)
     for side, charge in (("plus", (k + 1) * (m - 1)), ("minus", -k * (m - 1))):
@@ -172,8 +167,9 @@ def _recurrence_budget(m, k):
     return m * (m - 1) * k * (k + 1)
 
 
-@family("recurrence", floors={"k": 0},
-        window=lambda nu, m, k: sector_window(m, nu + _recurrence_budget(m, k)),
+@family("recurrence",
+        window=lambda nu, m, k: closed_form_window(
+            m, k, nu + _recurrence_budget(m, k)),
         m=(2, 4), k=(0, 4))
 def _iterated_recurrence(nu, half, m, k):
     # k steps from the charge-0 sector land on the charge -k(m-1) closed

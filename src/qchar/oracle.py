@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ORACLE_MAX_NODES, ResourceLimit, need
+from .errors import ORACLE_MAX_NODES, check_work, need
 from .qseries import QSeries
 from .characters import (
     IdentityReport,
@@ -27,8 +27,6 @@ from .characters import (
     quasiparticle_char,
     quasiparticle_window,
 )
-
-_DEFAULT_NODE_CAP = ORACLE_MAX_NODES
 
 
 def _negative_budget(m: int) -> int:
@@ -53,9 +51,14 @@ def _mode_list(m: int, max_u: int):
     return fermions, bosons, budget
 
 
+_NODES = "the oracle's state enumeration has a count of visited nodes of"
+
+
 @lru_cache(maxsize=16)
 def _full_charge_dp(m: int, max_u: int, max_nodes: int):
     """Counts of states per (charge, u-degree), all charges at once."""
+    # the node budget is checked after each mode, so a refused enumeration
+    # passes it by at most one mode's nodes
     fermions, bosons, budget = _mode_list(m, max_u)
     acc = {(0, 0): 1}
     nodes = 0
@@ -70,8 +73,7 @@ def _full_charge_dp(m: int, max_u: int, max_nodes: int):
                 key = (c + dc, nd)
                 acc[key] = acc.get(key, 0) + v
                 nodes += 1
-                if nodes > max_nodes:
-                    raise ResourceLimit(f"state enumeration exceeded {max_nodes} nodes")
+        check_work(nodes, max_nodes, _NODES)
     for w, dc in bosons:
         for (c, d), v in list(acc.items()):
             nd = d + w
@@ -80,15 +82,14 @@ def _full_charge_dp(m: int, max_u: int, max_nodes: int):
                 key = (c + r * dc, nd)
                 acc[key] = acc.get(key, 0) + v
                 nodes += 1
-                if nodes > max_nodes:
-                    raise ResourceLimit(f"state enumeration exceeded {max_nodes} nodes")
                 r += 1
                 nd += w
+        check_work(nodes, max_nodes, _NODES)
     return acc
 
 
 def enumerate_charge_series(m: int, s: int, max_u_exp: int,
-                            max_nodes: int = _DEFAULT_NODE_CAP) -> QSeries:
+                            max_nodes: int = ORACLE_MAX_NODES) -> QSeries:
     """State-counting series of the charge-s sector below max_u_exp."""
     need("m", m, 2)
     dp = _full_charge_dp(m, max_u_exp, max_nodes)
@@ -97,7 +98,7 @@ def enumerate_charge_series(m: int, s: int, max_u_exp: int,
 
 
 def reachable_charges(m: int, max_u_exp: int,
-                      max_nodes: int = _DEFAULT_NODE_CAP) -> tuple:
+                      max_nodes: int = ORACLE_MAX_NODES) -> tuple:
     """Sorted charges with at least one state below the bound."""
     need("m", m, 2)
     dp = _full_charge_dp(m, max_u_exp, max_nodes)
@@ -105,7 +106,7 @@ def reachable_charges(m: int, max_u_exp: int,
 
 
 def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,
-                            max_nodes: int = _DEFAULT_NODE_CAP) -> IdentityReport:
+                            max_nodes: int = ORACLE_MAX_NODES) -> IdentityReport:
     """Three-way check: compare_series of the state count against the
     quasiparticle sum, then against the lattice-sum character. The first
     report that fails is returned, else the last, which is "short" if the

@@ -708,20 +708,32 @@ def test_family_window_covers_what_its_sides_build(monkeypatch, name, point):
     assert widths and max(widths) <= order - lo
 
 
-@pytest.mark.parametrize("name,axis", [
-    (name, axis) for name, fam in identities.FAMILIES.items()
-    for axis in fam.floors])
-def test_floor_matches_the_builders_error(name, axis):
+# every axis floor a builder has: m >= 2 wherever m is an axis, k >= 0 for
+# the closed form's families only, as thm13b takes negative k
+FLOORS = [(name, "m", 2) for name in ("lemma11a", "lemma11b", "prop12",
+                                      "recurrence", "thm13a", "thm13b",
+                                      "prop21", "fockprod", "cor22")] + \
+    [("prop12", "k", 0), ("recurrence", "k", 0)]
+
+
+def test_floor_table_names_every_m_family():
+    assert sorted(name for name, axis, _ in FLOORS if axis == "m") == \
+        sorted(name for name, fam in identities.FAMILIES.items()
+               if "m" in fam.axes)
+
+
+@pytest.mark.parametrize("name,axis,floor", FLOORS)
+def test_floor_matches_the_builders_error(name, axis, floor):
     # one below the floor, the builders raise what check_domain raises
     fam = identities.FAMILIES[name]
     point = {a: lo for a, (lo, _) in fam.axes.items()}
-    point[axis] = fam.floors[axis] - 1
+    point[axis] = floor - 1
     with pytest.raises(InvalidParameter) as early:
         identities.check_domain(name, point)
     with pytest.raises(InvalidParameter) as late:
         identities.check(name, 20, fam.zwin, point)
     assert str(early.value) == str(late.value)
-    assert str(early.value).endswith(f"need {axis} >= {fam.floors[axis]}, "
+    assert str(early.value).endswith(f"need {axis} >= {floor}, "
                                      f"got {point[axis]}")
 
 

@@ -160,6 +160,31 @@ def reference_fockprod(m, order, window):
     return reference_graded_product(atoms, *window, order, pad=budget)
 
 
+# -- one factor as an atom ----------------------------------------------------
+
+
+def _factor_atom(step, cost, sign, inverse, order):
+    # (1 + sign z^step u^cost)^(-1 if inverse else 1): row z^(j step) holds
+    # (-sign)^j u^(j cost) for every j >= 0 if inverse, else j = 0 and sign
+    # u^cost at j = 1
+    if inverse:
+        terms = [((-sign) ** j, j * cost)
+                 for j in range((order - 1) // cost + 1)]
+    else:
+        terms = [(1, 0), (sign, cost)]
+    rows = [QSeries.from_terms({e: c}, order) for c, e in terms]
+    if step < 0:
+        rows.reverse()
+    return _Atom(ChargeSeries(min(0, step * (len(rows) - 1)), rows),
+                 [(step, cost, not inverse)])
+
+
+def reference_factor_product(factors, window, order):
+    pad = -sum(min(0, cost) for _, cost, _, _ in factors)
+    atoms = [_factor_atom(*f, order + pad) for f in factors]
+    return reference_graded_product(atoms, *window, order, pad)
+
+
 # name -> (package builder, reference builder), each (m, order, window); only
 # the left-hand sides of jtp and kp are graded products
 GRADED = {
@@ -227,6 +252,43 @@ def test_rows_do_not_depend_on_a_wider_digit(monkeypatch, name, m, order):
     bound = bivariate._plus_bound
     monkeypatch.setattr(bivariate, "_plus_bound", lambda *a: bound(*a) << 8)
     assert _outcome(build, m, order, (-6, 6)) == want
+
+
+# Factor lists no builder makes: lone factors, odd counts, once and inverse
+# factors of either step mixed, once costs below zero, all costs of one
+# parity. The bound is the exact product at z = 1 with every sign +, its
+# negative costs applied first, so nothing above the range moves into it.
+@st.composite
+def _factor_lists(draw):
+    parity = draw(st.integers(0, 1))
+    factors = []
+    for _ in range(draw(st.integers(1, 7))):
+        inverse = draw(st.booleans())
+        half = draw(st.integers(0 if inverse else -2, 12))
+        cost = 2 * half + parity
+        if inverse and cost == 0:
+            cost = 2
+        factors.append((draw(st.sampled_from([1, -1])), cost,
+                        draw(st.sampled_from([1, -1])), inverse))
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_lists(), st.integers(1, 30), st.integers(-12, 12),
+       st.integers(0, 10))
+@example([(1, 1, 1, True)], 9, 0, 3)
+@example([(-1, 3, -1, False)], 9, -2, 2)
+@example([(1, -3, 1, False), (1, 5, -1, True), (-1, -1, 1, False)], 12, -3, 6)
+@example([(1, 0, 1, False), (-1, 2, 1, True), (-1, 4, -1, False)], 20, -4, 8)
+def test_graded_product_of_any_factors_matches_reference(factors, order, lo,
+                                                         width):
+    pad = -sum(min(0, cost) for _, cost, _, _ in factors)
+    ordered = sorted(factors, key=lambda f: f[1])
+    bound = ref_coeff_bound(ordered, pad, order + 2 * pad)
+    window = (lo, lo + width)
+    got = bivariate._graded_product(factors, *window, order, bound)
+    want = reference_factor_product(factors, window, order)
+    assert (got.zmin, got.rows) == (want.zmin, want.rows)
 
 
 # -- the band cost table against the full-width table it replaced -----------
@@ -353,8 +415,8 @@ class _Sized(Exception):
 def _sized(name, m, order):
     """The factors a graded product multiplies and the digit-width bound
     it passes with them, caught before any row is built."""
-    def catch(pairs, req_lo, req_hi, order, bound):
-        raise _Sized([f for pair in pairs for f in pair], bound)
+    def catch(factors, req_lo, req_hi, order, bound):
+        raise _Sized(factors, bound)
 
     real = bivariate._graded_product
     bivariate._graded_product = catch
