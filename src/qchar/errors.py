@@ -47,7 +47,7 @@ class ResourceLimit(QcharError):
 
 
 # The nodes the oracle's state enumeration visits before it gives up, the
-# default of `qchar oracle --max-nodes`; a power of two, about 11-13 s on 2
+# default of `qchar oracle --max-nodes`; a power of two, about 1-2 s on 2
 # vCPUs. It lives here, not in oracle, so the CLI's parser reads it without
 # loading the oracle.
 ORACLE_MAX_NODES = 1 << 24

@@ -24,8 +24,7 @@ than MAX_WINDOW coefficients is refused with ResourceLimit before it is
 allocated, and so is a builtin whose arguments would open one.
 """
 
-from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .errors import (
     ArityError,
@@ -62,46 +61,67 @@ Span = Tuple[int, int]
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    span: Span = field(compare=False, default=(0, 0))
+class _Node:
+    """Base of the AST nodes. A node's fields are its class's __slots__;
+    nodes are immutable and compare and hash on their type and fields, so
+    the source span they carry is ignored."""
+
+    __slots__ = ("span",)
+
+    def __init__(self, *fields, span: Span = (0, 0)):
+        names = type(self).__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes fields {names}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "span", span)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        shown = [f"{name}={value!r}"
+                 for name, value in zip(type(self).__slots__, self._values())]
+        return f"{type(self).__name__}({', '.join(shown)}, span={self.span!r})"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+
+class Monomial(_Node):
     """A power of q, stored as the u-exponent (q^n -> 2n, q^(n/2) -> n)."""
 
-    u_exp: int
-    span: Span = field(compare=False, default=(0, 0))
+    __slots__ = ("u_exp",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-    span: Span = field(compare=False, default=(0, 0))
+class Neg(_Node):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of "+", "-", "*", "/"
-    left: "Node"
-    right: "Node"
-    span: Span = field(compare=False, default=(0, 0))
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")  # op is one of "+", "-", "*", "/"
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-    span: Span = field(compare=False, default=(0, 0))
+class Power(_Node):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: Tuple[int, ...]
-    span: Span = field(compare=False, default=(0, 0))
+class Call(_Node):
+    __slots__ = ("name", "args")  # args is a tuple of ints
 
 
 Node = Union[IntLit, Monomial, Neg, BinOp, Power, Call]
@@ -131,8 +151,7 @@ BUILTINS = {
 _SYMBOLS = "+-*/^(),"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "ident", one of _SYMBOLS, or "eof"
     text: str
     pos: int
@@ -334,10 +353,7 @@ class _Parser:
 
 
 def _respan(node: Node, span: Span) -> Node:
-    cls = type(node)
-    fields = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    fields["span"] = span
-    return cls(**fields)
+    return type(node)(*node._values(), span=span)
 
 
 _TOO_DEEP = "expression nested too deeply"

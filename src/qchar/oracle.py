@@ -2,20 +2,27 @@
 
 Completely independent of the series algebra in characters.  Each mode
 (two families of fermions carrying a color index, one boson pair) is an
-exact u-exponent and a charge step, and a pruned recursion over the mode
-list counts the states of every (charge, u-degree) below a bound; no
-state is ever built.  Used as the ground-truth oracle for the sector
-characters: every coefficient it produces counts actual states, so each
-is a nonnegative integer.
+exact u-exponent and a charge step.  The count keeps one row of counts
+per charge, cell i of a row holding the number of states of that charge
+at u-degree lo + 2i, and applies the modes one at a time: a fermion mode
+adds each row, shifted by the mode's exponent, into the row one charge
+step away; a boson mode does the same in place along its charge step, so
+a state can take it any number of times.  No state is ever built.  Used
+as the ground-truth oracle for the sector characters: every coefficient
+it produces counts actual states, so each is a nonnegative integer.
 
 Fermionic modes of the first kind can carry nonpositive exponents (only
 at the lowest mode index and small color), so the total negative budget
-is computed up front and pruning bounds account for it.
+is computed up front: a count whose degree the negative modes still
+ahead cannot bring below the bound is dropped, and each row keeps only
+the span of degrees that can still be.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, floordiv
 
 from .errors import ORACLE_MAX_NODES, check_work, need
 from .qseries import QSeries
@@ -54,47 +61,93 @@ def _mode_list(m: int, max_u: int):
 _NODES = "the oracle's state enumeration has a count of visited nodes of"
 
 
+def _below(lo: int, bound: int) -> int:
+    """Cells of a row starting at u-degree lo that lie below bound."""
+    return max(0, (bound - lo + 1) >> 1)
+
+
+def _add_into(rows: dict, c: int, lo: int, src: list) -> None:
+    """Add the counts src, src[i] at u-degree lo + 2i, into the row of
+    charge c, widening that row only where src lands outside it."""
+    row = rows.get(c)
+    if row is None or not row[1]:
+        rows[c] = [lo, src]
+        return
+    rlo, cells = row
+    if lo < rlo:
+        cells[:0] = [0] * ((rlo - lo) >> 1)
+        row[0] = rlo = lo
+    a = (lo - rlo) >> 1
+    b = a + len(src)
+    if b > len(cells):
+        cells += [0] * (b - len(cells))
+    cells[a:b] = map(add, cells[a:b], src)
+
+
 @lru_cache(maxsize=16)
-def _full_charge_dp(m: int, max_u: int, max_nodes: int):
-    """Counts of states per (charge, u-degree), all charges at once."""
-    # the node budget is checked after each mode, so a refused enumeration
-    # passes it by at most one mode's nodes
+def _full_charge_dp(m: int, max_u: int, max_nodes: int) -> dict:
+    """Counts of states per charge, all charges at once: {c: [lo, cells]},
+    cells[i] the number of states of charge c and u-degree lo + 2i. Every
+    mode has a u-exponent of m's parity and moves the charge by one, so
+    the states of charge c all have degrees of c * m's parity, and a row
+    holds only those. A row keeps only its live span, from its lowest
+    write up to the degree that the modes still ahead can no longer bring
+    below max_u."""
+    # a node is one nonzero count extended by one mode (by a boson mode,
+    # once per repetition that stays below max_u); the budget is checked
+    # after each mode, so a refused enumeration passes it by at most one
+    # mode's nodes
     fermions, bosons, budget = _mode_list(m, max_u)
-    acc = {(0, 0): 1}
+    rows = {0: [0, [1]]}
     nodes = 0
     rem = budget
     for w, dc in fermions:
         if w < 0:
             rem += w  # this mode's capacity is no longer ahead of us
         limit = max_u + rem
-        for (c, d), v in list(acc.items()):
-            nd = d + w
-            if nd < limit:
-                key = (c + dc, nd)
-                acc[key] = acc.get(key, 0) + v
-                nodes += 1
+        # against the charge step, so each row is read before it is written
+        c = max(rows) if dc > 0 else min(rows)
+        while c in rows:
+            lo, cells = rows[c]
+            src = cells[:_below(lo, limit - w)]
+            if w < 0:
+                del cells[_below(lo, limit):]  # dead from this mode on
+            if src:
+                nodes += len(src) - src.count(0)
+                _add_into(rows, c + dc, lo + w, src)
+            c -= dc
         check_work(nodes, max_nodes, _NODES)
+    # no boson write goes below the lowest row
+    low = min(lo for lo, _ in rows.values())
     for w, dc in bosons:
-        for (c, d), v in list(acc.items()):
-            nd = d + w
-            r = 1
-            while nd < max_u:
-                key = (c + r * dc, nd)
-                acc[key] = acc.get(key, 0) + v
-                nodes += 1
-                r += 1
-                nd += w
+        # a count at degree d is extended (max_u - 1 - d) // w times
+        times = list(map(floordiv, range(max_u - 1 - low, -1, -1), repeat(w)))
+        for lo, cells in rows.values():
+            nodes += sum(compress(times[lo - low::2], cells))
+        # along the charge step, in place: each row passes on its counts
+        # after it has taken in its own, as an unbounded knapsack does
+        c = min(rows) if dc > 0 else max(rows)
+        while c in rows:
+            lo, cells = rows[c]
+            src = cells[:_below(lo, max_u - w)]
+            if src:
+                _add_into(rows, c + dc, lo + w, src)
+            c += dc
         check_work(nodes, max_nodes, _NODES)
-    return acc
+    return rows
 
 
 def enumerate_charge_series(m: int, s: int, max_u_exp: int,
                             max_nodes: int = ORACLE_MAX_NODES) -> QSeries:
     """State-counting series of the charge-s sector below max_u_exp."""
     need("m", m, 2)
-    dp = _full_charge_dp(m, max_u_exp, max_nodes)
-    terms = {d: v for (c, d), v in dp.items() if c == s and d < max_u_exp}
-    return QSeries.from_terms(terms, max_u_exp)
+    row = _full_charge_dp(m, max_u_exp, max_nodes).get(s)
+    if row is None or row[0] >= max_u_exp:
+        return QSeries.zero(max_u_exp)
+    lo, cells = row
+    coeffs = [0] * (max_u_exp - lo)
+    coeffs[::2] = cells[:_below(lo, max_u_exp)]
+    return QSeries(lo, max_u_exp, coeffs)
 
 
 def reachable_charges(m: int, max_u_exp: int,
@@ -102,7 +155,8 @@ def reachable_charges(m: int, max_u_exp: int,
     """Sorted charges with at least one state below the bound."""
     need("m", m, 2)
     dp = _full_charge_dp(m, max_u_exp, max_nodes)
-    return tuple(sorted({c for (c, d), v in dp.items() if d < max_u_exp and v}))
+    return tuple(sorted(c for c, (lo, cells) in dp.items()
+                        if any(cells[:_below(lo, max_u_exp)])))
 
 
 def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,

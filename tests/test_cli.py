@@ -1094,6 +1094,13 @@ def test_oracle_import_loads_no_state_classes_or_parser():
     assert {"dataclasses", "qchar.expr"}.isdisjoint(loaded)
 
 
+def test_expr_import_loads_no_dataclasses():
+    # the AST nodes are plain slotted classes and Token a NamedTuple
+    loaded = _loaded_by("qchar.expr")
+    assert "qchar.expr" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
 def test_expr_names_load_on_first_use():
     out = _fresh(
         "import qchar, qchar.cli\n"

@@ -92,6 +92,49 @@ def test_parse_spans_cover_source():
     assert node.right.span == (9, 10)
 
 
+def test_nodes_ignore_span_in_equality_and_hash():
+    a, b = parse("phi(1) + q"), parse(" phi( 1 )+q ")
+    assert a.span != b.span
+    assert a == b and hash(a) == hash(b)
+    assert IntLit(3, span=(0, 1)) == IntLit(3, span=(5, 6))
+    assert len({Call("phi", (1,), span=(0, 6)), Call("phi", (1,))}) == 1
+
+
+def test_nodes_of_different_types_differ():
+    assert IntLit(1) != Monomial(1)
+    assert Neg(IntLit(1)) != Neg(IntLit(2))
+    assert BinOp("+", IntLit(1), IntLit(2)) != BinOp("-", IntLit(1), IntLit(2))
+
+
+def test_nodes_are_immutable():
+    node = parse("1 + 2")
+    for name in ("op", "left", "span", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    assert node == BinOp("+", IntLit(1), IntLit(2))
+
+
+def test_nodes_take_exactly_their_fields():
+    for args in ((), (1, 2)):
+        with pytest.raises(TypeError):
+            IntLit(*args)
+    assert Call("gauss", (), span=(2, 9)).span == (2, 9)
+
+
+def test_node_repr_shows_type_and_fields():
+    assert repr(Power(Call("phi", (1,)), 2, span=(0, 8))) == (
+        "Power(base=Call(name='phi', args=(1,), span=(0, 0)), exponent=2, "
+        "span=(0, 8))")
+
+
+def test_respan_keeps_fields_and_replaces_span():
+    node = parse("distp(1)^2")
+    moved = expr._respan(node, (3, 9))
+    assert type(moved) is Power and moved.span == (3, 9)
+    assert (moved.base, moved.exponent) == (node.base, node.exponent)
+    assert moved.base.span == node.base.span
+
+
 def test_parse_all_builtins():
     for text in (
         "phi(1)", "poch(1,3)", "distp(2)", "gauss()",

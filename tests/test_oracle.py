@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
+from qchar import oracle
 from qchar.characters import fock_sector_char, quasiparticle_char
-from qchar.errors import InvalidParameter, ResourceLimit
+from qchar.errors import InvalidParameter, ResourceLimit, check_work
 from qchar.oracle import (
     enumerate_charge_series,
     oracle_vs_quasiparticle,
@@ -106,3 +107,70 @@ def test_resource_limit_dp():
 def test_rejects_small_m():
     with pytest.raises(InvalidParameter):
         enumerate_charge_series(1, 0, 10)
+
+
+def ref_charge_dp(m, max_u, max_nodes):
+    """The oracle's count as one dict operation per visited node: returns
+    ({(charge, u-degree): count}, nodes), or raises ResourceLimit after
+    the mode that passes max_nodes, with the same message as the oracle."""
+    fermions, bosons, budget = oracle._mode_list(m, max_u)
+    acc = {(0, 0): 1}
+    nodes = 0
+    rem = budget
+    for w, dc in fermions:
+        if w < 0:
+            rem += w
+        limit = max_u + rem
+        for (c, d), v in list(acc.items()):
+            nd = d + w
+            if nd < limit:
+                key = (c + dc, nd)
+                acc[key] = acc.get(key, 0) + v
+                nodes += 1
+        check_work(nodes, max_nodes, oracle._NODES)
+    for w, dc in bosons:
+        for (c, d), v in list(acc.items()):
+            nd = d + w
+            r = 1
+            while nd < max_u:
+                key = (c + r * dc, nd)
+                acc[key] = acc.get(key, 0) + v
+                nodes += 1
+                r += 1
+                nd += w
+        check_work(nodes, max_nodes, oracle._NODES)
+    return acc, nodes
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except ResourceLimit as err:
+        return str(err)
+    return None
+
+
+_BOUNDS = [*range(41), 60, 97, 120]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_rows_match_the_dict_count(m):
+    for bound in _BOUNDS:
+        acc, _ = ref_charge_dp(m, bound, float("inf"))
+        want = {(c, d): v for (c, d), v in acc.items() if d < bound}
+        charges = reachable_charges(m, bound, max_nodes=1 << 62)
+        assert charges == tuple(sorted({c for c, _ in want})), (m, bound)
+        got = {(s, d): v for s in charges for d, v in enumerate_charge_series(
+            m, s, bound, max_nodes=1 << 62).items()}
+        assert got == want, (m, bound)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_refusal_points_match_the_dict_count(m):
+    # the rows visit the same nodes, mode by mode, as the dict count did
+    for bound in _BOUNDS:
+        _, total = ref_charge_dp(m, bound, float("inf"))
+        for max_nodes in sorted({*range(51), total - 1, total}):
+            want = _refusal(ref_charge_dp, m, bound, max_nodes)
+            got = _refusal(reachable_charges, m, bound, max_nodes)
+            assert got == want, (m, bound, max_nodes)
