@@ -340,7 +340,11 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
     # factor i is applied, a write to row k keeps at least its digits
     # below the top T(k) = order - band[k - a] of tops[i]; before that, a
     # row missing from tops[i] is dropped, and so is one whose offset
-    # reaches T(k).
+    # reaches T(k). That scan is skipped when tops[i] is the entry the
+    # factor before used: it kept only rows inside that band and below
+    # their tops, a row's offset only falls, and every write lands inside
+    # the band below its top, so the scan could drop nothing. lo and hi may
+    # then bound a zero row; each sweep steps over zero rows.
     #
     # Why the digits read back are right. No row has a digit below
     # u^-pad, as offsets are costs of moves. Let H(k) be order less the
@@ -374,16 +378,21 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
     else:
         lo, hi = 0, -1
     masks = {}
-    for (step, cost, sign, inverse), (first, band) in zip(reversed(factors),
-                                                         reversed(tops)):
+    last = None
+    for (step, cost, sign, inverse), top in zip(reversed(factors),
+                                                reversed(tops)):
+        first, band = top
         a, b = first - base, first - base + len(band) - 1  # band[k - a]
-        for k in range(lo, hi + 1):
-            if rows[k] and not (a <= k <= b and offs[k] + band[k - a] < order):
-                rows[k] = 0
-        while lo <= hi and not rows[lo]:
-            lo += 1
-        while hi >= lo and not rows[hi]:
-            hi -= 1
+        if top is not last:
+            last = top
+            for k in range(lo, hi + 1):
+                if rows[k] and not (a <= k <= b
+                                    and offs[k] + band[k - a] < order):
+                    rows[k] = 0
+            while lo <= hi and not rows[lo]:
+                lo += 1
+            while hi >= lo and not rows[hi]:
+                hi -= 1
         # a product reads each neighbour before updating it; a geometric
         # series reads it after and runs on until a row past the old ones
         # gets nothing

@@ -21,6 +21,7 @@ the span of degrees that can still be.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import merge
 from itertools import compress, repeat
 from operator import add, floordiv
 
@@ -42,19 +43,22 @@ def _negative_budget(m: int) -> int:
 
 
 def _mode_list(m: int, max_u: int):
-    """All modes that can appear in a state of degree < max_u, as pairs
-    (u_exp, charge_step).  Mode j >= 1 of psi_i sits at 2i + 2mj - 3m, of
-    psi*_i at -2i + 2mj + m, and of phi and phi* both at 2mj - m.  Each
-    list is sorted, nonpositive exponents leading, so pruning bounds
-    tighten monotonically; modes that tie are interchangeable steps."""
+    """The modes that can appear in a state of degree < max_u, as pairs
+    (u_exp, charge_step), and the negative budget.  Mode j >= 1 of psi_i
+    sits at 2i + 2mj - 3m, of psi*_i at -2i + 2mj + m, and of phi and phi*
+    both at 2mj - m.  The fermions are one lazy merge of the 2m per-color
+    ranges and the bosons one of the two boson ranges, so each holds one
+    pending mode per range, not every mode below the bound.  Each yields
+    its modes once, in ascending order, nonpositive exponents leading, so
+    pruning bounds tighten monotonically; modes that tie are
+    interchangeable steps."""
     budget = _negative_budget(m)
     top = max_u + budget  # no mode at or above this fits under the bound
-    fermions = sorted(
-        (w, dc)
+    fermions = merge(*(
+        zip(range(first, top, 2 * m), repeat(dc))
         for i in range(1, m + 1)
-        for first, dc in ((2 * i - m, 1), (3 * m - 2 * i, -1))
-        for w in range(first, top, 2 * m))
-    bosons = sorted((w, dc) for dc in (1, -1) for w in range(m, top, 2 * m))
+        for first, dc in ((2 * i - m, 1), (3 * m - 2 * i, -1))))
+    bosons = merge(*(zip(range(m, top, 2 * m), repeat(dc)) for dc in (1, -1)))
     return fermions, bosons, budget
 
 

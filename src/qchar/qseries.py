@@ -28,9 +28,15 @@ of fixed-width q-digits (Kronecker substitution): digit i holds the
 coefficient of u^(lo + 2i), and a series below q^L is kept as its residue
 mod 2^(wL). digit_bytes is the one width rule, QSeries.from_qdigits the
 one read-back, repack moves nonnegative digits to another width, exactly
-when each fits it, and packed_geometric divides by 1 - q^j.
+when each fits it, and packed_geometric divides by 1 - q^j. The read-back
+(unpack_digits) reads digits of up to 8 bytes through memoryview.cast in
+the host's byte order, spreading digits of 3, 5, 6 or 7 bytes into
+power-of-two cells first when there are more than 2 nbytes of them; wider
+digits, shorter reads and big-endian hosts take one int.from_bytes per
+digit.
 """
 
+import sys
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
@@ -400,21 +406,54 @@ def pack_digits(digits, nbytes: int) -> int:
                           "little")
 
 
+# The native buffer format of each cell size, 1, 2, 4 and 8 bytes, for
+# memoryview.cast; it reads cells in the host's byte order, so only a
+# little-endian host uses it.
+_CAST = ({memoryview(bytes(8)).cast(c).itemsize: c for c in "BHILQ"}
+         if sys.byteorder == "little" else {})
+# byte -> the byte that sign-extends a two's complement digit whose top
+# byte it is
+_SIGN_FILL = bytes(128) + b"\xff" * 128
+
+
 def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list:
-    """The lowest count digits of x in base 256^nbytes, for any x congruent
-    to the packed series mod 2^(w count), w = 8 nbytes: each in [0, 2^w),
-    or in [-2^(w-1), 2^(w-1)) when signed. A signed read adds a bias of
-    2^(w-1) per digit, which makes every digit nonnegative with no carries,
-    and takes it back off each digit's top bit with XOR, leaving the digit
-    in two's complement."""
+    """The lowest count digits of x in base 256^nbytes, lowest first, for
+    any x congruent to the packed series mod 2^(w count), w = 8 nbytes:
+    each in [0, 2^w), or in [-2^(w-1), 2^(w-1)) when signed. A signed read
+    adds a bias of 2^(w-1) per digit, which makes every digit nonnegative
+    with no carries, and takes it back off each digit's top bit with XOR,
+    leaving the digit in two's complement.
+
+    The little-endian bytes of that residue are read one of two ways.
+    Digits of 1, 2, 4 or 8 bytes, and more than 2 nbytes digits of 3, 5, 6
+    or 7 bytes, are read at C speed through the buffer protocol: each
+    digit is spread into the next power-of-two cell by one byte-slice copy
+    per byte (its sign byte filling the cell's top bytes when signed) and
+    the cells are read by memoryview.cast in native byte order. Wider
+    digits, shorter reads of odd widths and every read on a big-endian
+    host take one int.from_bytes per digit: the spread costs about as
+    much as 2 nbytes such reads (measured on 2 vCPUs, signed and not)."""
     n = count * nbytes
     mask = (1 << 8 * n) - 1
     if signed:
         bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
         x = (x + bias & mask) ^ bias
     raw = (x & mask).to_bytes(n, "little")
-    return [int.from_bytes(raw[t:t + nbytes], "little", signed=signed)
-            for t in range(0, n, nbytes)]
+    cell = 1 << (nbytes - 1).bit_length()
+    code = _CAST.get(cell)
+    if code is None or cell != nbytes and count <= 2 * nbytes:
+        return [int.from_bytes(raw[t:t + nbytes], "little", signed=signed)
+                for t in range(0, n, nbytes)]
+    if cell != nbytes:
+        spread = bytearray(count * cell)
+        for i in range(nbytes):
+            spread[i::cell] = raw[i::nbytes]
+        if signed:
+            fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
+            for i in range(nbytes, cell):
+                spread[i::cell] = fill
+        raw = spread
+    return memoryview(raw).cast(code.lower() if signed else code).tolist()
 
 
 def repack(x: int, nbytes: int, count: int, width: int, step: int = 1) -> int:

@@ -109,11 +109,33 @@ def test_rejects_small_m():
         enumerate_charge_series(1, 0, 10)
 
 
+def ref_mode_list(m, max_u):
+    """Every fermion and boson mode below max_u plus the negative budget,
+    as two sorted lists of (u_exp, charge_step), and that budget."""
+    budget = oracle._negative_budget(m)
+    top = max_u + budget
+    fermions = sorted(
+        (w, dc)
+        for i in range(1, m + 1)
+        for first, dc in ((2 * i - m, 1), (3 * m - 2 * i, -1))
+        for w in range(first, top, 2 * m))
+    bosons = sorted((w, dc) for dc in (1, -1) for w in range(m, top, 2 * m))
+    return fermions, bosons, budget
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_merged_modes_match_the_sorted_lists(m):
+    for max_u in (-5, 0, 1, 2, 7, 30, 97, 200):
+        fermions, bosons, budget = oracle._mode_list(m, max_u)
+        assert (list(fermions), list(bosons), budget) == ref_mode_list(
+            m, max_u), (m, max_u)
+
+
 def ref_charge_dp(m, max_u, max_nodes):
     """The oracle's count as one dict operation per visited node: returns
     ({(charge, u-degree): count}, nodes), or raises ResourceLimit after
     the mode that passes max_nodes, with the same message as the oracle."""
-    fermions, bosons, budget = oracle._mode_list(m, max_u)
+    fermions, bosons, budget = ref_mode_list(m, max_u)
     acc = {(0, 0): 1}
     nodes = 0
     rem = budget

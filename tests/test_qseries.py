@@ -454,11 +454,12 @@ def packings(draw):
     """(signed, nbytes, lo, order, digits, junk): the ceil((order - lo)/2)
     q-digits of a window, none if order <= lo, each within a bound whose
     width digit_bytes gives, and any multiple of 256^(nbytes count) as
-    junk above them; signed sums and negative junk give negative residues."""
+    junk above them; signed sums and negative junk give negative residues.
+    Widths run past 8 bytes, so both of unpack_digits' readers are used."""
     signed = draw(st.booleans())
     bound = draw(st.one_of(
-        st.integers(1, 1 << 40),
-        st.sampled_from([(1 << 8 * k - signed) - e for k in (1, 2, 3)
+        st.integers(1, 1 << 80),
+        st.sampled_from([(1 << 8 * k - signed) - e for k in (1, 2, 3, 8)
                          for e in (1, 0)])))
     lo = draw(st.integers(-9, 9))
     order = draw(st.integers(lo - 3, lo + 60))
@@ -502,6 +503,77 @@ def test_packed_digits_read_back_through_from_qdigits(case):
                                 order)
     assert QSeries.from_qdigits(lo, order, x, nbytes, signed) == expect
     assert unpack_digits(x, nbytes, len(digits), signed) == digits
+
+
+def ref_unpack(x, nbytes, count, signed):
+    """The lowest count base-2^w digits of x, w = 8 nbytes, by shift and
+    mask: each the low w bits of what is left, less 2^w where signed and
+    its top bit is set, which carries one into what is left."""
+    w = 8 * nbytes
+    digits = []
+    for _ in range(count):
+        d = x & (1 << w) - 1
+        if signed and d >> w - 1:
+            d -= 1 << w
+        digits.append(d)
+        x = x - d >> w
+    return digits
+
+
+def packed_residue(nbytes, digits, junk):
+    """sum of digit t times 256^(nbytes t), plus junk above the digits;
+    negative junk makes a negative residue."""
+    w = 8 * nbytes
+    return (sum(d << w * t for t, d in enumerate(digits))
+            + (junk << w * len(digits)))
+
+
+def extremes(nbytes, count, signed):
+    """A read of count digits cycling through 0, 1, 2^(w-1) - 1, 2^(w-1),
+    2^w - 1 and 0x80, every top-bit pattern, with negative junk above."""
+    w = 8 * nbytes
+    ends = [0, 1, (1 << w - 1) - 1, 1 << w - 1, (1 << w) - 1, 0x80]
+    digits = [ends[t % len(ends)] for t in range(count)]
+    return nbytes, count, signed, packed_residue(nbytes, digits, -3)
+
+
+@st.composite
+def unpack_reads(draw):
+    """(nbytes, count, signed, x): x holds count digits of nbytes bytes
+    each, extremes among them, and any junk above them."""
+    nbytes = draw(st.integers(1, 24))
+    count = draw(st.integers(0, 80))
+    top = (1 << 8 * nbytes) - 1
+    digits = draw(st.lists(
+        st.one_of(st.sampled_from([0, top >> 1, (top >> 1) + 1, top]),
+                  st.integers(0, top)),
+        min_size=count, max_size=count))
+    return (nbytes, count, draw(st.booleans()),
+            packed_residue(nbytes, digits, draw(st.integers())))
+
+
+@given(unpack_reads())
+@settings(max_examples=500, deadline=None)
+# either side of the widest cell, and either side of the count past which
+# digits of odd widths are spread into cells
+@example(extremes(8, 80, True))
+@example(extremes(9, 80, True))
+@example(extremes(8, 1, False))
+@example(extremes(9, 1, False))
+@example(extremes(3, 5, False))
+@example(extremes(3, 6, True))
+@example(extremes(3, 7, True))
+@example(extremes(5, 10, False))
+@example(extremes(5, 11, True))
+@example(extremes(6, 12, True))
+@example(extremes(6, 13, False))
+@example(extremes(7, 13, True))
+@example(extremes(7, 14, True))
+@example(extremes(7, 15, False))
+def test_unpack_digits_matches_shift_and_mask(case):
+    nbytes, count, signed, x = case
+    assert unpack_digits(x, nbytes, count, signed) == ref_unpack(
+        x, nbytes, count, signed)
 
 
 @pytest.mark.parametrize("digits,nbytes,message", [
