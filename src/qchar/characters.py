@@ -459,8 +459,9 @@ def _digit_bytes(nu: int) -> int:
     q^(L-1), and nu's width holds every shorter read. The quotient only
     sizes the digits.
     """
-    top = 2 * _pair_quotient(2, nu).q_coeff((nu - 1) // 2)  # at q^(L-1)
-    return digit_bytes(top, False)
+    # the shared build holds q^(L-1), so it is read without a restricted copy
+    pair = _built_pair_quotient(2, _shared_build(("pair", 2), nu))
+    return digit_bytes(2 * pair.q_coeff((nu - 1) // 2), False)  # at q^(L-1)
 
 
 @lru_cache(maxsize=64)
@@ -524,17 +525,26 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     Partitions, Cor. 2.2). So the quasiparticle sum is this numerator
     times 1/(Q;Q)_inf^2, and each f_k enters once per term of N_k below
     q^L, O(sqrt(L / (mk))) signed shifts.
+
+    The term Q^e of N_k adds f_k masked below q^(L - me), shifted by q^me.
+    Bucket g starts at q^(g(g+1)/2) (see _charge_buckets) and holds no
+    negative digit, so f_k is zero below q^low, low = min((s+k)(s+k+1)/2,
+    mk + (s-k)(s-k+1)/2), the second only for k > 0: every term with
+    me >= L - low adds zero, and each k stops before the first of them.
     """
     mask = (1 << w * L) - 1
     total = 0
     for k in range(max(max(buckets) - s, s - min(buckets)) + 1):
         f = buckets.get(s + k, 0)
+        low = (s + k) * (s + k + 1) // 2
         if k and s - k in buckets:
             f += (buckets[s - k] << w * m * k) & mask
+            low = min(low, m * k + (s - k) * (s - k + 1) // 2)
         if not f:
             continue
+        end = L - low
         j = e = 0  # N_k's term (-1)^j Q^e
-        while m * e < L:
+        while m * e < end:
             shift = w * m * e
             term = (f & mask >> shift) << shift
             total = total - term if j & 1 else total + term

@@ -12,7 +12,9 @@ the largest order they can guarantee from their inputs' contracts.
 operand adds c times the denser one, shifted by t, in one C-level slice
 map, over every second slot when the denser one has no odd-offset term
 (as no sector, Euler or dist series has), so an Euler or theta factor
-costs O(sqrt(order)) slice maps. `+` is one slice map per operand.
+costs O(sqrt(order)) slice maps. A term of +-1, as every term of an
+Euler or theta factor is, adds or subtracts the slice with no multiply.
+`+` is one slice map per operand.
 
 `/` is the one exact-division kernel: x / d solves y * d = x term by term,
 y[t] = c0 (x[t] - sum_k d[k] y[t-k]), over the nonzero terms of d only,
@@ -29,18 +31,20 @@ coefficient of u^(lo + 2i), and a series below q^L is kept as its residue
 mod 2^(wL). digit_bytes is the one width rule, QSeries.from_qdigits the
 one read-back, repack moves nonnegative digits to another width, exactly
 when each fits it, and packed_geometric divides by 1 - q^j. The read-back
-(unpack_digits) reads digits of up to 8 bytes through memoryview.cast in
-the host's byte order, spreading digits of 3, 5, 6 or 7 bytes into
-power-of-two cells first when there are more than 2 nbytes of them; wider
-digits, shorter reads and big-endian hosts take one int.from_bytes per
-digit.
+(unpack_digits) has three readers, the first two through the buffer
+protocol in the host's byte order: digits of up to 8 bytes by one
+memoryview.cast, from 1 digit of a power-of-two width and past 2 nbytes
+digits of 3, 5, 6 or 7 bytes; digits of 9 to 16 bytes as two 8-byte
+limbs, past 6 digits of 16 bytes, 3 nbytes + 6 unsigned and 57 signed
+ones of 9 to 15; and one int.from_bytes per digit for wider digits,
+shorter reads and big-endian hosts.
 """
 
 import sys
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, lshift, mul, neg, sub
 
 from .errors import (
     InsufficientOrder,
@@ -224,14 +228,21 @@ class QSeries:
         if n <= 0:
             return QSeries.zero(order)
         # n = min(len(a), len(b)), so both sides of each slice map below
-        # hold ceil((n - t) / step) terms
+        # hold ceil((n - t) / step) terms; a term of +-1 adds or subtracts
+        # the slice as it is
         a, b = self.coeffs, other.coeffs
         if len(a) - a.count(0) < len(b) - b.count(0):
             a, b = b, a
         step = 1 if any(a[1::2]) else 2
         buf = [0] * n
         for t in compress(range(n), b):
-            buf[t:n:step] = map(add, buf[t:n:step], map(mul, repeat(b[t]), a[:n - t:step]))
+            c = b[t]
+            if c == 1:
+                buf[t:n:step] = map(add, buf[t:n:step], a[:n - t:step])
+            elif c == -1:
+                buf[t:n:step] = map(sub, buf[t:n:step], a[:n - t:step])
+            else:
+                buf[t:n:step] = map(add, buf[t:n:step], map(mul, repeat(c), a[:n - t:step]))
         return QSeries(lo, order, buf)
 
     __rmul__ = __mul__
@@ -424,15 +435,25 @@ def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list
     with no carries, and takes it back off each digit's top bit with XOR,
     leaving the digit in two's complement.
 
-    The little-endian bytes of that residue are read one of two ways.
-    Digits of 1, 2, 4 or 8 bytes, and more than 2 nbytes digits of 3, 5, 6
-    or 7 bytes, are read at C speed through the buffer protocol: each
-    digit is spread into the next power-of-two cell by one byte-slice copy
-    per byte (its sign byte filling the cell's top bytes when signed) and
-    the cells are read by memoryview.cast in native byte order. Wider
-    digits, shorter reads of odd widths and every read on a big-endian
-    host take one int.from_bytes per digit: the spread costs about as
-    much as 2 nbytes such reads (measured on 2 vCPUs, signed and not)."""
+    The little-endian bytes of that residue are read one of three ways.
+    The first two run at C speed through the buffer protocol, in the
+    host's byte order; a digit narrower than its power-of-two cell is first
+    spread into it by one byte-slice copy per byte, its top byte filling
+    the cell's top bytes through _SIGN_FILL when signed.
+      * Digits of up to 8 bytes: one memoryview.cast of the cells.
+      * Digits of 9 to 16 bytes, as two 8-byte limbs: the 16-byte cells
+        cast once unsigned and read [::2] for the low limbs, cast again,
+        signed when the read is, and read [1::2] for the high limbs; each
+        digit is high << 64 plus low.
+      * One int.from_bytes per digit: digits over 16 bytes, reads too short
+        to pay for the spread or the limbs' combine, and every read on a
+        big-endian host.
+    Measured on 2 vCPUs (min of 15 x 500 calls, signed and not), one cast
+    wins from 1 digit of 1, 2, 4 or 8 bytes and past 2 nbytes digits of 3,
+    5, 6 or 7; the limbs win past 3 digits per byte-slice copy plus 6 for
+    the combine: past 6 digits of 16 bytes, 3 nbytes + 6 unsigned digits
+    of 9 to 15 bytes and 57 signed ones, whose 16 - nbytes sign-fill
+    copies and translate count too."""
     n = count * nbytes
     mask = (1 << 8 * n) - 1
     if signed:
@@ -440,8 +461,15 @@ def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list
         x = (x + bias & mask) ^ bias
     raw = (x & mask).to_bytes(n, "little")
     cell = 1 << (nbytes - 1).bit_length()
-    code = _CAST.get(cell)
-    if code is None or cell != nbytes and count <= 2 * nbytes:
+    code = _CAST.get(min(cell, 8))
+    if cell <= 8:
+        short = cell != nbytes and count <= 2 * nbytes
+    else:
+        # the spread's byte-slice copies: nbytes, or 16 with the sign fill
+        # and its translate as one more
+        copies = 0 if cell == nbytes else 17 if signed else nbytes
+        short = cell > 16 or count <= 3 * copies + 6
+    if code is None or short:
         return [int.from_bytes(raw[t:t + nbytes], "little", signed=signed)
                 for t in range(0, n, nbytes)]
     if cell != nbytes:
@@ -453,7 +481,13 @@ def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list
             for i in range(nbytes, cell):
                 spread[i::cell] = fill
         raw = spread
-    return memoryview(raw).cast(code.lower() if signed else code).tolist()
+    cells = memoryview(raw).cast(code.lower() if signed else code)
+    if cell <= 8:
+        return cells.tolist()
+    # in a little-endian 16-byte cell the low limb comes first and carries
+    # no sign
+    low = memoryview(raw).cast(code)[::2]
+    return list(map(add, map(lshift, cells[1::2], repeat(64)), low))
 
 
 def repack(x: int, nbytes: int, count: int, width: int, step: int = 1) -> int:

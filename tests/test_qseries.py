@@ -6,7 +6,7 @@ from operator import add, sub
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qchar import characters, expr
+from qchar import characters, expr, qseries
 from qchar.characters import (
     _theta_bracket,
     basic_char,
@@ -324,6 +324,15 @@ ALMOST_EVEN = QSeries(-3, 9, [5, 0, 1, 0, -2, 0, 1, 0, 3, 0, 1, 7])
 @example(QSeries(2, 9, [1, 0, 1]), QSeries(-4, 6, [1, 1]))
 @example(QSeries.zero(4), ALMOST_EVEN)
 @example(QSeries(0, 6, [(1 << 64) + 1] * 6), QSeries(-1, 30, [-(1 << 65), 0, 3]))
+# the sparser side all +-1 or, as a bracket, +-1 and +-2: an Euler factor
+# times a dense side on even offsets (step 2) and on every offset (step
+# 1), a bracket, a -1 lead, and a dense side past 2^64
+@example(euler_phi(1, 40), QSeries(-2, 40, [t + 1 if t % 2 == 0 else 0
+                                            for t in range(42)]))
+@example(QSeries(1, 30, [3 - t for t in range(29)]), euler_phi(2, 34))
+@example(QSeries.from_terms({0: 2, 6: -2, 8: 1}, 30), QSeries(-1, 25, [5] * 26))
+@example(QSeries(-3, 20, [-1, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 1]), ALMOST_EVEN)
+@example(euler_phi(1, 30), QSeries(0, 30, [(1 << 64) + t for t in range(30)]))
 def test_product_matches_reference(a, b):
     assert parts(a * b) == parts(ref_mul(a, b))
     assert parts(b * a) == parts(ref_mul(a, b))
@@ -570,10 +579,46 @@ def unpack_reads(draw):
 @example(extremes(7, 13, True))
 @example(extremes(7, 14, True))
 @example(extremes(7, 15, False))
+# either side of the count past which digits of 9 to 16 bytes are read as
+# two 8-byte limbs, the widest of them and the narrowest past them, and
+# 300-digit reads
+@example(extremes(9, 33, False))
+@example(extremes(9, 34, False))
+@example(extremes(9, 57, True))
+@example(extremes(9, 58, True))
+@example(extremes(12, 42, False))
+@example(extremes(12, 43, False))
+@example(extremes(12, 57, True))
+@example(extremes(12, 58, True))
+@example(extremes(16, 6, False))
+@example(extremes(16, 7, False))
+@example(extremes(16, 6, True))
+@example(extremes(16, 7, True))
+@example(extremes(17, 300, False))
+@example(extremes(17, 300, True))
+@example(extremes(9, 300, False))
+@example(extremes(9, 300, True))
+@example(extremes(12, 300, False))
+@example(extremes(12, 300, True))
+@example(extremes(16, 300, False))
+@example(extremes(16, 300, True))
 def test_unpack_digits_matches_shift_and_mask(case):
     nbytes, count, signed, x = case
     assert unpack_digits(x, nbytes, count, signed) == ref_unpack(
         x, nbytes, count, signed)
+
+
+@pytest.mark.parametrize("nbytes", range(1, 25))
+def test_unpack_digits_per_digit_reader_is_the_big_endian_reader(nbytes, monkeypatch):
+    # a big-endian host has no cast formats, so every read takes one
+    # int.from_bytes per digit; here at counts that take each reader on a
+    # little-endian host
+    monkeypatch.setattr(qseries, "_CAST", {})
+    for count in (1, 7, 2 * nbytes + 1, 3 * nbytes + 7, 58, 300):
+        for signed in (False, True):
+            x = extremes(nbytes, count, signed)[3]
+            assert unpack_digits(x, nbytes, count, signed) == ref_unpack(
+                x, nbytes, count, signed)
 
 
 @pytest.mark.parametrize("digits,nbytes,message", [

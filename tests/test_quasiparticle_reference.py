@@ -14,7 +14,7 @@ the package sizes every m's from m = 2's.
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qchar import characters
@@ -149,6 +149,14 @@ def _fields(series):
 
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(2, 6), s=st.integers(-8, 9), order=st.integers(-3, 60))
+# large |s| at small order: only the buckets of charge s - k exist, or only
+# those of charge s + k
+@example(m=8, s=14, order=98)
+@example(m=2, s=9, order=71)
+@example(m=5, s=6, order=11)
+@example(m=8, s=-8, order=70)
+@example(m=6, s=-8, order=60)
+@example(m=7, s=-6, order=50)
 def test_quasiparticle_matches_reference(m, s, order):
     assert (_fields(characters.quasiparticle_char(m, s, order))
             == _fields(quasiparticle_char(m, s, order)))
