@@ -351,6 +351,7 @@ def _pair_quotient(m: int, order: int) -> QSeries:
     phi(q^2)^2 / phi(q)^2 / phi(q^m)^2 of sparse Euler products, since
     (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, restricted from the shared
     build."""
+    need("m", m, 2)
     n = _shared_build(("pair", m), order)
     return _built_pair_quotient(m, n).restricted(order)
 

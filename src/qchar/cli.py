@@ -1,6 +1,7 @@
 """Command-line harness.
 
-Four subcommands: `series` renders one named or free-form series, `verify`
+Four subcommands: `series` renders one expression of the small q-series
+language, whose builtins (expr.BUILTINS) name every character, `verify`
 runs an identity family over a parameter grid, `oracle` cross-checks the
 closed-form characters against a brute-force count of states, and
 `asympt` tabulates coefficient growth against the analytic estimate.
@@ -121,45 +122,14 @@ def _print_reports(reports, fmt):
 
 # -- subcommands -------------------------------------------------------------
 
-_SERIES_EXPRS = {
-    # name -> (expression template, required flags)
-    "fs": ("fs({m},{s})", ("m", "s")),
-    "qp": ("qp({m},{s})", ("m", "s")),
-    "hs": ("hs({m},{s})", ("m", "s")),
-    "L0": ("L0({m})", ("m",)),
-    "Lk": ("Lk({m},{k})", ("m", "k")),
-    "phi": ("phi({j})", ("j",)),
-    "distp": ("distp({j})", ("j",)),
-    "gauss": ("gauss()", ()),
-}
-
 
 def cmd_series(args) -> int:
-    if (args.name is None) == (args.expr is None):
-        print("series: exactly one of --name or --expr is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.expr is not None:
-        text = args.expr
-    else:
-        template, needed = _SERIES_EXPRS[args.name]
-        values = {}
-        for flag in needed:
-            value = getattr(args, flag)
-            if value is None:
-                if flag == "j":
-                    value = 1  # phi/distp default to the plain q lattice
-                else:
-                    print(f"series: --name {args.name} needs --{flag}",
-                          file=sys.stderr)
-                    return EXIT_USAGE
-            values[flag] = value
-        text = template.format(**values)
     from .expr import evaluate
 
     try:
-        qs = evaluate(text, 2 * args.order)
+        qs = evaluate(args.expr, 2 * args.order)
     except ExprError as err:
-        print(f"series: {err.render(text)}", file=sys.stderr)
+        print(f"series: {err.render(args.expr)}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
         print(_dump_json(qs.to_json_dict()))
@@ -259,12 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     series = sub.add_parser("series", help="render one series")
-    series.add_argument("--name", choices=sorted(_SERIES_EXPRS))
-    series.add_argument("--expr", help="expression in the small q-series language")
-    series.add_argument("--m", type=int)
-    series.add_argument("--s", type=int)
-    series.add_argument("--k", type=int)
-    series.add_argument("--j", type=int)
+    series.add_argument("--expr", required=True,
+                        help="expression in the small q-series language")
     series.add_argument("--order", type=_int_at_least(1), default=200,
                         help="guaranteed order in q-units (default 200)")
     series.add_argument("--format", choices=("json", "text", "csv"),

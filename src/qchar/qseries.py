@@ -31,13 +31,11 @@ coefficient of u^(lo + 2i), and a series below q^L is kept as its residue
 mod 2^(wL). digit_bytes is the one width rule, QSeries.from_qdigits the
 one read-back, repack moves nonnegative digits to another width, exactly
 when each fits it, and packed_geometric divides by 1 - q^j. The read-back
-(unpack_digits) has three readers, the first two through the buffer
-protocol in the host's byte order: digits of up to 8 bytes by one
-memoryview.cast, from 1 digit of a power-of-two width and past 2 nbytes
-digits of 3, 5, 6 or 7 bytes; digits of 9 to 16 bytes as two 8-byte
-limbs, past 6 digits of 16 bytes, 3 nbytes + 6 unsigned and 57 signed
-ones of 9 to 15; and one int.from_bytes per digit for wider digits,
-shorter reads and big-endian hosts.
+(unpack_digits) picks one of three readers by digit width and host byte
+order alone, the first two through the buffer protocol in the host's byte
+order: digits of up to 8 bytes by one memoryview.cast, digits of 9 to 16
+bytes as two 8-byte limbs, and one int.from_bytes per digit for wider
+digits and on big-endian hosts.
 """
 
 import sys
@@ -435,9 +433,10 @@ def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list
     with no carries, and takes it back off each digit's top bit with XOR,
     leaving the digit in two's complement.
 
-    The little-endian bytes of that residue are read one of three ways.
-    The first two run at C speed through the buffer protocol, in the
-    host's byte order; a digit narrower than its power-of-two cell is first
+    The little-endian bytes of that residue are read by digit width and
+    host byte order alone, never by how many digits there are. The first
+    two readers run at C speed through the buffer protocol, in the host's
+    byte order; a digit narrower than its power-of-two cell is first
     spread into it by one byte-slice copy per byte, its top byte filling
     the cell's top bytes through _SIGN_FILL when signed.
       * Digits of up to 8 bytes: one memoryview.cast of the cells.
@@ -445,15 +444,14 @@ def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list
         cast once unsigned and read [::2] for the low limbs, cast again,
         signed when the read is, and read [1::2] for the high limbs; each
         digit is high << 64 plus low.
-      * One int.from_bytes per digit: digits over 16 bytes, reads too short
-        to pay for the spread or the limbs' combine, and every read on a
-        big-endian host.
-    Measured on 2 vCPUs (min of 15 x 500 calls, signed and not), one cast
-    wins from 1 digit of 1, 2, 4 or 8 bytes and past 2 nbytes digits of 3,
-    5, 6 or 7; the limbs win past 3 digits per byte-slice copy plus 6 for
-    the combine: past 6 digits of 16 bytes, 3 nbytes + 6 unsigned digits
-    of 9 to 15 bytes and 57 signed ones, whose 16 - nbytes sign-fill
-    copies and translate count too."""
+      * One int.from_bytes per digit: digits over 16 bytes, and every read
+        on a big-endian host. Past 16 bytes a digit would need three or
+        more limbs, and such a reader measured 1.07 to 1.7 times slower
+        than this one at 17 to 40 bytes on 2 vCPUs.
+    A read of a few spread or limbed digits may be slower than one per
+    digit, but few reads are that short (40 of 277 in one pass over the
+    benchmark's univariate calls, 1,195 of about 70k digits): with no
+    rule on the count, every workload measured the same."""
     n = count * nbytes
     mask = (1 << 8 * n) - 1
     if signed:
@@ -462,14 +460,7 @@ def unpack_digits(x: int, nbytes: int, count: int, signed: bool = False) -> list
     raw = (x & mask).to_bytes(n, "little")
     cell = 1 << (nbytes - 1).bit_length()
     code = _CAST.get(min(cell, 8))
-    if cell <= 8:
-        short = cell != nbytes and count <= 2 * nbytes
-    else:
-        # the spread's byte-slice copies: nbytes, or 16 with the sign fill
-        # and its translate as one more
-        copies = 0 if cell == nbytes else 17 if signed else nbytes
-        short = cell > 16 or count <= 3 * copies + 6
-    if code is None or short:
+    if code is None or cell > 16:
         return [int.from_bytes(raw[t:t + nbytes], "little", signed=signed)
                 for t in range(0, n, nbytes)]
     if cell != nbytes:

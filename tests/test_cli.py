@@ -50,7 +50,7 @@ def test_bad_range_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "gauss", "--order", "0"),
     ("verify", "--family", "lemma11a", "--m", "2", "--s", "0", "--order", "0"),
-    ("series", "--name", "gauss", "--order", "0"),
+    ("series", "--expr", "gauss()", "--order", "0"),
     ("oracle", "--m", "2", "--s", "0", "--qbound", "0"),
     ("oracle", "--m", "2", "--s", "0", "--qbound", "-5"),
     ("verify", "--family", "fockprod", "--zwin", "-1"),
@@ -107,21 +107,20 @@ def test_series_expr_basic_module(capsys):
     ]
 
 
-def test_series_named_gauss(capsys):
-    code, out, _ = run(capsys, "series", "--name", "gauss", "--order", "7")
+def test_series_gauss(capsys):
+    code, out, _ = run(capsys, "series", "--expr", "gauss()", "--order", "7")
     assert code == 0
     assert out.splitlines() == ["1 · q^{0}", "1 · q^{1}", "1 · q^{3}", "1 · q^{6}"]
 
 
-def test_series_named_sector(capsys):
-    code, out, _ = run(capsys, "series", "--name", "fs",
-                       "--m", "2", "--s", "0", "--order", "3")
+def test_series_sector(capsys):
+    code, out, _ = run(capsys, "series", "--expr", "fs(2,0)", "--order", "3")
     assert code == 0
     assert out.splitlines() == ["1 · q^{0}", "2 · q^{1}", "5 · q^{2}"]
 
 
 def test_series_json_round_trips(capsys):
-    code, out, _ = run(capsys, "series", "--name", "phi", "--j", "2",
+    code, out, _ = run(capsys, "series", "--expr", "phi(2)",
                        "--order", "10", "--format", "json")
     assert code == 0
     back = QSeries.from_json_dict(json.loads(out))
@@ -155,18 +154,11 @@ def test_series_huge_power_is_quick(capsys):
     assert out.splitlines() == ["1 · q^{0}", "-99999999 · q^{1}"]
 
 
-def test_series_needs_exactly_one_source(capsys):
-    code, _, err = run(capsys, "series", "--order", "5")
+def test_series_needs_expr(capsys):
+    code, out, err = run(capsys, "series", "--order", "5")
     assert code == 2
-    code, _, err = run(capsys, "series", "--name", "gauss",
-                       "--expr", "gauss()")
-    assert code == 2
-
-
-def test_series_missing_parameter(capsys):
-    code, _, err = run(capsys, "series", "--name", "fs", "--order", "3")
-    assert code == 2
-    assert "--m" in err
+    assert out == ""
+    assert "--expr" in err
 
 
 def test_series_parse_error_renders_position(capsys):

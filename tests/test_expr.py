@@ -279,9 +279,16 @@ def test_eval_window_at_the_bound():
     assert evaluate(f"q^-{n}", 2) == QSeries.monomial(-2 * n, 2 + 2 * n)
 
 
+@pytest.mark.parametrize("text", [
+    "fs(1,0)", "qp(1,0)", "hs(1,0)", "L0(1)", "Lk(1,0)", "cor22lhs(1)",
+])
+def test_eval_builtins_refuse_m_below_2(text):
+    # level-1 structure needs m >= 2, and every builtin that takes m says so
+    with pytest.raises(InvalidParameter, match="need m >= 2, got 1"):
+        evaluate(text, 10)
+
+
 def test_eval_builtin_domain_errors_propagate():
-    with pytest.raises(InvalidParameter):
-        evaluate("L0(1)", 10)  # level-1 structure needs m >= 2
     # a huge charge does not turn a domain error into a resource limit
     for text in ("qp(1,4000000)", "fs(-3,-4000000)", "hs(0,4000000)"):
         with pytest.raises(InvalidParameter):

@@ -537,12 +537,13 @@ def packed_residue(nbytes, digits, junk):
             + (junk << w * len(digits)))
 
 
-def extremes(nbytes, count, signed):
+def extremes(nbytes, count, signed, start=0):
     """A read of count digits cycling through 0, 1, 2^(w-1) - 1, 2^(w-1),
-    2^w - 1 and 0x80, every top-bit pattern, with negative junk above."""
+    2^w - 1 and 0x80, every top-bit pattern, from the start-th of them,
+    with negative junk above."""
     w = 8 * nbytes
     ends = [0, 1, (1 << w - 1) - 1, 1 << w - 1, (1 << w) - 1, 0x80]
-    digits = [ends[t % len(ends)] for t in range(count)]
+    digits = [ends[(start + t) % len(ends)] for t in range(count)]
     return nbytes, count, signed, packed_residue(nbytes, digits, -3)
 
 
@@ -561,14 +562,25 @@ def unpack_reads(draw):
             packed_residue(nbytes, digits, draw(st.integers())))
 
 
+def short_reads(test):
+    """@example reads of 1 to 3 digits, signed and not, at each width that
+    is spread into cells or read as two limbs, from the digit 2^(w-1):
+    negative in a signed read, so the sign fill shows from one digit."""
+    for nbytes in (3, 5, 6, 7, 9, 12, 15, 16):
+        for count in (1, 2, 3):
+            for signed in (False, True):
+                test = example(extremes(nbytes, count, signed, 3))(test)
+    return test
+
+
 @given(unpack_reads())
 @settings(max_examples=500, deadline=None)
-# either side of the widest cell, and either side of the count past which
-# digits of odd widths are spread into cells
+# the widest digit one cast reads, and the narrowest read as two limbs
 @example(extremes(8, 80, True))
 @example(extremes(9, 80, True))
 @example(extremes(8, 1, False))
 @example(extremes(9, 1, False))
+# digits of 3, 5, 6 and 7 bytes, spread into 4- or 8-byte cells and cast
 @example(extremes(3, 5, False))
 @example(extremes(3, 6, True))
 @example(extremes(3, 7, True))
@@ -579,9 +591,9 @@ def unpack_reads(draw):
 @example(extremes(7, 13, True))
 @example(extremes(7, 14, True))
 @example(extremes(7, 15, False))
-# either side of the count past which digits of 9 to 16 bytes are read as
-# two 8-byte limbs, the widest of them and the narrowest past them, and
-# 300-digit reads
+# digits of 9, 12 and 16 bytes, read as two 8-byte limbs, the 9- and
+# 12-byte ones spread into 16-byte cells first; and 300-digit reads, of 17
+# bytes one int.from_bytes per digit
 @example(extremes(9, 33, False))
 @example(extremes(9, 34, False))
 @example(extremes(9, 57, True))
@@ -602,6 +614,7 @@ def unpack_reads(draw):
 @example(extremes(12, 300, True))
 @example(extremes(16, 300, False))
 @example(extremes(16, 300, True))
+@short_reads
 def test_unpack_digits_matches_shift_and_mask(case):
     nbytes, count, signed, x = case
     assert unpack_digits(x, nbytes, count, signed) == ref_unpack(
