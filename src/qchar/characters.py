@@ -194,9 +194,10 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 # (m, s), made at exactly the longest u-order asked so far, since a rounded
 # one would ask the inverse denominator past the window its family declares
 # and could pass SECTOR_MAX_SPAN. Each is kept packed, as the denominator
-# is, as (order, lo, nb, int of signed nb-byte q-digits from u^lo), since
-# a QSeries of the same coefficients takes a few times that int's memory,
-# and read back restricted; no lru_cache holds an outgrown one.
+# is, as (order, nb, int of signed nb-byte q-digits from u^lo), lo the
+# lattice's least exponent, which sector_char_window gives without a walk;
+# a QSeries of the same coefficients takes a few times that int's memory.
+# Each is read back restricted; no lru_cache holds an outgrown one.
 # Past 64 keys either store drops its least recently used key.
 _BUILDS: dict = {}
 _SECTORS: dict = {}
@@ -238,47 +239,45 @@ def _inverse_denominator(m: int, n: int):
 SECTOR_MAX_SPAN = 1 << 16
 
 
-def _sector_rows(m: int, s: int, order: int):
-    """The rows of _lattice_rows(m, s, order) and lo, their least exponent
-    or order if none; ResourceLimit if order - lo passes SECTOR_MAX_SPAN."""
-    rows = list(_lattice_rows(m, s, order))
-    # each row's least exponent is that of its P = max(t, 0)
-    lo = min((max(t, 0) * (max(t, 0) + 1) - shift for _, shift, _, _, t in rows),
-             default=order)
+def sector_char_window(m: int, s: int, order: int):
+    """(lo, order) of the window fock_sector_char(m, s, order) builds: lo =
+    min(m|s - c| - c(m - 1 - c), order), c the charge in [0, m - 1] nearest
+    s, as each row's least exponent sits on its quadrant edge or at P in
+    {0, -1} (see _lattice_rows) and the least of them all in row 0 or row -1.
+    Raises as check_window on sector_window(m, order), then ResourceLimit
+    if order - lo passes SECTOR_MAX_SPAN."""
+    check_window(*sector_window(m, order))
+    # The point (a, p), a and p of one sign, has u-exponent (p+s)(p+s+1) -
+    # sm + m a(a+1) + 2map, which grows with |a| at each p. Row 0 holds
+    # P >= s, least at P = max(s, 0); row -1, at P(P+1) - m(m-1) + ms, holds
+    # P <= s - m - 1 and is the lower only for s >= m, least at P = -1.
+    c = min(max(s, 0), m - 1)
+    lo = min(m * abs(s - c) - c * (m - 1 - c), order)
     check_work(order - lo, SECTOR_MAX_SPAN,
                f"the sector character of m={m}, charge {s} at u-order {order} "
                "has a span in u-powers of")
-    return rows, lo
-
-
-def sector_char_window(m: int, s: int, order: int):
-    """(lo, order) of the window fock_sector_char(m, s, order) builds."""
-    return _sector_rows(m, s, order)[1], order
+    return lo, order
 
 
 def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     """Specialized character of the charge-s Fock sector.
 
     The lattice sum h divided by one neutral free-fermion-pair factor
-    phi(q) and two boson-pair factors phi(q^m), on the window
-    [h.min_exp, order), which starts at a negative u-exponent for some
-    s > 0. Every lattice exponent is congruent to sm mod 2, so the
-    quotient lives on q-digits from h.min_exp.
+    phi(q) and two boson-pair factors phi(q^m), on the window [lo, order)
+    of sector_char_window, below u^0 for some s > 0. Every lattice
+    exponent is congruent to sm mod 2, so the quotient lives on q-digits.
 
     Read restricted from the build of (m, s) in _SECTORS, made by
-    _sector_build at this order if none is this long. A build at order N
-    from u^lo holds every lattice point below N, so below order <= N its
-    least exponent is lo, or it has none if lo >= order, and its span is
-    at most N - lo: a read needs no rows and passes every bound the
-    build passed. A request refused or with no rows records nothing.
+    _sector_build at this order if none is this long. A request refused
+    or with no rows records nothing.
     """
+    lo = sector_char_window(m, s, order)[0]
     built = _SECTORS.get((m, s))
     if built is None or built[0] < order:
-        rows, lo = _sector_rows(m, s, order)
-        if not rows:
+        if lo == order:
             return QSeries.zero(order)
-        built = (order, lo, *_sector_build(m, rows, lo, order))
-    _, lo, nb, packed = _keep(_SECTORS, (m, s), built)
+        built = (order, *_sector_build(m, _lattice_rows(m, s, order), lo, order))
+    _, nb, packed = _keep(_SECTORS, (m, s), built)
     return QSeries.from_qdigits(lo, order, packed, nb, True)
 
 
@@ -557,7 +556,8 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
 # The largest internal u-order order + s m a quasiparticle sum is asked
 # at; a power of two, so its rounded build stays within it. The buckets
 # dominate its time, which grows about 6x per doubling of that order:
-# seconds at the bound, about an hour at 10^5.
+# seconds at the bound, about an hour at 10^5. bivariate.graded_window
+# bounds the packed span of every graded product by it too.
 QP_MAX_ORDER = 1 << 13
 
 
@@ -610,19 +610,26 @@ def vacuum_identity_sides(m: int, order: int):
 # irreducible characters
 
 
-# The longest u-order the basic character is built at; a power of two. Its
-# dense square grows about 4x per doubling: on 2 vCPUs about 8 s at the
-# bound for m = 2 (2.5 s of it the dist product), which asympt reaches at
-# --nmax 8192.
+# The longest u-order the dense (dist product)^2 of the basic character
+# and gauss is built at; a power of two. It grows about 4x per doubling:
+# on 2 vCPUs the basic character of m = 2 takes about 8 s at the bound
+# (2.5 s of it the dist product), which asympt reaches at --nmax 8192.
 BASIC_MAX_ORDER = 1 << 14
 
 
+def _dist_square(order: int, what: str = "the dense (dist product)^2"):
+    """(-q;q)_inf^2 below u^order; ResourceLimit past BASIC_MAX_ORDER."""
+    check_work(order, BASIC_MAX_ORDER, f"{what} is built at u-order")
+    return _built_dist_square(order)
+
+
 @lru_cache(maxsize=64)
-def _dist_square(order: int) -> QSeries:
-    """(-q;q)_inf^2 below u^order, shared by every basic character and gauss."""
-    # the dense dist product on purpose, as an independent route: thm13a
-    # checks it against the pentagonal quotient (-q;q)_inf =
-    # (q^2;q^2)_inf / (q;q)_inf, and gauss against the triangular sum
+def _built_dist_square(order: int) -> QSeries:
+    # shared by every basic character and gauss, each named as `what` in
+    # _dist_square's refusal; the dense dist product on purpose, as an
+    # independent route: thm13a checks it against the pentagonal quotient
+    # (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, and gauss against the
+    # triangular sum
     return dist_product(1, order) ** 2
 
 
@@ -632,11 +639,10 @@ def basic_char(m: int, order: int) -> QSeries:
     last fundamental weight): (dist product)^2 / phi(q^m). Raises
     ResourceLimit past BASIC_MAX_ORDER before anything is built."""
     need("m", m, 2)
-    check_work(order, BASIC_MAX_ORDER,
-               f"the basic character of m={m} is built at u-order")
     if order <= 0:
         return QSeries.zero(order)
-    return _dist_square(order) / euler_phi(m, order)
+    return (_dist_square(order, f"the basic character of m={m}")
+            / euler_phi(m, order))
 
 
 def family_char(m: int, k: int, order: int) -> QSeries:

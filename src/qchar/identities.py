@@ -12,9 +12,9 @@ its sides function:
     for which window() raises itself, before any series is built: every
     family with an m axis declares a window that raises m < 2 as its
     builders do, prop12 and recurrence one that raises k < 0, and the
-    quasiparticle sum's bound and, for lemma11a and lemma11b, each side's
-    sector_char_window raise there too; `verify` runs the longest point
-    first;
+    quasiparticle sum's bound, the graded products' graded_window and,
+    for lemma11a, lemma11b and prop12, each side's sector_char_window
+    raise there too; `verify` runs the longest point first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -27,10 +27,13 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from .bivariate import (
+    INVERSE_PAIR,
+    TRIPLE,
     ChargeSeries,
     compare_charge_series,
     fock_char_product,
     fock_char_window,
+    graded_window,
     inverse_product_sides,
     jacobi_triple_sides,
 )
@@ -126,18 +129,18 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
 # -- the families, in `--family all` order -----------------------------------
 
 
-def _sector_sides(m, nu, *sides):
+def _sector_sides(window, m, *sides):
     # each (charge, u-order) a side builds a sector character at is
     # checked as that side makes it; none asks the store for more than
-    # sector_window(m, nu), which the point declares
+    # window, sector_window(m, nu), which the point declares
     for s, order in sides:
         sector_char_window(m, s, order)
-    return sector_window(m, nu)
+    return window
 
 
 @family("lemma11a",
-        window=lambda nu, m, s: _sector_sides(m, nu, (s, nu - s * m),
-                                              (-s, nu + s * m)),
+        window=lambda nu, m, s: _sector_sides(
+            sector_window(m, nu), m, (s, nu - s * m), (-s, nu + s * m)),
         m=(2, 6), s=(0, 6))
 def _mirror_pair(nu, half, m, s):
     # u^{sm} fs(m,s) + u^{-sm} fs(m,-s), both terms claiming order nu
@@ -147,13 +150,17 @@ def _mirror_pair(nu, half, m, s):
 
 
 @family("lemma11b",
-        window=lambda nu, m, s: _sector_sides(m, nu, (s, nu), (m - 1 - s, nu)),
+        window=lambda nu, m, s: _sector_sides(
+            sector_window(m, nu), m, (s, nu), (m - 1 - s, nu)),
         m=(2, 6), s=(0, 6))
 def _reflection(nu, half, m, s):
     yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)
 
 
-@family("prop12", window=lambda nu, m, k: closed_form_window(m, k, nu),
+@family("prop12",
+        window=lambda nu, m, k: _sector_sides(
+            closed_form_window(m, k, nu), m, ((k + 1) * (m - 1), nu),
+            (-k * (m - 1), nu)),
         m=(2, 4), k=(0, 4))
 def _closed_form(nu, half, m, k):
     closed = sector_closed_form(m, k, nu)
@@ -228,16 +235,17 @@ def _vacuum(nu, half, m):
     yield ({}, *vacuum_identity_sides(m, nu))
 
 
-@family("jtp", zwin=10)
+@family("jtp", zwin=10, window=lambda nu: graded_window(TRIPLE, nu))
 def _triple_product(nu, half):
     yield ({}, *jacobi_triple_sides(nu, (-half, half)))
 
 
-@family("kp", zwin=8)
+@family("kp", zwin=8, window=lambda nu: graded_window(INVERSE_PAIR, nu))
 def _inverse_product(nu, half):
     yield ({}, *inverse_product_sides(nu, (-half, half)))
 
 
 @family("gauss")
 def _triangular(nu, half):
-    yield {}, gauss_sum(nu), euler_phi(1, nu) * _dist_square(nu)
+    square = _dist_square(nu)  # first, as its bound refuses before any build
+    yield {}, gauss_sum(nu), euler_phi(1, nu) * square

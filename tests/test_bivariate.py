@@ -413,6 +413,18 @@ def test_graded_rows_past_the_row_bound(monkeypatch, build):
             build(1, window)
 
 
+@pytest.mark.parametrize("build", GRADED_BUILDERS)
+def test_graded_span_past_qp_max_order_is_refused_first(monkeypatch, build):
+    # pad 0 for jtp, kp and fockprod at m = 2: the span is the u-order
+    def refuse(*args):
+        raise AssertionError("a graded product was built")
+
+    monkeypatch.setattr(bivariate, "_graded_product", refuse)
+    with pytest.raises(ResourceLimit, match="at u-order 8193 has a span in "
+                       "packed digits of 8193, past its bound 8192"):
+        build(8193, (0, 0))
+
+
 # ---------------------------------------------------------------------------
 # charge parity
 

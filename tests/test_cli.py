@@ -264,7 +264,7 @@ def fresh_caches():
     """Clear the cached characters before and after a test that patches what
     they are built from, so a cached value neither hides the patch nor
     outlives it."""
-    cached = (characters.basic_char, characters._dist_square,
+    cached = (characters.basic_char, characters._built_dist_square,
               characters._inverse_denominator,
               characters._built_pair_quotient, characters._charge_buckets,
               characters._boson_pair_base)
@@ -305,7 +305,7 @@ def test_thm13a_and_gauss_share_one_dist_square(capsys):
         code, _, _ = run(capsys, "verify", "--family", family, *axes,
                          "--order", "60")
         assert code == 0
-    assert characters._dist_square.cache_info().misses == 1
+    assert characters._built_dist_square.cache_info().misses == 1
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -500,6 +500,32 @@ def test_fockprod_rows_past_their_bound_are_refused_first(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--family", "fockprod", "--m", "128",
                          "--order", "1")
     assert (code, out, err, calls) == (0, "[]\n", "", [2])
+
+
+@pytest.mark.parametrize("name,what", [("jtp", "triple product"),
+                                       ("kp", "inverse pair product")])
+def test_graded_spans_past_their_bound_are_refused_first(capsys, monkeypatch,
+                                                         name, what):
+    # q-order 4097 builds at u-order 8194, past QP_MAX_ORDER; 4096 is at it
+    calls = _counting(monkeypatch, name)
+    code, out, err = run(capsys, "verify", "--family", name, "--order", "4097")
+    assert (code, out, calls) == (3, "", [])
+    assert err == (f"qchar: {name}: the {what} at u-order 8194 has a span in "
+                   "packed digits of 8194, past its bound 8192\n")
+    code, out, err = run(capsys, "verify", "--family", name, "--order", "4096")
+    assert (code, out, err, calls) == (0, "[]\n", "", [8192])
+
+
+def test_prop12_sides_past_the_span_bound_are_refused_first(capsys,
+                                                            monkeypatch):
+    # the closed form would build the pair quotient at u-order 400000
+    # before its sector sides were refused
+    calls = _counting(monkeypatch, "prop12")
+    code, out, err = run(capsys, "verify", "--family", "prop12", "--m", "2",
+                         "--k", "0", "--order", "200000")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("qchar: prop12 m=2 k=0: the sector character ")
+    assert len(err.splitlines()) == 1 and "past its bound 65536" in err
 
 
 def test_lemma11b_spans_past_their_bound_are_refused_first(capsys, monkeypatch):
@@ -755,11 +781,13 @@ def test_order_past_the_window_bound_is_resource_limit(capsys, monkeypatch,
     ("asympt", "--m", "2", "--nmax", str(characters.BASIC_MAX_ORDER // 2 + 1)),
     ("asympt", "--m", "2", "--nmax", "500000"),
     ("series", "--expr", "L0(2)", "--order", "500000"),
+    ("verify", "--family", "gauss", "--order", "8193"),
 ])
 def test_basic_character_past_its_bound_is_resource_limit(capsys, monkeypatch,
                                                           argv):
-    # inside MAX_WINDOW, refused by basic_char before anything is built
+    # inside MAX_WINDOW, refused by _dist_square before anything is built
     monkeypatch.setattr(characters, "dist_product", None)
+    monkeypatch.setattr(identities, "gauss_sum", None)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and "past its bound 16384" in err

@@ -3,31 +3,47 @@
 `characters._SECTORS` keeps one packed build per (m, s), made at exactly
 the longest u-order asked so far, and every call reads it restricted to
 its own order. The reference below is the per-call route the store
-replaced: each call finds its own lattice rows and builds from them at
-exactly its own order. Both must give the same window and coefficients
-whatever was asked before, and the store must record nothing for a
-refused request or one with no rows. The packed route's values are
-pinned apart from this, by the division reference of
-test_sector_reference.py and the schoolbook one of test_qseries.py.
+replaced: each call walks its own lattice rows, takes their least
+exponent as the window's start, and builds from them at exactly its own
+order. Both must give the same window and coefficients whatever was
+asked before, and the store must record nothing for a refused request
+or one with no rows. The closed form sector_char_window gives that start
+by is pinned to the walk here too. The packed route's values are pinned
+apart from this, by the division reference of test_sector_reference.py
+and the schoolbook one of test_qseries.py.
 """
 
 import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qchar import characters
-from qchar.characters import SECTOR_MAX_SPAN, fock_sector_char
+from qchar import characters, identities
+from qchar.characters import SECTOR_MAX_SPAN, fock_sector_char, sector_char_window
 from qchar.cli import main
-from qchar.errors import ResourceLimit
+from qchar.errors import ResourceLimit, check_work
 from qchar.qseries import QSeries
+
+
+def walked_rows(m, s, order):
+    """The lattice rows of sector s below u^order and lo, their least
+    exponent or order if none, found by walking them; ResourceLimit if
+    order - lo passes SECTOR_MAX_SPAN."""
+    rows = list(characters._lattice_rows(m, s, order))
+    # each row's least exponent is that of its P = max(t, 0)
+    lo = min((max(t, 0) * (max(t, 0) + 1) - shift for _, shift, _, _, t in rows),
+             default=order)
+    check_work(order - lo, SECTOR_MAX_SPAN,
+               f"the sector character of m={m}, charge {s} at u-order {order} "
+               "has a span in u-powers of")
+    return rows, lo
 
 
 def ref_fock_sector_char(m, s, order):
     """fock_sector_char(m, s, order) built for this call alone."""
-    rows, lo = characters._sector_rows(m, s, order)
+    rows, lo = walked_rows(m, s, order)
     if not rows:
         return QSeries.zero(order)
     nb, x = characters._sector_build(m, rows, lo, order)
@@ -52,7 +68,7 @@ def check_requests(requests):
     for m, s, order in requests:
         before = list(characters._SECTORS.items())
         try:
-            rows, _ = characters._sector_rows(m, s, order)
+            rows, _ = walked_rows(m, s, order)
         except ResourceLimit as exc:
             with pytest.raises(ResourceLimit, match=re.escape(str(exc))):
                 fock_sector_char(m, s, order)
@@ -149,6 +165,43 @@ def test_the_store_keeps_at_most_64_keys(counted):
     assert counted["rows"] == 1
 
 
+# the CI refusals: spans of 249502 and 65890, a sector with no row below
+# u^2, and two windows past MAX_WINDOW
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(2, 60), st.sampled_from([100, 127, 128, 255, 1000]))
+       .flatmap(lambda m: st.tuples(st.just(m), st.integers(-5 * m, 6 * m),
+                                    st.integers(-20, 3000))))
+@example((1000, 499, 2))
+@example((1000, 71, 2))
+@example((1000, 1499, 2))
+@example((100000, 50000, 2))
+@example((100000, -99999, 2 + 100000 * 99999))
+@example((2, 0, SECTOR_MAX_SPAN + 1))
+def test_the_closed_form_window_is_the_walks(point):
+    # the same lo, and the same refusal, as walking the lattice rows
+    m, s, order = point
+    try:
+        _, lo = walked_rows(m, s, order)
+    except ResourceLimit as exc:
+        with pytest.raises(ResourceLimit, match=re.escape(str(exc))):
+            sector_char_window(m, s, order)
+        return
+    assert sector_char_window(m, s, order) == (lo, order)
+
+
+@pytest.mark.parametrize("name,point", [
+    ("lemma11a", {"m": 2, "s": 3}), ("lemma11a", {"m": 5, "s": 0}),
+    ("lemma11b", {"m": 3, "s": 1}), ("lemma11b", {"m": 1000, "s": 499}),
+    ("prop12", {"m": 4, "k": 2}),
+])
+def test_sizing_a_sector_point_walks_no_lattice(counted, name, point):
+    try:
+        identities.check_domain(name, point, 300)
+    except ResourceLimit:
+        pass
+    assert counted["rows"] == 0
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -165,9 +218,10 @@ def test_a_skewed_build_fails_a_later_shorter_point(capsys, monkeypatch,
     monkeypatch.setattr(characters, "_SECTORS", {})
     verify = ("verify", "--family", family, *axes, "--order")
     assert run(capsys, *verify, "60")[0] == 0
-    order, lo, nb, x = characters._SECTORS[key]
+    order, nb, x = characters._SECTORS[key]
+    lo = sector_char_window(*key, order)[0]
     mask = (1 << 8 * nb * ((order - lo + 1) // 2)) - 1
-    characters._SECTORS[key] = order, lo, nb, x + 1 & mask
+    characters._SECTORS[key] = order, nb, x + 1 & mask
     code, out = run(capsys, *verify, "30")
     assert code == 1 and {r["verdict"] for r in json.loads(out)} == {"fail"}
     assert characters._SECTORS[key][0] == order  # read, not rebuilt
