@@ -461,15 +461,21 @@ TRIPLE = "the triple product"
 INVERSE_PAIR = "the inverse pair product"
 
 
-def graded_window(name: str, order: int, pad: int = 0):
+def graded_window(name: str, order: int, window, pad: int = 0):
     """(-pad, order): the u-window of the rows the graded product `name`
-    builds at u-order order from factors of total negative cost pad.
-    Raises ResourceLimit if the span its digit width is read over, order
-    + 2 pad digits, passes QP_MAX_ORDER: the check every graded builder,
-    and the window of its family, makes before anything is built. kp
-    takes about 14 s and 0.57 GB at the bound on 2 vCPUs, jtp 3.5 s."""
+    builds at u-order order on the z-window (lo, hi) from factors of total
+    negative cost pad. Raises InvalidParameter if order < 1, then
+    ResourceLimit if the span its digit width is read over, order + 2 pad
+    digits, passes QP_MAX_ORDER, or if its hi - lo + 1 z-rows pass
+    ZWIN_MAX_ROWS: the one check every graded builder, and the window of
+    its family, makes before anything is built. kp takes about 14 s and
+    0.57 GB at the span bound on 2 vCPUs, jtp 3.5 s."""
+    need("order", order, 1)
     check_work(order + 2 * pad, QP_MAX_ORDER,
                f"{name} at u-order {order} has a span in packed digits of")
+    lo, hi = window
+    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
+               f"the z-window of {name} has a row count of")
     return -pad, order
 
 
@@ -477,11 +483,8 @@ def jacobi_triple_sides(order: int, window) -> tuple:
     """Fermion-pair product against the theta sum over phi(q):
     prod_n (1 + z u^(2n-1))(1 + 1/z u^(2n-1)) and
     (sum_j z^j u^(j*j)) / phi(q)."""
-    need("order", order, 1)
-    graded_window(TRIPLE, order)
+    graded_window(TRIPLE, order, window)
     lo, hi = window
-    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
-               f"the z-window of {TRIPLE} has a row count of")
     factors = [(s, w, 1, False) for w in range(1, order, 2) for s in (1, -1)]
     # at z = 1: (-u;u^2)^2 = theta_1 / phi(1)
     lhs = _graded_product(factors, lo, hi, order,
@@ -500,11 +503,8 @@ def inverse_product_sides(order: int, window) -> tuple:
     over phi(q)^2: prod_k 1/((1 + z u^(2k-1))(1 + 1/z u^(2k-1))) and
     (sum_{r,t>=0} - sum_{r,t<0}) (-1)^(r+t) z^t u^(r(r+1)+(2r+1)t)
     / phi(q)^2."""
-    need("order", order, 1)
-    graded_window(INVERSE_PAIR, order)
+    graded_window(INVERSE_PAIR, order, window)
     lo, hi = window
-    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
-               f"the z-window of {INVERSE_PAIR} has a row count of")
     factors = [(s, w, 1, True) for w in range(1, order, 2) for s in (1, -1)]
     # at z = 1: 1/(u;u^2)^2 = theta_1 phi(2)^2 / phi(1)^3
     lhs = _graded_product(factors, lo, hi, order,
@@ -525,12 +525,13 @@ def inverse_product_sides(order: int, window) -> tuple:
     return lhs, rhs
 
 
-def fock_char_window(m: int, order: int):
-    """graded_window of fock_char_product(m, order, ...), whose pad is
-    that of sector_window(m, order), about m^2 / 4. Raises as that does."""
+def fock_char_window(m: int, order: int, window):
+    """graded_window of fock_char_product(m, order, window), whose pad is
+    that of sector_window(m, order), about m^2 / 4. Raises as that does,
+    then as graded_window."""
     pad = -sector_window(m, order)[0]
     return graded_window(f"the two-variable Fock character of m={m}",
-                         order, pad)
+                         order, window, pad)
 
 
 def fock_char_product(m: int, order: int, window) -> ChargeSeries:
@@ -539,12 +540,7 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
     (1 + z u^(2k-m)) (1 + 1/z u^(2k-2+m))
     / ((1 - z u^(m(2k-1))) (1 - 1/z u^(m(2k-1)))),
     on the requested z-window. Rows can start at negative u-exponents."""
-    need("order", order, 1)
-    budget = -fock_char_window(m, order)[0]
-    lo, hi = window
-    check_work(hi - lo + 1, ZWIN_MAX_ROWS,
-               f"the z-window of the two-variable Fock character of m={m} "
-               "has a row count of")
+    budget = -fock_char_window(m, order, window)[0]
     factors = []
     k = 1
     while 2 * k - m - budget < order:
@@ -562,7 +558,7 @@ def fock_char_product(m: int, order: int, window) -> ChargeSeries:
         bound = _plus_bound(order + 2 * budget, [m, 1], phis + [(1, -1)])
     else:
         bound = 2 * _plus_bound(order + 2 * budget, [m], phis + [(2, 2), (1, -2)])
-    return _graded_product(factors, lo, hi, order, bound)
+    return _graded_product(factors, *window, order, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InsufficientOrder, check_work, need
 from .qseries import (
@@ -44,45 +44,29 @@ from .qseries import (
 # identity reports
 
 
-class IdentityReport:
-    """Outcome of one truncated-series identity check.  A plain class, not
-    a dataclass: `dataclasses` costs every CLI start about 6 ms."""
+class IdentityReport(NamedTuple):
+    """Outcome of one truncated-series identity check.  A NamedTuple, not
+    a dataclass: `dataclasses` costs every CLI start about 6 ms. A field
+    is changed by _replace, which makes a new report."""
 
-    __slots__ = ("identity", "params", "order_u", "verdict",
-                 "first_diff_u_exp", "lhs_coeff", "rhs_coeff", "ms")
-
-    def __init__(self, identity: str, params: dict, order_u: int, verdict: str,
-                 first_diff_u_exp: Optional[int] = None,
-                 lhs_coeff: Optional[int] = None,
-                 rhs_coeff: Optional[int] = None, ms: float = 0.0):
-        self.identity = identity
-        self.params = params
-        self.order_u = order_u
-        self.verdict = verdict
-        self.first_diff_u_exp = first_diff_u_exp
-        self.lhs_coeff = lhs_coeff
-        self.rhs_coeff = rhs_coeff
-        self.ms = ms
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"IdentityReport({fields})"
+    identity: str
+    params: dict
+    order_u: int
+    verdict: str
+    first_diff_u_exp: Optional[int] = None
+    lhs_coeff: Optional[int] = None
+    rhs_coeff: Optional[int] = None
+    ms: float = 0.0
 
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "order_u": self.order_u,
-            "verdict": self.verdict,
-            "first_diff_u_exp": self.first_diff_u_exp,
-            "lhs_coeff": None if self.lhs_coeff is None else str(self.lhs_coeff),
-            "rhs_coeff": None if self.rhs_coeff is None else str(self.rhs_coeff),
-            "ms": self.ms,
-        }
+        # the coefficients as strings, as JSON numbers lose big ints
+        lhs, rhs = (None if c is None else str(c)
+                    for c in (self.lhs_coeff, self.rhs_coeff))
+        return {**self._asdict(), "params": dict(self.params),
+                "lhs_coeff": lhs, "rhs_coeff": rhs}
 
 
 def compare_series(identity: str, params: dict, lhs: QSeries,
@@ -98,11 +82,11 @@ def compare_series(identity: str, params: dict, lhs: QSeries,
 
 
 def mark_short(report: IdentityReport, order: int) -> IdentityReport:
-    """Give a passing report whose sides agree only below u^order the
-    verdict "short", which does not pass: agreement below the requested
-    order proves too little."""
+    """The report, or, if it passes but its sides agree only below
+    u^order, a copy with the verdict "short", which does not pass:
+    agreement below the requested order proves too little."""
     if report.passed() and report.order_u < order:
-        report.verdict = "short"
+        return report._replace(verdict="short")
     return report
 
 
@@ -186,9 +170,11 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 # than it asks for, a grid run longest point first makes one build per key,
 # and every call restricts or masks that build to its own window. One key,
 # "quasiparticle", serves the buckets and every m's base, all built in the
-# one digit width _digit_bytes gives its u-order. As MAX_WINDOW,
-# QP_MAX_ORDER and SECTOR_MAX_SPAN are powers of two, no build passes the
-# bound it is kept under.
+# one digit width _digit_bytes gives its u-order. Each key is kept under
+# a power of two, so no rounded build passes it: the inverse denominator
+# and the pair quotient under SECTOR_MAX_SPAN, which sector_char_window and
+# pair_quotient_window check before they are asked for, the quasiparticle
+# key under QP_MAX_ORDER.
 #
 # The sector characters are not rounded: _SECTORS keeps one build per
 # (m, s), made at exactly the longest u-order asked so far, since a rounded
@@ -232,10 +218,12 @@ def _inverse_denominator(m: int, n: int):
 
 
 # The longest span order - lo, in u-powers, a sector character is built
-# over; a power of two, so the shared inverse denominator's rounded build
-# stays within it. Building that denominator dominates the time: on 2
-# vCPUs about 4 s at the bound for m = 2, while m = 1000's span of 249502
-# still ran after a minute.
+# over, and the longest u-order of the pair quotient it is compared with;
+# a power of two, so the shared inverse denominator's and pair quotient's
+# rounded builds stay within it. Building that denominator dominates the
+# time: on 2 vCPUs about 4 s at the bound for m = 2, while m = 1000's span
+# of 249502 still ran after a minute. The pair quotient takes about 2 s
+# at the bound.
 SECTOR_MAX_SPAN = 1 << 16
 
 
@@ -345,12 +333,26 @@ def _built_pair_quotient(m: int, n: int) -> QSeries:
     return phi_2 * phi_2 / phi_1 / phi_1 / phi_m / phi_m
 
 
+def pair_quotient_window(m: int, order: int):
+    """(0, order), the window _pair_quotient(m, order) builds. Raises
+    InvalidParameter if m < 2, then ResourceLimit if order passes
+    SECTOR_MAX_SPAN, the span of the sector characters it is compared
+    with."""
+    need("m", m, 2)
+    check_work(order, SECTOR_MAX_SPAN,
+               f"the pair quotient of m={m} is built at u-order")
+    return 0, order
+
+
 def _pair_quotient(m: int, order: int) -> QSeries:
-    """(dist product)^2 / phi(q^m)^2 below u^order >= 1, as the quotient
+    """(dist product)^2 / phi(q^m)^2 below u^order, as the quotient
     phi(q^2)^2 / phi(q)^2 / phi(q^m)^2 of sparse Euler products, since
     (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, restricted from the shared
-    build."""
-    need("m", m, 2)
+    build; zero if order <= 0. Raises as pair_quotient_window first, the
+    one check of every caller."""
+    pair_quotient_window(m, order)
+    if order <= 0:
+        return QSeries.zero(order)
     n = _shared_build(("pair", m), order)
     return _built_pair_quotient(m, n).restricted(order)
 
@@ -358,9 +360,6 @@ def _pair_quotient(m: int, order: int) -> QSeries:
 def sector_pair_product(m: int, order: int) -> QSeries:
     """Product side shared by the mirror pair of sector characters:
     2 * (dist product)^2 / phi(q^m)^2."""
-    need("m", m, 2)
-    if order <= 0:
-        return QSeries.zero(order)
     return 2 * _pair_quotient(m, order)
 
 
@@ -598,11 +597,9 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
 
 def vacuum_identity_sides(m: int, order: int):
     """Both sides of the vacuum-sector product identity:
-    (dist product)^2 / phi(q^m)^2 versus the charge-0 quasiparticle sum."""
-    need("m", m, 2)
-    if order <= 0:
-        z = QSeries.zero(order)
-        return z, z
+    (dist product)^2 / phi(q^m)^2 versus the charge-0 quasiparticle sum.
+    The sum's bound, the tighter, is checked before either is built."""
+    quasiparticle_window(m, 0, order)
     return _pair_quotient(m, order), quasiparticle_char(m, 0, order)
 
 

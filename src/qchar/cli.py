@@ -155,7 +155,8 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     check_window(0, 2 * args.order)
     cases = [case for name in families for case in _family_cases(name, args)]
-    lengths = [check_domain(name, point, nu) for name, nu, _, point, _ in cases]
+    lengths = [check_domain(name, nu, half, point)
+               for name, nu, half, point, _ in cases]
     # longest point first, so the builds a grid shares are made once
     run = sorted(range(len(cases)), key=lambda i: -lengths[i])
     columns = zip(*(cases[i] for i in run))  # one iterable per argument of check

@@ -6,15 +6,16 @@ its sides function:
   * axes: the grid axes it takes, each with a default inclusive range;
   * zwin: its default z-window half-width, None unless the family compares
     charge-graded series;
-  * window(nu, **point): (lo, order) of the widest window its sides build,
-    u^0..u^nu unless given, as sector_window's for sector characters;
-    check_domain() refuses a point whose window exceeds MAX_WINDOW, or
-    for which window() raises itself, before any series is built: every
-    family with an m axis declares a window that raises m < 2 as its
-    builders do, prop12 and recurrence one that raises k < 0, and the
-    quasiparticle sum's bound, the graded products' graded_window and,
-    for lemma11a, lemma11b and prop12, each side's sector_char_window
-    raise there too; `verify` runs the longest point first;
+  * window(nu, half, **point): (lo, order) of the widest window its sides
+    build, u^0..u^nu unless given, as sector_window's for sector
+    characters; check_domain() refuses a point whose window exceeds
+    MAX_WINDOW, or for which window() raises itself, before any series is
+    built: every family with an m axis declares a window that raises m < 2
+    as its builders do, prop12 and recurrence one that raises k < 0, and
+    the quasiparticle sum's bound, the graded products' graded_window
+    (their z-rows included), for lemma11a, lemma11b and prop12 each side's
+    sector_char_window, and prop12's pair_quotient_window raise there too;
+    `verify` runs the longest point first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
 
@@ -46,6 +47,7 @@ from .characters import (
     family_char,
     fock_sector_char,
     mark_short,
+    pair_quotient_window,
     quasiparticle_char,
     quasiparticle_window,
     recurrence_step,
@@ -63,17 +65,17 @@ class Family(NamedTuple):
     axes: dict             # axis name -> default inclusive (lo, hi)
     sides: Callable
     zwin: Optional[int]    # default z half-width; None unless graded
-    window: Callable       # (nu, **point) -> (lo, order) built
+    window: Callable       # (nu, half, **point) -> (lo, order) built
 
 
 FAMILIES = {}
 
 
 def family(name: str, zwin: Optional[int] = None,
-           window: Callable = lambda nu, **point: (0, nu), **axes):
+           window: Callable = lambda nu, half, **point: (0, nu), **axes):
     """Register the decorated sides function as family `name`.  Axes are
     given in grid-nesting order, outermost first; `window` gives the
-    (lo, order) its sides build at (nu, **point) if that can be wider
+    (lo, order) its sides build at (nu, half, **point) if that can be wider
     than u^0..u^nu, and raises what the builders raise for a point below
     their floors."""
 
@@ -87,16 +89,16 @@ def _where(name: str, point: dict) -> str:
     return " ".join([name] + [f"{axis}={v}" for axis, v in point.items()])
 
 
-def check_domain(name: str, point: dict, nu: int = 0) -> int:
+def check_domain(name: str, nu: int, half: Optional[int], point: dict) -> int:
     """The length of the widest window the point's sides build at u-order
-    nu: order - lo of its family's window().
+    nu and z half-width half: order - lo of its family's window().
 
     Raise, naming the point as check() does, what window() raises, as
     InvalidParameter for an axis below family `name`'s floor, and
     ResourceLimit if its window is longer than MAX_WINDOW."""
     fam = FAMILIES[name]
     try:
-        lo, order = fam.window(nu, **point)
+        lo, order = fam.window(nu, half, **point)
         check_window(lo, order)
     except QcharError as err:
         raise type(err)(f"{_where(name, point)}: {err}") from err
@@ -117,7 +119,7 @@ def check(name: str, nu: int, half: Optional[int], point: dict,
             report = mark_short(compare(name, {**point, **extra}, lhs, rhs), nu)
             if timings:
                 t1 = time.perf_counter()
-                report.ms = (t1 - t0) * 1000.0
+                report = report._replace(ms=(t1 - t0) * 1000.0)
                 t0 = t1
             reports.append(report)
     except QcharError as err:
@@ -139,7 +141,7 @@ def _sector_sides(window, m, *sides):
 
 
 @family("lemma11a",
-        window=lambda nu, m, s: _sector_sides(
+        window=lambda nu, half, m, s: _sector_sides(
             sector_window(m, nu), m, (s, nu - s * m), (-s, nu + s * m)),
         m=(2, 6), s=(0, 6))
 def _mirror_pair(nu, half, m, s):
@@ -150,18 +152,23 @@ def _mirror_pair(nu, half, m, s):
 
 
 @family("lemma11b",
-        window=lambda nu, m, s: _sector_sides(
+        window=lambda nu, half, m, s: _sector_sides(
             sector_window(m, nu), m, (s, nu), (m - 1 - s, nu)),
         m=(2, 6), s=(0, 6))
 def _reflection(nu, half, m, s):
     yield {}, fock_sector_char(m, s, nu), fock_sector_char(m, m - 1 - s, nu)
 
 
-@family("prop12",
-        window=lambda nu, m, k: _sector_sides(
-            closed_form_window(m, k, nu), m, ((k + 1) * (m - 1), nu),
-            (-k * (m - 1), nu)),
-        m=(2, 4), k=(0, 4))
+def _prop12_window(nu, half, m, k):
+    # the sector sides are refused first, then the closed form's pair
+    # quotient, built at nu even where both sector sides are zero (large k)
+    window = _sector_sides(closed_form_window(m, k, nu), m,
+                           ((k + 1) * (m - 1), nu), (-k * (m - 1), nu))
+    pair_quotient_window(m, nu)
+    return window
+
+
+@family("prop12", window=_prop12_window, m=(2, 4), k=(0, 4))
 def _closed_form(nu, half, m, k):
     closed = sector_closed_form(m, k, nu)
     for side, charge in (("plus", (k + 1) * (m - 1)), ("minus", -k * (m - 1))):
@@ -175,7 +182,7 @@ def _recurrence_budget(m, k):
 
 
 @family("recurrence",
-        window=lambda nu, m, k: closed_form_window(
+        window=lambda nu, half, m, k: closed_form_window(
             m, k, nu + _recurrence_budget(m, k)),
         m=(2, 4), k=(0, 4))
 def _iterated_recurrence(nu, half, m, k):
@@ -190,7 +197,7 @@ def _iterated_recurrence(nu, half, m, k):
     yield {}, f, sector_closed_form(m, k, nu)
 
 
-@family("thm13a", window=lambda nu, m: sector_window(m, nu), m=(2, 6))
+@family("thm13a", window=lambda nu, half, m: sector_window(m, nu), m=(2, 6))
 def _basic_forms(nu, half, m):
     # the shared character is built, and timed, with the first form
     ch = basic_char(m, nu)
@@ -202,24 +209,26 @@ def _basic_forms(nu, half, m):
 
 
 @family("thm13b",
-        window=lambda nu, m, k: sector_window(m, nu + abs(k) * m * (m - 1)),
+        window=lambda nu, half, m, k: sector_window(m, nu + abs(k) * m * (m - 1)),
         m=(2, 4), k=(-3, 3))
 def _family_vs_sector(nu, half, m, k):
-    # the family character depends on |k| only, and so does this side
+    # the family character depends on |k| only, and so does this side;
+    # it goes first, as its bound refuses before any sector build
+    family = family_char(m, k, nu)
     sh = abs(k) * m * (m - 1)
     side = fock_sector_char(m, -abs(k) * (m - 1), nu + sh) * euler_phi(m, nu + sh)
-    yield {}, family_char(m, k, nu), side.shifted(-sh)
+    yield {}, family, side.shifted(-sh)
 
 
-@family("prop21", window=lambda nu, m, s: min(quasiparticle_window(m, s, nu),
-                                              sector_window(m, nu)),
+@family("prop21", window=lambda nu, half, m, s: min(quasiparticle_window(m, s, nu),
+                                                    sector_window(m, nu)),
         m=(2, 4), s=(-3, 4))
 def _quasiparticle(nu, half, m, s):
     yield {}, quasiparticle_char(m, s, nu), fock_sector_char(m, s, nu)
 
 
-@family("fockprod", zwin=4, window=lambda nu, m: fock_char_window(m, nu),
-        m=(2, 3))
+@family("fockprod", zwin=4, m=(2, 3),
+        window=lambda nu, half, m: fock_char_window(m, nu, (-half, half)))
 def _graded_rows(nu, half, m):
     prod = fock_char_product(m, nu, (-half, half))
     # the rows nearest charge (m - 1) / 2 start lowest: built first, the
@@ -229,18 +238,20 @@ def _graded_rows(nu, half, m):
     yield {}, prod, ChargeSeries(-half, [rows[s] for s in sorted(rows)])
 
 
-@family("cor22", window=lambda nu, m: quasiparticle_window(m, 0, nu),
+@family("cor22", window=lambda nu, half, m: quasiparticle_window(m, 0, nu),
         m=(2, 6))
 def _vacuum(nu, half, m):
     yield ({}, *vacuum_identity_sides(m, nu))
 
 
-@family("jtp", zwin=10, window=lambda nu: graded_window(TRIPLE, nu))
+@family("jtp", zwin=10,
+        window=lambda nu, half: graded_window(TRIPLE, nu, (-half, half)))
 def _triple_product(nu, half):
     yield ({}, *jacobi_triple_sides(nu, (-half, half)))
 
 
-@family("kp", zwin=8, window=lambda nu: graded_window(INVERSE_PAIR, nu))
+@family("kp", zwin=8,
+        window=lambda nu, half: graded_window(INVERSE_PAIR, nu, (-half, half)))
 def _inverse_product(nu, half):
     yield ({}, *inverse_product_sides(nu, (-half, half)))
 

@@ -175,9 +175,10 @@ def oracle_vs_quasiparticle(m: int, s: int, max_u_exp: int,
     counted = enumerate_charge_series(m, s, max_u_exp, max_nodes)
     qp = quasiparticle_char(m, s, max_u_exp)
     ch = fock_sector_char(m, s, max_u_exp)
+    order = min(counted.order, qp.order, ch.order)
     for other in (qp, ch):
-        report = compare_series("oracle-threeway", {"m": m, "s": s}, counted, other)
-        report.order_u = min(counted.order, qp.order, ch.order)
+        report = compare_series("oracle-threeway", {"m": m, "s": s}, counted,
+                                other)._replace(order_u=order)
         if not report.passed():
             return report
     return mark_short(report, max_u_exp)

@@ -380,10 +380,11 @@ def test_fock_product_rejects_bad_params():
 
 def test_fock_product_rows_are_bounded_by_qp_max_order():
     # m = 128 pads every row by 4032, so 2 + 2 * 4032 = 8066 digits fit the
-    # bound 8192; m = 129 pads by 4096, and 1 more digit than that is past it
-    assert fock_char_window(128, 2) == (-4032, 2)
-    assert fock_char_window(129, 0) == (-4096, 0)
-    for m, order in [(129, 1), (1000, 2), (10 ** 9, 2)]:
+    # bound 8192, and 128 + 2 * 4032 reach it; m = 129 pads by 4096, and
+    # 1 more digit than that is past it
+    assert fock_char_window(128, 2, (-1, 1)) == (-4032, 2)
+    assert fock_char_window(128, 128, (-1, 1)) == (-4032, 128)
+    for m, order in [(128, 129), (129, 1), (1000, 2), (10 ** 9, 2)]:
         with pytest.raises(ResourceLimit, match="past its bound 8192"):
             fock_char_product(m, order, (-1, 1))
 

@@ -267,6 +267,28 @@ def test_fock_sector_char_span_past_the_bound(monkeypatch):
     assert characters._SECTORS == {}  # nothing refused or empty is kept
 
 
+@pytest.mark.parametrize("sides", [
+    lambda m, order: (sector_pair_product(m, order),),
+    vacuum_identity_sides,
+])
+def test_pair_quotient_sides_below_order_one_and_below_m_two(sides):
+    # zero series of the order asked, and m = 1 refused at every order
+    for order in (-1, 0):
+        assert all(side == QSeries.zero(order) for side in sides(2, order))
+    for order in (-1, 0, 5):
+        with pytest.raises(InvalidParameter, match="^need m >= 2, got 1$"):
+            sides(1, order)
+
+
+def test_vacuum_sides_check_the_sum_bound_before_the_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pair quotient was built")
+
+    monkeypatch.setattr(characters, "_built_pair_quotient", refuse)
+    with pytest.raises(ResourceLimit, match="the quasiparticle sum of charge 0"):
+        vacuum_identity_sides(2, characters.QP_MAX_ORDER + 1)
+
+
 def test_pair_product_constant_term():
     assert sector_pair_product(3, 10).q_coeff(0) == 2
 

@@ -431,8 +431,8 @@ def test_prop21_grid_runs_longest_first_and_reports_in_grid_order(
 ])
 def test_check_domain_returns_the_length_built(name, point, length):
     # order - lo of the family's window(), else nu
-    assert identities.check_domain(name, point, 80) == length
-    lo, order = identities.FAMILIES[name].window(80, **point)
+    assert identities.check_domain(name, 80, None, point) == length
+    lo, order = identities.FAMILIES[name].window(80, None, **point)
     assert order - lo == length
 
 
@@ -528,6 +528,57 @@ def test_prop12_sides_past_the_span_bound_are_refused_first(capsys,
     assert len(err.splitlines()) == 1 and "past its bound 65536" in err
 
 
+def test_prop12_pair_quotient_past_its_bound_is_refused_first(capsys,
+                                                               monkeypatch):
+    # at k = 100000 both sector sides lie above u^200000 and are zero, but
+    # the closed form would build its pair quotient at u-order 200000
+    calls = _counting(monkeypatch, "prop12")
+    code, out, err = run(capsys, "verify", "--family", "prop12", "--m", "2",
+                         "--k", "100000", "--order", "100000")
+    assert (code, out, calls) == (3, "", [])
+    assert err == ("qchar: prop12 m=2 k=100000: the pair quotient of m=2 is "
+                   "built at u-order 200000, past its bound 65536\n")
+
+
+def test_pair_quotient_expression_past_its_bound_builds_nothing(capsys,
+                                                                monkeypatch):
+    # q-order 32768 builds at u-order 65536, the bound, in about 2 s; one
+    # more is refused before the quotient is built. A cache of its own
+    # keeps the long build out of the shared one
+    built = []
+    real = characters._built_pair_quotient.__wrapped__
+
+    @lru_cache(maxsize=64)
+    def spy(m, n):
+        built.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(characters, "_built_pair_quotient", spy)
+    monkeypatch.setattr(characters, "_BUILDS", {})
+    code, out, err = run(capsys, "series", "--expr", "cor22lhs(2)",
+                         "--order", "32769")
+    assert (code, out, built) == (3, "", [])
+    assert err == ("qchar: the pair quotient of m=2 is built at u-order "
+                   "65538, past its bound 65536\n")
+    code, out, err = run(capsys, "series", "--expr", "cor22lhs(2)",
+                         "--order", "32768", "--format", "json")
+    assert (code, err, built) == (0, "", [(2, 65536)])
+    assert json.loads(out)["order_u"] == 65536
+
+
+def test_thm13b_basic_bound_is_refused_before_any_sector_build(capsys,
+                                                                monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sector character was built")
+
+    monkeypatch.setattr(characters, "_sector_build", refuse)
+    code, out, err = run(capsys, "verify", "--family", "thm13b", "--m", "2",
+                         "--k", "0", "--order", "8193")
+    assert (code, out) == (3, "")
+    assert err == ("qchar: thm13b m=2 k=0: the basic character of m=2 is "
+                   "built at u-order 16386, past its bound 16384\n")
+
+
 def test_lemma11b_spans_past_their_bound_are_refused_first(capsys, monkeypatch):
     # at m = 1000 every sector lies within MAX_WINDOW, but the sides of
     # s = 71 and up span more than SECTOR_MAX_SPAN u-powers; the whole grid
@@ -613,7 +664,7 @@ def test_lemma11a_sides_stay_within_the_window_they_declare(m, s, nu):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(characters, "_shared_build", record)
         list(fam.sides(nu, None, m=m, s=s))
-    lo, order = fam.window(nu, m=m, s=s)
+    lo, order = fam.window(nu, None, m=m, s=s)
     assert order - lo == nu - characters.sector_window(m, 0)[0]
     assert asked and max(asked) <= order - lo
 
@@ -693,7 +744,7 @@ def test_family_window_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
     k = 0
     while 2 + 2 * (k + 1) * (k + 2) <= MAX_WINDOW:
         k += 1
-    identities.check_domain("recurrence", {"m": 2, "k": k}, 2)
+    identities.check_domain("recurrence", 2, None, {"m": 2, "k": k})
     calls = _counting(monkeypatch, "recurrence")
     code, out, err = run(capsys, "verify", "--family", "recurrence",
                          "--m", "2", f"--k=0..{k + 1}", "--order", "1")
@@ -722,7 +773,7 @@ def test_family_window_covers_what_its_sides_build(monkeypatch, name, point):
             return built
         monkeypatch.setattr(identities, builder, spy)
     identities.check(name, 20, None, point)
-    lo, order = identities.FAMILIES[name].window(20, **point)
+    lo, order = identities.FAMILIES[name].window(20, None, **point)
     assert widths and max(widths) <= order - lo
 
 
@@ -747,7 +798,7 @@ def test_floor_matches_the_builders_error(name, axis, floor):
     point = {a: lo for a, (lo, _) in fam.axes.items()}
     point[axis] = floor - 1
     with pytest.raises(InvalidParameter) as early:
-        identities.check_domain(name, point)
+        identities.check_domain(name, 0, fam.zwin, point)
     with pytest.raises(InvalidParameter) as late:
         identities.check(name, 20, fam.zwin, point)
     assert str(early.value) == str(late.value)
@@ -1064,6 +1115,20 @@ def test_zwin_past_the_row_bound_is_resource_limit(capsys, name):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "row count of 65537, past its bound 65536" in err
+
+
+def test_zwin_past_the_row_bound_is_refused_before_any_family_runs(
+        capsys, monkeypatch):
+    # fockprod, the first graded family, declares 80001 z-rows; no family,
+    # graded or not, runs a point
+    calls = {name: _counting(monkeypatch, name) for name in identities.FAMILIES}
+    code, out, err = run(capsys, "verify", "--family", "all", "--order", "1600",
+                         "--zwin", "40000")
+    assert (code, out) == (3, "")
+    assert err == ("qchar: fockprod m=2: the z-window of the two-variable Fock "
+                   "character of m=2 has a row count of 80001, past its bound "
+                   "65536\n")
+    assert all(ran == [] for ran in calls.values())
 
 
 def test_oracle_negative_charge(capsys):

@@ -196,7 +196,7 @@ def test_the_closed_form_window_is_the_walks(point):
 ])
 def test_sizing_a_sector_point_walks_no_lattice(counted, name, point):
     try:
-        identities.check_domain(name, point, 300)
+        identities.check_domain(name, 300, None, point)
     except ResourceLimit:
         pass
     assert counted["rows"] == 0
