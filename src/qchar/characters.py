@@ -161,51 +161,55 @@ def sector_sum(m: int, s: int, order: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# the series every character of an m shares
+# the builds the characters share
 #
-# The free-field inverse denominator, the pair quotient, the charge buckets
-# and each m's boson-pair base are built by lru-cached builders at one
-# u-order per key of _BUILDS: the longest order asked for under that key so
-# far, rounded up by round_up. So a cold call builds at most an eighth more
-# than it asks for, a grid run longest point first makes one build per key,
-# and every call restricts or masks that build to its own window. One key,
-# "quasiparticle", serves the buckets and every m's base, all built in the
-# one digit width _digit_bytes gives its u-order. Each key is kept under
-# a power of two, so no rounded build passes it: the inverse denominator
-# and the pair quotient under SECTOR_MAX_SPAN, which sector_char_window and
-# pair_quotient_window check before they are asked for, the quasiparticle
-# key under QP_MAX_ORDER.
+# _BUILDS is the one store of every build shared across calls, key ->
+# (u-order N, data). _shared reads a key's build if it is long enough,
+# else records a new one at N, makes the key the newest, and past 128 keys
+# drops the least recently used; a build that raises records nothing. Each
+# call restricts or masks the build it reads to its own window. A default
+# `verify --family all` grid reads 90 keys, 73 of them sector characters,
+# so a second run in one process rebuilds none of them.
 #
-# The sector characters are not rounded: _SECTORS keeps one build per
-# (m, s), made at exactly the longest u-order asked so far, since a rounded
-# one would ask the inverse denominator past the window its family declares
-# and could pass SECTOR_MAX_SPAN. Each is kept packed, as the denominator
-# is, as (order, nb, int of signed nb-byte q-digits from u^lo), lo the
-# lattice's least exponent, which sector_char_window gives without a walk;
-# a QSeries of the same coefficients takes a few times that int's memory.
-# Each is read back restricted; no lru_cache holds an outgrown one.
-# Past 64 keys either store drops its least recently used key.
+# The free-field inverse denominator ("inverse", m), the pair quotient
+# ("pair", m) and the "quasiparticle" key are built at round_up of the
+# longest u-order asked so far: a cold call builds at most an eighth more
+# than it asks for, and a grid run longest point first makes one build per
+# key. Each is kept under a power of two, so no rounded build passes it:
+# the inverse denominator and the pair quotient under SECTOR_MAX_SPAN,
+# which sector_char_window and pair_quotient_window check before they are
+# asked for, the quasiparticle key under QP_MAX_ORDER.
+#
+# The sector characters ("sector", m, s), the dense square "square" and
+# each m's basic character ("basic", m) are built at exactly the order
+# asked. A rounded sector span would ask the inverse denominator past the
+# window its family declares, and could pass SECTOR_MAX_SPAN; the square
+# costs O(n^2), so a rounded one would cost up to a quarter more. A sector
+# build is kept packed, as the denominator is, as (nb, int of signed
+# nb-byte q-digits from u^lo), lo the lattice's least exponent, which
+# sector_char_window gives without a walk; a QSeries of the same
+# coefficients takes a few times that int's memory.
+#
+# The "quasiparticle" key holds only its u-order N. The charge buckets and
+# each m's boson-pair base at N stay in lru caches of their own, keyed on
+# N, whose cache_info() benchmarks/tracing.py reports.
 _BUILDS: dict = {}
-_SECTORS: dict = {}
 
 
-def _keep(store: dict, key, built):
-    """Record built under key in store as its newest key, and return it."""
-    store.pop(key, None)
-    store[key] = built
-    if len(store) > 64:
-        del store[next(iter(store))]
-    return built
+def _shared(key, n: int, N: int, make, *args):
+    """The data of the build under key if it is at least n long, else
+    make(*args, N), recorded as the build of key at u-order N; key is now
+    the newest. A make that raises records nothing."""
+    built = _BUILDS.get(key)
+    if built is None or built[0] < n:
+        built = N, make(*args, N)
+    _BUILDS.pop(key, None)
+    _BUILDS[key] = built
+    if len(_BUILDS) > 128:
+        del _BUILDS[next(iter(_BUILDS))]
+    return built[1]
 
 
-def _shared_build(key, n: int) -> int:
-    """The u-order N of the build under key, remade at N = round_up(n) if
-    shorter than n; key is now the newest."""
-    built = _BUILDS.pop(key, 0)
-    return _keep(_BUILDS, key, built if built >= n else round_up(n))
-
-
-@lru_cache(maxsize=64)
 def _inverse_denominator(m: int, n: int):
     """1/(phi(q) phi(q^m)^2) below u^n, the free-field denominator every
     sector character of that m shares, as (packed, nb): its q-digits
@@ -255,17 +259,15 @@ def fock_sector_char(m: int, s: int, order: int) -> QSeries:
     of sector_char_window, below u^0 for some s > 0. Every lattice
     exponent is congruent to sm mod 2, so the quotient lives on q-digits.
 
-    Read restricted from the build of (m, s) in _SECTORS, made by
+    Read restricted from the shared build of ("sector", m, s), made by
     _sector_build at this order if none is this long. A request refused
-    or with no rows records nothing.
+    or with no rows reads and records nothing.
     """
     lo = sector_char_window(m, s, order)[0]
-    built = _SECTORS.get((m, s))
-    if built is None or built[0] < order:
-        if lo == order:
-            return QSeries.zero(order)
-        built = (order, *_sector_build(m, _lattice_rows(m, s, order), lo, order))
-    _, nb, packed = _keep(_SECTORS, (m, s), built)
+    if lo == order:
+        return QSeries.zero(order)
+    nb, packed = _shared(("sector", m, s), order, order, lambda n:
+                         _sector_build(m, _lattice_rows(m, s, n), lo, n))
     return QSeries.from_qdigits(lo, order, packed, nb, True)
 
 
@@ -305,7 +307,7 @@ def _sector_build(m: int, rows, lo: int, order: int):
         d = (t * (t + 1) - shift - lo) // 2
         if d < L:
             uses.setdefault(t, []).append((d, sign))
-    I, ib = _inverse_denominator(m, _shared_build(("inverse", m), n))
+    I, ib = _shared(("inverse", m), n, round_up(n), _inverse_denominator, m)
     top = I >> 8 * ib * (L - 1) & (1 << 8 * ib) - 1  # I's digit at q^(L-1)
     nb = digit_bytes(points * top, True)
     w = 8 * nb
@@ -325,7 +327,6 @@ def _sector_build(m: int, rows, lo: int, order: int):
     return nb, total & mask
 
 
-@lru_cache(maxsize=64)
 def _built_pair_quotient(m: int, n: int) -> QSeries:
     phi_2 = euler_phi(2, n)
     phi_1 = euler_phi(1, n)
@@ -353,8 +354,8 @@ def _pair_quotient(m: int, order: int) -> QSeries:
     pair_quotient_window(m, order)
     if order <= 0:
         return QSeries.zero(order)
-    n = _shared_build(("pair", m), order)
-    return _built_pair_quotient(m, n).restricted(order)
+    return _shared(("pair", m), order, round_up(order), _built_pair_quotient,
+                   m).restricted(order)
 
 
 def sector_pair_product(m: int, order: int) -> QSeries:
@@ -459,7 +460,7 @@ def _digit_bytes(nu: int) -> int:
     sizes the digits.
     """
     # the shared build holds q^(L-1), so it is read without a restricted copy
-    pair = _built_pair_quotient(2, _shared_build(("pair", 2), nu))
+    pair = _shared(("pair", 2), nu, round_up(nu), _built_pair_quotient, 2)
     return digit_bytes(2 * pair.q_coeff((nu - 1) // 2), False)  # at q^(L-1)
 
 
@@ -510,7 +511,7 @@ def _boson_pair_base(m: int, nu: int) -> int:
 def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     """sum over k >= 0 of f_k N_k below q^L, packed in w-bit digits as a
     signed int that is right mod 2^(wL), where f_k is the bucket of charge
-    s + k plus, for k > 0, q^(mk) times the bucket of charge s - k.
+    s + k plus, for 0 < mk < L, q^(mk) times the bucket of charge s - k.
 
     With Q = q^m, the boson pairs of charge -k and of charge k share the
     base sum_t Q^t / ((Q)_t (Q)_(t+k)), the latter shifted by Q^k, and
@@ -528,7 +529,7 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     The term Q^e of N_k adds f_k masked below q^(L - me), shifted by q^me.
     Bucket g starts at q^(g(g+1)/2) (see _charge_buckets) and holds no
     negative digit, so f_k is zero below q^low, low = min((s+k)(s+k+1)/2,
-    mk + (s-k)(s-k+1)/2), the second only for k > 0: every term with
+    mk + (s-k)(s-k+1)/2), the second only for 0 < mk < L: every term with
     me >= L - low adds zero, and each k stops before the first of them.
     """
     mask = (1 << w * L) - 1
@@ -536,7 +537,7 @@ def _pair_numerator(buckets: dict, m: int, s: int, L: int, w: int) -> int:
     for k in range(max(max(buckets) - s, s - min(buckets)) + 1):
         f = buckets.get(s + k, 0)
         low = (s + k) * (s + k + 1) // 2
-        if k and s - k in buckets:
+        if k and s - k in buckets and m * k < L:
             f += (buckets[s - k] << w * m * k) & mask
             low = min(low, m * k + (s - k) * (s - k + 1) // 2)
         if not f:
@@ -587,7 +588,7 @@ def quasiparticle_char(m: int, s: int, order: int) -> QSeries:
         return QSeries.zero(order)
     # the shared builds, read in their own width: the buckets that start
     # below u^nu, and the base masked to the call's L q-digits
-    N = _shared_build("quasiparticle", nu)
+    N = _shared("quasiparticle", nu, round_up(nu), lambda N: N)
     nb, L = _digit_bytes(N), (nu + 1) // 2
     buckets = {g: x for g, x in _charge_buckets(N) if g * (g + 1) < nu}
     numerator = _pair_numerator(buckets, m, s, L, 8 * nb)
@@ -615,31 +616,27 @@ BASIC_MAX_ORDER = 1 << 14
 
 
 def _dist_square(order: int, what: str = "the dense (dist product)^2"):
-    """(-q;q)_inf^2 below u^order; ResourceLimit past BASIC_MAX_ORDER."""
+    """(-q;q)_inf^2 below u^order, read from the shared build of "square";
+    ResourceLimit past BASIC_MAX_ORDER."""
     check_work(order, BASIC_MAX_ORDER, f"{what} is built at u-order")
-    return _built_dist_square(order)
-
-
-@lru_cache(maxsize=64)
-def _built_dist_square(order: int) -> QSeries:
     # shared by every basic character and gauss, each named as `what` in
-    # _dist_square's refusal; the dense dist product on purpose, as an
-    # independent route: thm13a checks it against the pentagonal quotient
-    # (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf, and gauss against the
-    # triangular sum
-    return dist_product(1, order) ** 2
+    # the refusal; the dense dist product on purpose, as an independent
+    # route: thm13a checks it against the pentagonal quotient (-q;q)_inf =
+    # (q^2;q^2)_inf / (q;q)_inf, and gauss against the triangular sum
+    return _shared("square", order, order,
+                   lambda n: dist_product(1, n) ** 2).restricted(order)
 
 
-@lru_cache(maxsize=64)
 def basic_char(m: int, order: int) -> QSeries:
     """Specialized character of the basic module (and of the module at the
-    last fundamental weight): (dist product)^2 / phi(q^m). Raises
-    ResourceLimit past BASIC_MAX_ORDER before anything is built."""
+    last fundamental weight): (dist product)^2 / phi(q^m), read from the
+    shared build of ("basic", m). Raises ResourceLimit past
+    BASIC_MAX_ORDER before anything is built."""
     need("m", m, 2)
     if order <= 0:
         return QSeries.zero(order)
-    return (_dist_square(order, f"the basic character of m={m}")
-            / euler_phi(m, order))
+    return _shared(("basic", m), order, order, lambda n: _dist_square(
+        n, f"the basic character of m={m}") / euler_phi(m, n)).restricted(order)
 
 
 def family_char(m: int, k: int, order: int) -> QSeries:

@@ -41,6 +41,12 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
+# The most worker processes `verify --jobs` asks for; a power of two. A
+# fork pool starts every worker at its first submit, so the value is
+# bounded where it is parsed, and the pool never has more workers than
+# grid points.
+MAX_JOBS = 1 << 8
+
 
 # -- grids -------------------------------------------------------------------
 
@@ -160,10 +166,11 @@ def cmd_verify(args) -> int:
     # longest point first, so the builds a grid shares are made once
     run = sorted(range(len(cases)), key=lambda i: -lengths[i])
     columns = zip(*(cases[i] for i in run))  # one iterable per argument of check
-    if args.jobs > 1:
+    workers = min(args.jobs, len(cases))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(check, *columns))
     else:
         chunks = list(map(check, *columns))
@@ -206,8 +213,8 @@ def _range_arg(text):
         raise argparse.ArgumentTypeError(str(err))
 
 
-def _int_at_least(lo):
-    """argparse type: an integer no smaller than lo."""
+def _int_at_least(lo, hi=None):
+    """argparse type: an integer no smaller than lo, nor above hi if given."""
     def parse(text):
         try:
             value = int(text)
@@ -215,6 +222,8 @@ def _int_at_least(lo):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
     return parse
 
@@ -247,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--order", type=_int_at_least(1), default=200)
     verify.add_argument("--zwin", type=_int_at_least(0),
                         help="z-window half-width")
-    verify.add_argument("--jobs", type=_int_at_least(1), default=1)
+    verify.add_argument("--jobs", type=_int_at_least(1, MAX_JOBS), default=1)
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock ms (breaks byte-identical output)")
     verify.add_argument("--format", choices=("json", "text", "csv"),

@@ -264,16 +264,10 @@ def fresh_caches():
     """Clear the cached characters before and after a test that patches what
     they are built from, so a cached value neither hides the patch nor
     outlives it."""
-    cached = (characters.basic_char, characters._built_dist_square,
-              characters._inverse_denominator,
-              characters._built_pair_quotient, characters._charge_buckets,
-              characters._boson_pair_base)
-
     def clear():
-        for builder in cached:
-            builder.cache_clear()
-        characters._BUILDS.clear()  # the u-orders of the shared builds
-        characters._SECTORS.clear()  # the sector characters' own builds
+        characters._charge_buckets.cache_clear()
+        characters._boson_pair_base.cache_clear()
+        characters._BUILDS.clear()  # every other shared build
 
     clear()
     yield
@@ -298,14 +292,22 @@ def test_thm13a_product_form_can_fail(capsys, monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_caches")
-def test_thm13a_and_gauss_share_one_dist_square(capsys):
+def test_thm13a_and_gauss_share_one_dist_square(capsys, monkeypatch):
     # the square (-q;q)^2 does not depend on m: one build serves the five
     # basic characters and gauss's right side at the same order
+    built = []
+    real = characters.dist_product
+
+    def spy(j, order):
+        built.append(order)
+        return real(j, order)
+
+    monkeypatch.setattr(characters, "dist_product", spy)
     for family, *axes in (("thm13a", "--m", "2..6"), ("gauss",)):
         code, _, _ = run(capsys, "verify", "--family", family, *axes,
                          "--order", "60")
         assert code == 0
-    assert characters._built_dist_square.cache_info().misses == 1
+    assert built == [120]
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -543,12 +545,11 @@ def test_prop12_pair_quotient_past_its_bound_is_refused_first(capsys,
 def test_pair_quotient_expression_past_its_bound_builds_nothing(capsys,
                                                                 monkeypatch):
     # q-order 32768 builds at u-order 65536, the bound, in about 2 s; one
-    # more is refused before the quotient is built. A cache of its own
+    # more is refused before the quotient is built. A store of its own
     # keeps the long build out of the shared one
     built = []
-    real = characters._built_pair_quotient.__wrapped__
+    real = characters._built_pair_quotient
 
-    @lru_cache(maxsize=64)
     def spy(m, n):
         built.append((m, n))
         return real(m, n)
@@ -618,22 +619,23 @@ def test_far_sector_character_is_zero_not_refused(capsys):
 @pytest.fixture
 def builds(monkeypatch):
     """The (name, args) of every build of the four shared series from here
-    on, from an empty store: each builder is swapped for a recording one
-    with an empty cache of its own."""
+    on, from an empty store: each builder is swapped for a recording one,
+    and the two lru-cached ones get an empty cache of their own."""
     made = []
     for name in ("_inverse_denominator", "_built_pair_quotient",
                  "_charge_buckets", "_boson_pair_base"):
-        raw = getattr(characters, name).__wrapped__
+        builder = getattr(characters, name)
+        raw = getattr(builder, "__wrapped__", builder)
 
         def build(*args, name=name, raw=raw):
             made.append((name, args))
             return raw(*args)
-        monkeypatch.setattr(characters, name, lru_cache(maxsize=64)(build))
+        if raw is not builder:
+            build = lru_cache(maxsize=64)(build)
+        monkeypatch.setattr(characters, name, build)
     characters._BUILDS.clear()
-    characters._SECTORS.clear()
     yield made
     characters._BUILDS.clear()
-    characters._SECTORS.clear()
 
 
 @pytest.mark.parametrize("order", ["100", "400"])
@@ -652,7 +654,7 @@ def test_lemma11a_sides_stay_within_the_window_they_declare(m, s, nu):
     # the charge -|s| side, claimed at nu + |s| m, starts at or above
     # u^(|s| m): no inverse denominator is asked past nu + pad(m)
     asked = []
-    real = characters._shared_build
+    real = characters._shared
 
     def record(key, n, *rest):
         if key[0] == "inverse":
@@ -660,9 +662,9 @@ def test_lemma11a_sides_stay_within_the_window_they_declare(m, s, nu):
         return real(key, n, *rest)
 
     fam = identities.FAMILIES["lemma11a"]
-    characters._SECTORS.clear()  # so each example builds both sides cold
+    characters._BUILDS.clear()  # so each example builds both sides cold
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(characters, "_shared_build", record)
+        patch.setattr(characters, "_shared", record)
         list(fam.sides(nu, None, m=m, s=s))
     lo, order = fam.window(nu, None, m=m, s=s)
     assert order - lo == nu - characters.sector_window(m, 0)[0]
@@ -1050,6 +1052,65 @@ def test_verify_jobs_pool_matches_serial(capsys):
                          "--m", "2..3", "--s=-1..1", "--order", "25")
     assert code == code2 == 0
     assert out1 == out2
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every worker pool asked for from here on; each
+    pool is a stand-in that runs its points in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("points,jobs,sizes", [
+    (("--family", "gauss"), "2", []),  # one point: no pool
+    (("--family", "gauss"), str(cli.MAX_JOBS), []),
+    (("--family", "lemma11b", "--m", "2", "--s", "0..2"), "2", [2]),
+    (("--family", "lemma11b", "--m", "2", "--s", "0..2"), "3", [3]),
+    (("--family", "lemma11b", "--m", "2", "--s", "0..2"), str(cli.MAX_JOBS), [3]),
+])
+def test_verify_jobs_asks_for_at_most_one_worker_per_point(capsys, pool_sizes,
+                                                           points, jobs, sizes):
+    serial = run(capsys, "verify", *points, "--order", "10")
+    assert serial[0] == 0 and pool_sizes == []
+    assert run(capsys, "verify", *points, "--order", "10", "--jobs", jobs) == serial
+    assert pool_sizes == sizes
+
+
+@pytest.mark.parametrize("jobs", [str(cli.MAX_JOBS + 1), "1099511627776"])
+def test_verify_jobs_past_the_bound_is_usage_error(capsys, pool_sizes, jobs):
+    code, out, err = run(capsys, "verify", "--family", "all", "--jobs", jobs)
+    assert (code, out, pool_sizes) == (2, "", [])
+    assert f"must be <= {cli.MAX_JOBS}, got {jobs}" in err
+
+
+@pytest.mark.parametrize("argv,out", [
+    (("verify", "--family", "cor22", "--m", str(1 << 40), "--order", "39",
+      "--format", "text"), f"PASS cor22 m={1 << 40} order_u=78\n1/1 passed\n"),
+    (("series", "--expr", f"qp({1 << 40},0)", "--order", "3"),
+     "1 · q^{0}\n2 · q^{1}\n3 · q^{2}\n"),
+])
+def test_quasiparticle_sum_at_a_huge_m(capsys, argv, out):
+    # q^(mk) lies past the window for every k >= 1, so no bucket is
+    # shifted by it, which would take 2^40 bytes and more
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_verify_double_run_byte_identical(capsys):

@@ -752,18 +752,25 @@ def test_gauss_sum_product_expansion():
 
 
 def test_builder_caches_stay_bounded():
-    # a long grid of distinct orders keeps at most 64 of each builder
+    # a long grid of distinct orders keeps at most 64 of each lru-cached
+    # builder, and one build per key of the shared store: the longest,
+    # rounded up for the inverse denominator and the pair quotient
     calls = (
         (euler_phi, (2,)), (dist_product, (1,)), (gauss_sum, ()),
         (inv_euler_phi, (3,)), (basic_char, (2,)),
-        (characters._inverse_denominator, (2,)),
-        (characters._built_pair_quotient, (2,)),
+        (fock_sector_char, (2, 0)), (sector_pair_product, (2,)),
     )
+    characters._BUILDS.clear()
+    rounded = 0
     for order in range(1, 101):
         for builder, args in calls:
             builder(*args, order)
-    for builder, _ in calls:
+        rounded = rounded if rounded >= order else round_up(order)
+    for builder, _ in calls[:4]:
         assert builder.cache_info().currsize <= 64, builder.__name__
+    assert {key: built[0] for key, built in characters._BUILDS.items()} == {
+        "square": 100, ("basic", 2): 100, ("sector", 2, 0): 100,
+        ("inverse", 2): rounded, ("pair", 2): rounded}
 
 
 # ---------------------------------------------------------------------------

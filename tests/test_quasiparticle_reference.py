@@ -328,14 +328,14 @@ def check_requests(requests):
             continue
         if longest < nu:
             longest = round_up(nu)
-        assert characters._BUILDS["quasiparticle"] == longest
+        assert characters._BUILDS["quasiparticle"] == (longest, longest)
         nb = characters._digit_bytes(longest)
         mask = (1 << 8 * nb * ((nu + 1) // 2)) - 1
         assert {g: x & mask for g, x in characters._charge_buckets(longest)
                 if g * (g + 1) < nu} == dict(ref_charge_buckets(nu, nb))
         assert (characters._boson_pair_base(m, longest) & mask
                 == ref_boson_pair_base(m, nu, nb))
-    assert len(characters._BUILDS) <= 64
+    assert len(characters._BUILDS) <= 128
 
 
 requests = st.lists(st.tuples(st.integers(2, 6), st.integers(-4, 5),
@@ -384,33 +384,33 @@ def test_quasiparticle_read_from_a_longer_wider_build(m, s, order):
     for k, o in ((s, order), (s, order - 40), (s + 1, order - 2 * m)):
         assert (_fields(characters.quasiparticle_char(m, k, o))
                 == _fields(quasiparticle_char(m, k, o)))
-    assert characters._BUILDS["quasiparticle"] == round_up(nu)
+    assert characters._BUILDS["quasiparticle"] == (round_up(nu), round_up(nu))
 
 
-def test_shared_builds_keep_at_most_64_keys():
-    # a pair quotient per m, and the one quasiparticle key; past 64 keys
+def test_shared_builds_keep_at_most_128_keys():
+    # a pair quotient per m, and the one quasiparticle key; past 128 keys
     # the least recently used goes, and a later read of it builds it anew
     characters._BUILDS.clear()
-    for m in [*range(2, 80), 2]:
+    for m in [*range(2, 144), 2]:
         lhs, rhs = characters.vacuum_identity_sides(m, 3)
         assert lhs == rhs
-        assert len(characters._BUILDS) <= 64
-    assert list(characters._BUILDS)[-3:] == [("pair", 79), "quasiparticle",
+        assert len(characters._BUILDS) <= 128
+    assert list(characters._BUILDS)[-3:] == [("pair", 143), "quasiparticle",
                                              ("pair", 2)]
     assert ("pair", 3) not in characters._BUILDS
 
 
 def test_shared_builds_keep_the_quasiparticle_key_while_it_is_used():
     # the quasiparticle key is the oldest, but a read between new m's
-    # makes it the most recently used, so it outlives the 64-key bound
+    # makes it the most recently used, so it outlives the 128-key bound
     characters._BUILDS.clear()
     characters.quasiparticle_char(3, 0, 3)
-    for m in range(2, 80):
+    for m in range(2, 144):
         characters.sector_pair_product(m + 1, 3)
         assert characters.quasiparticle_char(3, 0, 3) == \
             quasiparticle_char(3, 0, 3)
         assert "quasiparticle" in characters._BUILDS
-        assert len(characters._BUILDS) <= 64
-    assert list(characters._BUILDS)[-3:] == [("pair", 80), "quasiparticle",
+        assert len(characters._BUILDS) <= 128
+    assert list(characters._BUILDS)[-3:] == [("pair", 144), "quasiparticle",
                                              ("pair", 2)]
     assert ("pair", 3) not in characters._BUILDS

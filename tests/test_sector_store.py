@@ -1,9 +1,9 @@
 """Differential tests of the sector characters read from their shared builds.
 
-`characters._SECTORS` keeps one packed build per (m, s), made at exactly
-the longest u-order asked so far, and every call reads it restricted to
-its own order. The reference below is the per-call route the store
-replaced: each call walks its own lattice rows, takes their least
+`characters._BUILDS` keeps one packed build per ("sector", m, s), made at
+exactly the longest u-order asked so far, and every call reads it
+restricted to its own order. The reference below is the per-call route
+the store replaced: each call walks its own lattice rows, takes their least
 exponent as the window's start, and builds from them at exactly its own
 order. Both must give the same window and coefficients whatever was
 asked before, and the store must record nothing for a refused request
@@ -60,29 +60,36 @@ EMPTY = [(1000, 1499, 2), (2, 60, 5), (3, -40, 0)]
 REFUSED = [(1000, 499, 2), (1000, 500, 2), (2, 0, SECTOR_MAX_SPAN + 1)]
 
 
+def sector_builds():
+    """The sector characters' builds in the shared store, oldest first."""
+    return [(key, built) for key, built in characters._BUILDS.items()
+            if key[0] == "sector"]
+
+
 def check_requests(requests):
     """From an empty store, read each (m, s, order) and check it against
     the reference, and what the store then holds."""
-    characters._SECTORS.clear()
+    characters._BUILDS.clear()
     longest = {}
     for m, s, order in requests:
-        before = list(characters._SECTORS.items())
+        before = sector_builds()
         try:
             rows, _ = walked_rows(m, s, order)
         except ResourceLimit as exc:
             with pytest.raises(ResourceLimit, match=re.escape(str(exc))):
                 fock_sector_char(m, s, order)
-            assert list(characters._SECTORS.items()) == before
+            assert sector_builds() == before
             continue
         assert parts(fock_sector_char(m, s, order)) == \
             parts(ref_fock_sector_char(m, s, order)), (m, s, order)
-        if rows or (m, s) in longest:
-            longest[m, s] = max(order, longest.get((m, s), order))
-            assert list(characters._SECTORS)[-1] == (m, s)
+        key = ("sector", m, s)
+        if rows:
+            longest[key] = max(order, longest.get(key, order))
+            assert sector_builds()[-1][0] == key
         else:
-            assert list(characters._SECTORS.items()) == before
-    assert {key: built[0] for key, built in characters._SECTORS.items()} == longest
-    assert len(characters._SECTORS) <= 64
+            assert sector_builds() == before
+    assert {key: built[0] for key, built in sector_builds()} == longest
+    assert len(characters._BUILDS) <= 128
 
 
 requests = st.lists(
@@ -115,21 +122,22 @@ def test_shared_sector_builds_in_any_request_order(reqs):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count the lattice-row walks and the shared-build requests."""
-    calls = {"rows": 0, "shared": 0}
-    rows, shared = characters._lattice_rows, characters._shared_build
+    """Count the lattice-row walks and the requests for an inverse
+    denominator, from an empty store."""
+    calls = {"rows": 0, "inverse": 0}
+    rows, shared = characters._lattice_rows, characters._shared
 
     def count_rows(*args):
         calls["rows"] += 1
         return rows(*args)
 
-    def count_shared(*args):
-        calls["shared"] += 1
-        return shared(*args)
+    def count_shared(key, *args):
+        calls["inverse"] += key[0] == "inverse"
+        return shared(key, *args)
 
     monkeypatch.setattr(characters, "_lattice_rows", count_rows)
-    monkeypatch.setattr(characters, "_shared_build", count_shared)
-    monkeypatch.setattr(characters, "_SECTORS", {})
+    monkeypatch.setattr(characters, "_shared", count_shared)
+    monkeypatch.setattr(characters, "_BUILDS", {})
     return calls
 
 
@@ -139,30 +147,34 @@ def counted(monkeypatch):
 ])
 def test_a_hit_finds_no_rows_and_asks_for_no_denominator(counted, m, s, orders):
     fock_sector_char(m, s, orders[0])
-    assert counted == {"rows": 1, "shared": 1}
+    assert counted == {"rows": 1, "inverse": 1}
     for order in orders[1:]:
         assert parts(fock_sector_char(m, s, order)) == \
             parts(ref_fock_sector_char(m, s, order))
-        counted.update(rows=0, shared=0)
+        counted.update(rows=0, inverse=0)
         fock_sector_char(m, s, order)
-        assert counted == {"rows": 0, "shared": 0}, order
+        assert counted == {"rows": 0, "inverse": 0}, order
     # a longer order is a miss: its rows once, its denominator once
     fock_sector_char(m, s, orders[0] + 1)
-    assert counted == {"rows": 1, "shared": 1}
+    assert counted == {"rows": 1, "inverse": 1}
 
 
-def test_the_store_keeps_at_most_64_keys(counted):
-    # past 64 keys the least recently used goes; a key read again is the
-    # newest and stays
+def test_the_store_keeps_at_most_128_keys(counted):
+    # past 128 keys the least recently used goes; a key read again is the
+    # newest and stays. Each new m adds its inverse key, then its sector
+    # key; m = 2's inverse key is never read again, and goes
     for m in range(3, 83):
         fock_sector_char(2, 0, 30)
         fock_sector_char(m, 0, 30)
-        assert len(characters._SECTORS) <= 64
-    assert list(characters._SECTORS) == \
-        [(m, 0) for m in range(20, 82)] + [(2, 0), (82, 0)]
-    counted.update(rows=0)
-    fock_sector_char(19, 0, 30)  # built anew
-    assert counted["rows"] == 1
+        assert len(characters._BUILDS) <= 128
+    assert list(characters._BUILDS) == [("sector", 19, 0)] + \
+        [key for m in range(20, 82) for key in (("inverse", m), ("sector", m, 0))] + \
+        [("sector", 2, 0), ("inverse", 82), ("sector", 82, 0)]
+    counted.update(rows=0, inverse=0)
+    fock_sector_char(19, 0, 30)  # read, though its inverse key is gone
+    assert counted == {"rows": 0, "inverse": 0}
+    fock_sector_char(18, 0, 30)  # built anew
+    assert counted == {"rows": 1, "inverse": 1}
 
 
 # the CI refusals: spans of 249502 and 65890, a sector with no row below
@@ -215,15 +227,31 @@ def test_a_skewed_build_fails_a_later_shorter_point(capsys, monkeypatch,
                                                      family, axes, key):
     # the lowest q-digit of a build made for a longer point, off by one,
     # must fail the shorter point that only reads it
-    monkeypatch.setattr(characters, "_SECTORS", {})
+    monkeypatch.setattr(characters, "_BUILDS", {})
     verify = ("verify", "--family", family, *axes, "--order")
     assert run(capsys, *verify, "60")[0] == 0
-    order, nb, x = characters._SECTORS[key]
+    order, (nb, x) = characters._BUILDS["sector", *key]
     lo = sector_char_window(*key, order)[0]
     mask = (1 << 8 * nb * ((order - lo + 1) // 2)) - 1
-    characters._SECTORS[key] = order, nb, x + 1 & mask
+    characters._BUILDS["sector", *key] = order, (nb, x + 1 & mask)
     code, out = run(capsys, *verify, "30")
     assert code == 1 and {r["verdict"] for r in json.loads(out)} == {"fail"}
-    assert characters._SECTORS[key][0] == order  # read, not rebuilt
-    characters._SECTORS.clear()
+    assert characters._BUILDS["sector", *key][0] == order  # read, not rebuilt
+    characters._BUILDS.clear()
     assert run(capsys, *verify, "30")[0] == 0
+
+
+def test_a_second_lemma11a_run_builds_no_sector(capsys, monkeypatch):
+    # the default grid reads 65 sector characters, past a 64-key store;
+    # all of them stay, so a second run in the same process builds none
+    monkeypatch.setattr(characters, "_BUILDS", {})
+    verify = ("verify", "--family", "lemma11a", "--order", "200")
+    code, first = run(capsys, *verify)
+    assert code == 0
+    assert len([key for key in characters._BUILDS if key[0] == "sector"]) == 65
+
+    def refuse(*args):
+        raise AssertionError("a sector character was built")
+
+    monkeypatch.setattr(characters, "_sector_build", refuse)
+    assert run(capsys, *verify) == (0, first)
