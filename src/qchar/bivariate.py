@@ -30,8 +30,13 @@ shortest-path costs. With pad the total negative cost of the factors,
 the table keeps only the band of charges whose cost is below
 order + 2 pad, exact below order + pad, which covers every digit any row
 holds; it sweeps that band alone, and skips any mover that a no dearer
-bosonic one with the same step already covers. The digit width comes from the product at z = 1 with
-every sign +, which each builder reads as theta series over Euler products.
+bosonic one with the same step already covers. With pad = 0 (the triple
+and inverse pair products, the Fock character of m = 2) the movers come
+in ascending cost from 0 up, no mover changes a finite entry, and each
+factor reads one shared table through its own band extent, each mover
+costing O(1) or its new entries; else each factor keeps a copy of its
+band. The digit width comes from the product at z = 1 with every sign
++, which each builder reads as theta series over Euler products.
 """
 
 from __future__ import annotations
@@ -215,9 +220,19 @@ class _CostTable:
     changes nothing and is skipped. A later mover keeps the closure unless
     it is a once mover of the opposite step whose cost plus the closure's
     is < 0: a move and its undo never gain otherwise.
+
+    While every mover so far came in ascending cost from 0 up (`dearest`
+    is the last cost, else inf), the table is nested: the entry d charges
+    past the window on one side is the sum of the d cheapest costs of
+    that side's movers, a repeatable one counted without end, and no move
+    back ever gains. A next mover no cheaper than any before then changes
+    no finite entry. A once mover only adds the entry just past its
+    side's band edge, and a repeatable one only walks out from that edge;
+    neither rescans the band. An edge that a clip at the limit made stays
+    put, as the dropped entry was no dearer than the new one.
     """
 
-    __slots__ = ("limit", "cost", "lo", "hi", "closed")
+    __slots__ = ("limit", "cost", "lo", "hi", "closed", "dearest")
 
     def __init__(self, cap: int, limit: int, lo: int, hi: int):
         self.limit = limit
@@ -226,9 +241,12 @@ class _CostTable:
         self.hi = min(hi, cap) + cap
         self.cost[self.lo:self.hi + 1] = [0] * (self.hi - self.lo + 1)
         self.closed = {}
+        self.dearest = 0
 
     def add_mover(self, step: int, cost: int, once: bool) -> bool:
         """Add the mover; False when that leaves the table as it was."""
+        nested = self.dearest <= cost
+        self.dearest = cost if nested else _INF
         closed = self.closed
         if closed.get(step, _INF) <= cost:
             return False
@@ -241,28 +259,40 @@ class _CostTable:
             return False
         n = len(c)
         if once:
-            a, b = max(lo + step, 0), min(hi + step, n - 1)
-            c[a:b + 1] = map(min, c[a:b + 1],
-                             map(add, c[a - step:b - step + 1], repeat(cost)))
-            # the moved edge may land at or above the limit; the one
-            # behind it was an edge before, and no entry rose
-            e = b if step > 0 else a
-            if c[e] >= limit:
-                c[e] = _INF
-                e -= step
+            if nested:
+                # only the entry just past the edge can fall
+                e = hi + 1 if step > 0 else lo - 1
+                if not (0 <= e < n and c[e - step] + cost < limit):
+                    return False
+                c[e] = c[e - step] + cost
+            else:
+                a, b = max(lo + step, 0), min(hi + step, n - 1)
+                c[a:b + 1] = map(min, c[a:b + 1],
+                                 map(add, c[a - step:b - step + 1],
+                                     repeat(cost)))
+                # the moved edge may land at or above the limit; the one
+                # behind it was an edge before, and no entry rose
+                e = b if step > 0 else a
+                if c[e] >= limit:
+                    c[e] = _INF
+                    e -= step
             self.lo, self.hi = min(lo, e), max(hi, e)
             return True
-        # cost[i] = min over j of cost[i - j step] + j cost, a running
-        # minimum of cost[i] - i cost along the step
-        sl = (slice(lo, hi + 1) if step > 0
-              else slice(hi, lo - 1 if lo else None, -1))
-        seg = c[sl]
-        ramp = range(0, len(seg) * cost, cost)
-        c[sl] = seg = list(map(add, accumulate(map(sub, seg, ramp), min),
-                               ramp))
+        if nested:
+            # no band entry falls
+            v = c[hi] if step > 0 else c[lo]
+        else:
+            # cost[i] = min over j of cost[i - j step] + j cost, a running
+            # minimum of cost[i] - i cost along the step
+            sl = (slice(lo, hi + 1) if step > 0
+                  else slice(hi, lo - 1 if lo else None, -1))
+            seg = c[sl]
+            ramp = range(0, len(seg) * cost, cost)
+            c[sl] = seg = list(map(add, accumulate(map(sub, seg, ramp), min),
+                                   ramp))
+            v = seg[-1]
         # walk out past the band while the cost stays below the limit; the
         # far edge v was below it and only fell
-        v = seg[-1]
         if step > 0:
             k = min((limit - 1 - v) // cost, n - 1 - hi)
             c[hi + 1:hi + k + 1] = range(v + cost, v + cost * k + 1, cost)
@@ -289,6 +319,27 @@ def _plus_bound(n: int, thetas, phis) -> int:
         for _ in range(abs(e)):
             x = x * euler_phi(a, n) if e > 0 else x / euler_phi(a, n)
     return max(x.coeffs)
+
+
+def _pullbacks(factors, cap: int, limit: int, lo: int, hi: int,
+               shared: bool) -> list:
+    """One (first, last, band, shift) per factor of the cost-sorted list:
+    band[j - shift] is the cheapest way the movers of factors[:i + 1]
+    carry charge j - cap into the window [lo, hi] (reach it from the
+    window with every step reversed), over the charges first <= j <= last
+    they reach below limit. A factor that changes nothing shares the entry
+    before it. If shared, every cost is at least 0, so the table is nested
+    (see _CostTable) and each factor reads the one table through its
+    extent, shift = 0; else each keeps a copy of its band, shift = first."""
+    tops = []
+    back = _CostTable(cap, limit, lo, hi)
+    for step, cost, _, inverse in factors:
+        if back.add_mover(-step, cost, not inverse) or not tops:
+            first, last = back.lo, back.hi
+            top = ((first, last, back.cost, 0) if shared
+                   else (first, last, back.cost[first:last + 1], first))
+        tops.append(top)
+    return tops
 
 
 def _graded_product(factors, req_lo: int, req_hi: int, order: int,
@@ -320,17 +371,7 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
     # at most pad of negative cost, so every cost below order + pad is
     # exact, and one missing from the table is order + pad or more.
     limit = order + 2 * pad
-    # tops[i] = (first, band): band[k - first] is the cheapest way the
-    # movers of factors[:i + 1] carry charge k - cap into the window (reach
-    # it from the window with every step reversed), over the charges they
-    # reach below limit, a slice of the table's band; a factor that changes
-    # nothing shares the entry before it
-    tops = []
-    back = _CostTable(cap, limit, req_lo, req_hi)
-    for step, cost, _, inverse in factors:
-        if back.add_mover(-step, cost, not inverse) or not tops:
-            table = (back.lo, back.cost[back.lo:back.hi + 1])
-        tops.append(table)
+    tops = _pullbacks(factors, cap, limit, req_lo, req_hi, not pad)
 
     # Row k, charge k + base - cap, is x(u^2) u^offs[k]: the int x packs
     # its coefficients as w-bit q-digits, each mod 2^w. Every offset a
@@ -338,7 +379,8 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
     # alignment moves by half an offset difference, and a row whose top
     # is T keeps its ceil((T - offs[k]) / 2) digits below u^T. While
     # factor i is applied, a write to row k keeps at least its digits
-    # below the top T(k) = order - band[k - a] of tops[i]; before that, a
+    # below the top T(k) = order - band[k + d] of tops[i], d = base -
+    # shift, for a <= k <= b, its extent in rows; before that, a
     # row missing from tops[i] is dropped, and so is one whose offset
     # reaches T(k). That scan is skipped when tops[i] is the entry the
     # factor before used: it kept only rows inside that band and below
@@ -367,13 +409,21 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
     # Masked adds, subtractions and left shifts are ring operations, and
     # offsets take the place of right shifts, so at the end the window
     # rows are right below H = order.
+    #
+    # Why one shared table serves when pad = 0. The movers then come in
+    # ascending cost from 0 up, so the table is nested: a mover added
+    # after factor i changes no finite entry, and writes only outside the
+    # extent [first, last] the table had with factors[:i + 1], which
+    # stayed inf there. So the finished table, read through that extent,
+    # holds exactly the entries tops[i] would hold as a copy, and the
+    # sweep reads no entry outside it: every k it reads lies in [a, b].
     nbytes = digit_bytes(bound, True)
     w = 8 * nbytes
     # the last table is the widest
-    base, band = tops[-1] if tops else (cap, [0])
-    rows, offs = [0] * len(band), [0] * len(band)
+    base, end = tops[-1][:2] if tops else (cap, cap)
+    rows, offs = [0] * (end - base + 1), [0] * (end - base + 1)
     lo = hi = cap - base
-    if 0 <= lo < len(band):
+    if 0 <= lo < len(rows):
         rows[lo] = 1
     else:
         lo, hi = 0, -1
@@ -381,13 +431,13 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
     last = None
     for (step, cost, sign, inverse), top in zip(reversed(factors),
                                                 reversed(tops)):
-        first, band = top
-        a, b = first - base, first - base + len(band) - 1  # band[k - a]
+        first, last, band, shift = top
+        a, b, d = first - base, last - base, base - shift  # band[k + d]
         if top is not last:
             last = top
             for k in range(lo, hi + 1):
                 if rows[k] and not (a <= k <= b
-                                    and offs[k] + band[k - a] < order):
+                                    and offs[k] + band[k + d] < order):
                     rows[k] = 0
             while lo <= hi and not rows[lo]:
                 lo += 1
@@ -412,7 +462,7 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
                     break
                 continue
             o = offs[k - step] + cost
-            t = order - band[k - a]
+            t = order - band[k + d]
             if o >= t:
                 continue
             y = rows[k]
@@ -451,8 +501,9 @@ def _graded_product(factors, req_lo: int, req_hi: int, order: int,
 # The most z-rows hi - lo + 1 a graded builder makes, a power of two. A row
 # past the charges the order reaches costs about 10 us and 0.35 KB, so
 # nothing else bounds a wide window. On 2 vCPUs with --zwin 32767, each of
-# jtp, kp and fockprod verifies in 0.4-2.0 s and 25-31 MB at q-order 5, and
-# in 8-16 s and 0.19-0.58 GB at q-order 1600.
+# jtp, kp and fockprod verifies in 0.4-1.6 s and 28-35 MB at q-order 5; at
+# q-order 1600 jtp takes 0.6 s and 38 MB, kp and fockprod 8-13 s and
+# 0.36-0.58 GB.
 ZWIN_MAX_ROWS = 1 << 16
 
 
@@ -469,7 +520,7 @@ def graded_window(name: str, order: int, window, pad: int = 0):
     digits, passes QP_MAX_ORDER, or if its hi - lo + 1 z-rows pass
     ZWIN_MAX_ROWS: the one check every graded builder, and the window of
     its family, makes before anything is built. kp takes about 14 s and
-    0.57 GB at the span bound on 2 vCPUs, jtp 3.5 s."""
+    0.57 GB at the span bound on 2 vCPUs, jtp 3 s and 32 MB."""
     need("order", order, 1)
     check_work(order + 2 * pad, QP_MAX_ORDER,
                f"{name} at u-order {order} has a span in packed digits of")

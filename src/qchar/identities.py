@@ -13,8 +13,9 @@ its sides function:
     built: every family with an m axis declares a window that raises m < 2
     as its builders do, prop12 and recurrence one that raises k < 0, and
     the quasiparticle sum's bound, the graded products' graded_window
-    (their z-rows included), for lemma11a, lemma11b and prop12 each side's
-    sector_char_window, and prop12's pair_quotient_window raise there too;
+    (their z-rows included), for lemma11a, lemma11b, prop12 and
+    recurrence each sector side's sector_char_window, and prop12's
+    pair_quotient_window raise there too;
     `verify` runs the longest point first;
   * sides(nu, half, **point): a generator of (extra_params, lhs, rhs), one
     triple per report at the grid point, all claimed at u-order nu.
@@ -181,10 +182,14 @@ def _recurrence_budget(m, k):
     return m * (m - 1) * k * (k + 1)
 
 
-@family("recurrence",
-        window=lambda nu, half, m, k: closed_form_window(
-            m, k, nu + _recurrence_budget(m, k)),
-        m=(2, 4), k=(0, 4))
+def _recurrence_window(nu, half, m, k):
+    # the charge-0 sector side is built with the summed budget, the
+    # longest of the point's builds
+    order = nu + _recurrence_budget(m, k)
+    return _sector_sides(closed_form_window(m, k, order), m, (0, order))
+
+
+@family("recurrence", window=_recurrence_window, m=(2, 4), k=(0, 4))
 def _iterated_recurrence(nu, half, m, k):
     # k steps from the charge-0 sector land on the charge -k(m-1) closed
     # form; the mirror symmetry makes step j's input the charge-j(m-1)

@@ -741,17 +741,36 @@ def test_quasiparticle_bound_is_checked_on_the_whole_grid_first(
 
 
 def test_family_window_is_checked_on_the_whole_grid_first(capsys, monkeypatch):
-    # recurrence builds at u-order nu + 2k(k+1) for m = 2; only the last k
-    # of the grid is too wide
+    # recurrence builds its charge-0 sector side at u-order nu + 2k(k+1)
+    # for m = 2; only the last k of the grid spans too many u-powers
     k = 0
-    while 2 + 2 * (k + 1) * (k + 2) <= MAX_WINDOW:
+    while 2 + 2 * (k + 1) * (k + 2) <= characters.SECTOR_MAX_SPAN:
         k += 1
     identities.check_domain("recurrence", 2, None, {"m": 2, "k": k})
     calls = _counting(monkeypatch, "recurrence")
     code, out, err = run(capsys, "verify", "--family", "recurrence",
                          "--m", "2", f"--k=0..{k + 1}", "--order", "1")
     assert (code, out, calls) == (3, "", [])
-    assert err.startswith(f"qchar: recurrence m=2 k={k + 1}: the window u^0..")
+    assert err.startswith(f"qchar: recurrence m=2 k={k + 1}: the sector "
+                          "character of m=2, charge 0 at u-order ")
+
+
+def test_recurrence_sector_side_past_its_bound_is_refused_first(
+        capsys, monkeypatch, pool_sizes):
+    # at q-order 32760 the grid's points with k >= 3 build their charge-0
+    # sector side past SECTOR_MAX_SPAN; the whole grid is refused before
+    # a worker starts or a sector character is built
+    def refuse(*args):
+        raise AssertionError("a sector character was built")
+
+    monkeypatch.setattr(characters, "_sector_build", refuse)
+    code, out, err = run(capsys, "verify", "--family", "recurrence", "--m",
+                         "2..3", "--k", "0..4", "--order", "32760", "--jobs",
+                         "2")
+    assert (code, out, pool_sizes) == (3, "", [])
+    assert err == ("qchar: recurrence m=2 k=3: the sector character of m=2, "
+                   "charge 0 at u-order 65544 has a span in u-powers of "
+                   "65544, past its bound 65536\n")
 
 
 @pytest.mark.parametrize("name,point", [

@@ -20,6 +20,7 @@ from qchar import bivariate
 from qchar.bivariate import (
     ChargeSeries,
     _CostTable,
+    _pullbacks,
     fock_char_product,
     inverse_product_sides,
     jacobi_triple_sides,
@@ -367,15 +368,35 @@ _movers = st.lists(
     max_size=14)
 
 
+# the shape jtp, kp and fockprod m = 2 feed in: every cost at least 0, in
+# ascending order, which keeps the table nested
+_ascending_movers = _movers.map(
+    lambda movers: sorted(((s, abs(c), once) for s, c, once in movers),
+                          key=lambda mover: mover[1]))
+
+
 # seed windows inside, straddling and past [-cap, cap]. The examples land
 # moves exactly one below and exactly at the limit at the band edges, skip
 # a mover that is no dearer than a cheaper one, and undo a move at the top
 # edge after a closure was recorded, which an unclipped table would not
 # notice; an undo that gains exactly nothing keeps the closure, one that
-# gains 1 drops it
+# gains 1 drops it. The ascending examples land a once mover and a
+# repeatable one exactly at the limit on one edge and one below it on the
+# other, add a dearer mover past an edge the limit clipped, and run a band
+# into the cap
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 25), st.integers(1, 60), st.integers(-35, 35),
-       st.integers(-1, 12), _movers)
+       st.integers(-1, 12), st.one_of(_movers, _ascending_movers))
+@example(5, 4, 0, 0, [(1, 1, True), (-1, 1, True), (-1, 2, True),
+                      (1, 3, True)])
+@example(5, 4, 0, 0, [(-1, 1, True), (1, 1, True), (1, 2, True),
+                      (-1, 3, True)])
+@example(5, 7, 0, 0, [(1, 1, True), (-1, 2, False), (1, 3, False)])
+@example(5, 7, 0, 0, [(-1, 1, True), (1, 2, False), (-1, 3, False)])
+@example(5, 4, 0, 0, [(1, 2, True), (1, 2, True), (1, 3, True),
+                      (1, 3, False)])
+@example(2, 60, -1, 1, [(1, 0, True), (1, 1, True), (-1, 1, False),
+                        (1, 2, True)])
 @example(5, 4, 0, 0, [(1, 3, True), (-1, 3, True)])
 @example(5, 4, 0, 0, [(1, 4, True), (-1, 4, True)])
 @example(5, 4, 0, 0, [(-1, 2, True), (-1, 1, True), (1, 3, True)])
@@ -406,6 +427,42 @@ def test_band_table_matches_full_table(cap, limit, lo, width, movers):
         assert all(v == _INF for v in outside)
         if band.lo <= band.hi:
             assert band.cost[band.lo] < limit and band.cost[band.hi] < limit
+
+
+def _assert_extents_are_fresh_tables(factors, cap, limit, lo, hi):
+    # each factor's extent of the one shared table, read after every mover
+    # went in, is the table fed that factor and every cheaper one
+    factors = sorted(factors, key=lambda f: f[1])
+    tops = _pullbacks(factors, cap, limit, lo, hi, True)
+    assert len({id(band) for _, _, band, _ in tops}) <= 1
+    for i, (first, last, band, shift) in enumerate(tops):
+        fresh = _CostTable(cap, limit, lo, hi)
+        for step, cost, _, inverse in factors[:i + 1]:
+            fresh.add_mover(-step, cost, not inverse)
+        assert (first, last) == (fresh.lo, fresh.hi), i
+        assert band[first - shift:last - shift + 1] == \
+            fresh.cost[first:last + 1], i
+
+
+@pytest.mark.parametrize("name,m,order", [("jtp", 2, 60), ("kp", 2, 60),
+                                          ("fockprod", 2, 60)])
+@pytest.mark.parametrize("lo,hi", [(-6, 6), (0, 0), (3, 40), (-90, -60)])
+def test_shared_table_extents_are_fresh_tables(name, m, order, lo, hi):
+    factors = _sized(name, m, order)[0]
+    assert min((f[1] for f in factors), default=0) >= 0
+    _assert_extents_are_fresh_tables(factors, order + 8, order, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 12),
+                          st.just(1), st.booleans()), max_size=10),
+       st.integers(1, 40), st.integers(-12, 12), st.integers(0, 10))
+def test_shared_table_extents_are_fresh_tables_for_any_factors(factors, order,
+                                                               lo, width):
+    # inverse factors cost at least 1
+    factors = [(s, max(c, inverse), sign, inverse)
+               for s, c, sign, inverse in factors]
+    _assert_extents_are_fresh_tables(factors, order + 8, order, lo, lo + width)
 
 
 class _Sized(Exception):
